@@ -15,35 +15,26 @@ from .criteria import (
     check_inflection_cubic,
     check_torsion_compat,
     check_torsion_cubic,
-    convex_control_polygon,
-    intersect_lines,
-    planar_cubic_inflection,
 )
 from .geometry import (
     EPS_ZERO,
     DegenerateInputError,
     InvalidPlaneError,
     Plane,
-    cross2,
     cross3,
     project_point,
     sine_angle,
     sphere_directions,
     triple,
-    vec2,
-    vec3,
 )
 from .polygon import (
     DataPolygon,
-    PolyArc2,
     ShapeFlag,
     classify_vertex,
-    is_regular_arc,
-    planar_inflection_count,
     sign_changes,
     spatial_arc_inflection_count,
 )
-from .segment import CubicSegment, CurvatureQuad, quadratic_cross
+from .segment import CubicSegment, CurvatureQuad
 from .spline import (
     Parameterization,
     Spline,

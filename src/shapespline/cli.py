@@ -19,13 +19,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .criteria import Criterion, Tolerances
 from .geometry import norm, sine_angle
-from .polygon import DataPolygon, classify_vertex, spatial_arc_inflection_count
+from .polygon import DataPolygon, classify_vertex, sign_changes, spatial_arc_inflection_count
 from .spline import (
     Parameterization,
     SplineConfig,
@@ -35,20 +36,73 @@ from .spline import (
     sample_spline,
 )
 
-_CONFIG_KEYS = (
-    "eps0",
-    "eps1",
-    "eps_zero",
-    "tension",
-    "parameterization",
-    "samples",
-    "directions",
-    "eta_fraction",
-)
-
 
 class InputError(ValueError):
     pass
+
+
+def _finite(x) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One resolvable setting: its key in the document's ``config`` object
+    and in the report's config echo, its flag, value type and default.
+
+    Numbers must be finite.  A float must lie in ``(0, high]`` (``(0, inf)``
+    when ``high`` is None); an int must be at least ``low``; a string must
+    be one of ``choices``.  ``in_config`` is False for a flag-only setting.
+    """
+
+    key: str
+    flag: str
+    kind: type
+    default: object
+    help: str
+    choices: tuple = ()
+    low: int | None = None
+    high: float | None = None
+    in_config: bool = True
+
+    def check(self, value, where: str):
+        """``value`` if it is valid for this setting, else an InputError
+        naming ``where`` (the flag or the config key it came from)."""
+        if self.choices:
+            ok = isinstance(value, str) and value in self.choices
+            want = "one of " + ", ".join(self.choices)
+        elif self.kind is int:
+            ok = type(value) is int and value >= self.low
+            want = f"an integer >= {self.low}"
+        else:
+            ok = _finite(value) and value > 0 and (self.high is None or value <= self.high)
+            want = "a positive number" if self.high is None else f"a number in (0, {self.high:g}]"
+        if not ok:
+            raise InputError(f"{where} must be {want}, got {value!r}")
+        return value
+
+
+SETTINGS = (
+    Setting("eps0", "--eps-collinear", float, Tolerances.eps_collinear,
+            "sine bound for collinearity", high=1.0),
+    Setting("eps1", "--eps-coplanar", float, Tolerances.eps_coplanar,
+            "sine bound for coplanarity", high=1.0),
+    Setting("eps_zero", "--eps-zero", float, Tolerances.eps_zero, "zero-classification threshold"),
+    Setting("tension", "--tension", float, SplineConfig.tension, "tangent magnitude scale"),
+    Setting("parameterization", "--param", str, SplineConfig.parameterization.value,
+            "knot parameterization", choices=tuple(p.value for p in Parameterization)),
+    Setting("samples", "--samples", int, oracle.DEFAULT_SAMPLES,
+            "parameter samples for oracles", low=8),
+    Setting("directions", "--directions", int, oracle.DEFAULT_DIRECTIONS,
+            "view directions for inflection search", low=16),
+    Setting("eta_fraction", "--eta", float, Tolerances.eta_fraction,
+            "collinearity window fraction", high=1.0),
+    Setting("tangents", "--tangents", str, SplineConfig.tangent_mode.value, "tangent source",
+            choices=tuple(m.value for m in TangentMode), in_config=False),
+)
+_CONFIG = {s.key: s for s in SETTINGS if s.in_config}
+_PER_SEGMENT = Setting("per_segment", "--per-segment", int, 33, "samples per segment", low=2)
 
 
 def load_document(path: str) -> dict:
@@ -64,52 +118,40 @@ def load_document(path: str) -> dict:
     pts = doc.get("points")
     if not isinstance(pts, list) or len(pts) < 2:
         raise InputError("'points' must list at least 2 points")
-    for p in pts:
-        if not (isinstance(p, list) and len(p) == 3):
-            raise InputError("each point must be an [x, y, z] triple")
-    for key in ("tangents", "knots"):
-        if key in doc and doc[key] is not None:
-            if not isinstance(doc[key], list):
-                raise InputError(f"'{key}' must be a list")
-            want = len(pts)
-            if len(doc[key]) != want:
-                raise InputError(f"'{key}' must have {want} entries")
-    cfg = doc.get("config", {})
-    if cfg and not isinstance(cfg, dict):
+    for key in ("points", "tangents", "knots"):
+        entries = doc.get(key)
+        if entries is None:
+            continue
+        if not isinstance(entries, list):
+            raise InputError(f"'{key}' must be a list")
+        if len(entries) != len(pts):
+            raise InputError(f"'{key}' must have {len(pts)} entries")
+        for k, e in enumerate(entries):
+            if key == "knots":
+                if not _finite(e):
+                    raise InputError(f"'knots' entry {k} must be a finite number, got {e!r}")
+            elif not (isinstance(e, list) and len(e) == 3 and all(map(_finite, e))):
+                raise InputError(f"'{key}' entry {k} must be an [x, y, z] triple of finite numbers")
+    cfg = doc.get("config")
+    if cfg is None:
+        cfg = {}
+    elif not isinstance(cfg, dict):
         raise InputError("'config' must be an object")
-    for key in cfg:
-        if key not in _CONFIG_KEYS:
+    for key, value in cfg.items():
+        if key not in _CONFIG:
             raise InputError(f"unknown config key {key!r}")
+        _CONFIG[key].check(value, f"config {key!r}")
     return doc
 
 
 def _resolve_settings(args, doc: dict) -> dict:
     """Defaults, overridden by the document's config, overridden by flags."""
-    settings = {
-        "eps0": 0.05,
-        "eps1": 0.05,
-        "eps_zero": 1e-9,
-        "tension": 0.5,
-        "parameterization": "chord",
-        "samples": 512,
-        "directions": 2048,
-        "eta_fraction": 1.0,
-        "tangents": "catmull-rom",
-    }
-    file_cfg = doc.get("config", {}) or {}
-    settings.update({k: file_cfg[k] for k in _CONFIG_KEYS if k in file_cfg})
-    flag_map = {
-        "eps0": args.eps_collinear,
-        "eps1": args.eps_coplanar,
-        "eps_zero": args.eps_zero,
-        "tension": args.tension,
-        "parameterization": args.param,
-        "samples": args.samples,
-        "directions": args.directions,
-        "eta_fraction": args.eta,
-        "tangents": args.tangents,
-    }
-    settings.update({k: v for k, v in flag_map.items() if v is not None})
+    settings = {s.key: s.default for s in SETTINGS}
+    settings.update(doc.get("config") or {})
+    for s in SETTINGS:
+        value = getattr(args, s.key)
+        if value is not None:
+            settings[s.key] = s.check(value, s.flag)
     return settings
 
 
@@ -120,22 +162,10 @@ def _build(doc: dict, settings: dict):
         eps_zero=float(settings["eps_zero"]),
         eta_fraction=float(settings["eta_fraction"]),
     )
-    param = {
-        "uniform": Parameterization.UNIFORM,
-        "chord": Parameterization.CHORD_LENGTH,
-    }.get(settings["parameterization"])
-    if param is None:
-        raise InputError(f"unknown parameterization {settings['parameterization']!r}")
-    mode = {
-        "catmull-rom": TangentMode.CATMULL_ROM,
-        "provided": TangentMode.PROVIDED,
-    }.get(settings["tangents"])
-    if mode is None:
-        raise InputError(f"unknown tangent mode {settings['tangents']!r}")
     cfg = SplineConfig(
-        tangent_mode=mode,
+        tangent_mode=TangentMode(settings["tangents"]),
         tension=float(settings["tension"]),
-        parameterization=param,
+        parameterization=Parameterization(settings["parameterization"]),
         tolerances=tol,
     )
     try:
@@ -151,13 +181,16 @@ def _build(doc: dict, settings: dict):
     return polygon, spline, cfg
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1)
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, out_path: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=1) + "\n", out_path)
 
 
 def _config_echo(settings: dict) -> dict:
@@ -174,7 +207,7 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
     seed = int(os.environ.get("SHAPESPLINE_SEED", "0"))
     rng = np.random.default_rng(seed)
     tol = cfg.tolerances
-    n_samples = int(settings["samples"])
+    n_samples = settings["samples"]
     poly = spline.polygon
     problems = []
 
@@ -215,7 +248,7 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
                     vals = omegas @ nv
                     band = tol.eps_zero * max(float(np.abs(vals).max()), 1e-300)
                     vals = np.where(np.abs(vals) <= band, 0.0, vals)
-                    changes = oracle.sign_changes(vals)
+                    changes = sign_changes(vals)
                     if changes != 1:
                         problems.append(
                             f"segment {i}: inflection passed but sampled bending "
@@ -226,7 +259,9 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
                 for u in (0.0, 0.37, 0.5, 1.0):
                     d1, d2, d3 = oracle.decasteljau_derivatives(ctrl, u, seg.h)
                     det = float(np.dot(np.cross(d1, d2), d3))
-                    if abs(det - tau) > 1e-9 * max(abs(tau), abs(det), 1e-300):
+                    # rounding in det and tau scales with |d1||d2||d3|, which
+                    # on a nearly coplanar span is far above |tau|
+                    if abs(det - tau) > 1e-9 * norm(d1) * norm(d2) * norm(d3):
                         problems.append(
                             f"segment {i}: torsion numerator {tau} disagrees with "
                             f"sampled determinant {det} at u={u}"
@@ -313,18 +348,14 @@ def cmd_measures(args) -> int:
 def cmd_sample(args) -> int:
     doc = load_document(args.input)
     settings = _resolve_settings(args, doc)
+    per_segment = _PER_SEGMENT.check(args.per_segment, _PER_SEGMENT.flag)
     polygon, spline, cfg = _build(doc, settings)
-    rows = sample_spline(spline, args.per_segment)
+    rows = sample_spline(spline, per_segment)
     lines = ["segment_index,t,x,y,z,wx,wy,wz,tau_num"]
     for i, t, pos, omega, tau in rows:
         nums = [t, *pos, *omega, tau]
         lines.append(str(i) + "," + ",".join(f"{v:.17g}" for v in nums))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -332,11 +363,11 @@ def cmd_inflection(args) -> int:
     doc = load_document(args.input)
     settings = _resolve_settings(args, doc)
     polygon, spline, cfg = _build(doc, settings)
-    directions = int(settings["directions"])
+    directions = settings["directions"]
     arc_count = spatial_arc_inflection_count(polygon, directions)
     seg_counts = [
         oracle.projected_inflection_count(
-            seg, directions, int(settings["samples"]), cfg.tolerances.eps_zero
+            seg, directions, settings["samples"], cfg.tolerances.eps_zero
         )
         for seg in spline.segments
     ]
@@ -356,7 +387,7 @@ def cmd_inflection(args) -> int:
             )
         for k, seg in enumerate(spline.segments):
             dense = oracle.projected_inflection_count(
-                seg, 2 * directions, int(settings["samples"]), cfg.tolerances.eps_zero
+                seg, 2 * directions, settings["samples"], cfg.tolerances.eps_zero
             )
             if dense > seg_counts[k]:
                 problems.append(
@@ -370,6 +401,17 @@ def cmd_inflection(args) -> int:
     return exit_code
 
 
+def _add_flag(p, setting: Setting, default) -> None:
+    p.add_argument(
+        setting.flag,
+        dest=setting.key,
+        type=setting.kind,
+        choices=setting.choices or None,
+        default=default,
+        help=f"{setting.help} (default {setting.default})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="shapespline",
@@ -379,15 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("input", help="path to a JSON input document")
-        p.add_argument("--eps-collinear", type=float, default=None, help="sine bound for collinearity (default 0.05)")
-        p.add_argument("--eps-coplanar", type=float, default=None, help="sine bound for coplanarity (default 0.05)")
-        p.add_argument("--eps-zero", type=float, default=None, help="zero-classification threshold (default 1e-9)")
-        p.add_argument("--tension", type=float, default=None, help="tangent magnitude scale (default 0.5)")
-        p.add_argument("--param", choices=["uniform", "chord"], default=None, help="knot parameterization (default chord)")
-        p.add_argument("--samples", type=int, default=None, help="parameter samples for oracles (default 512)")
-        p.add_argument("--directions", type=int, default=None, help="view directions for inflection search (default 2048)")
-        p.add_argument("--eta", type=float, default=None, dest="eta", help="collinearity window fraction (default 1.0)")
-        p.add_argument("--tangents", choices=["catmull-rom", "provided"], default=None, help="tangent source (default catmull-rom)")
+        for setting in SETTINGS:
+            _add_flag(p, setting, None)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     p_check = sub.add_parser("check", help="run the criteria battery")
@@ -401,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_samp = sub.add_parser("sample", help="CSV samples of the built spline")
     common(p_samp)
-    p_samp.add_argument("--per-segment", type=int, default=33, help="samples per segment (default 33)")
+    _add_flag(p_samp, _PER_SEGMENT, _PER_SEGMENT.default)
     p_samp.set_defaults(func=cmd_sample)
 
     p_infl = sub.add_parser("inflection", help="inflection counts of polygon and segments")
@@ -415,9 +450,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,18 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    EPS_ZERO,
-    DegenerateInputError,
-    as_vec2,
-    cross2,
-    cross3,
-    dot,
-    norm,
-    sine_angle,
-    triple,
-)
-from .polygon import PolyArc2, is_regular_arc, sign_changes
+from .geometry import EPS_ZERO, DegenerateInputError, cross3, dot, norm, sine_angle, triple
+from .oracle import DEFAULT_SAMPLES
+from .polygon import sign_changes
 from .segment import CubicSegment
 
 
@@ -117,7 +108,7 @@ def _not_applicable(criterion: Criterion, diagnostics=None) -> CriterionVerdict:
 
 
 def check_convexity_sampled(
-    seg: CubicSegment, n_vec, samples: int = 512, eps_zero: float = EPS_ZERO
+    seg: CubicSegment, n_vec, samples: int = DEFAULT_SAMPLES, eps_zero: float = EPS_ZERO
 ) -> bool:
     """Sampled global-convexity test of the segment's projection along
     ``n_vec``: curvature, swept-area and start-tangent conditions must all
@@ -314,19 +305,6 @@ def check_collinearity_cubic(
 # coplanarity
 
 
-def tangent_plane_decomposition(m, l_mid, l_side):
-    """Least-squares coefficients ``(alpha, beta, residual)`` of
-    ``m = alpha * l_mid + beta * l_side``.
-
-    Both coefficients positive with negligible residual is the precise
-    way for an end tangent to keep a segment inside the data plane.
-    """
-    basis = np.column_stack([np.asarray(l_mid, float), np.asarray(l_side, float)])
-    coef, *_ = np.linalg.lstsq(basis, np.asarray(m, float), rcond=None)
-    residual = norm(np.asarray(m, float) - basis @ coef)
-    return float(coef[0]), float(coef[1]), residual
-
-
 def check_coplanarity_cubic(
     seg: CubicSegment,
     n_prev,
@@ -451,119 +429,6 @@ def check_torsion_compat(
             and tau_joint_cur * delta_cur > eps * abs(delta_cur) * tau_floor
         )
     return CriterionVerdict(Criterion.TORSION_COMPAT, True, passed, diag)
-
-
-# ---------------------------------------------------------------------------
-# planar cubic inflection and control-polygon convexity
-
-
-def _planar_curvature_changes(a, b, c, d, samples: int, eps_zero: float) -> int:
-    """Sampled sign changes of x'y'' - x''y' for a planar cubic Bezier."""
-    q0, q1, q2 = 3.0 * (b - a), 3.0 * (c - b), 3.0 * (d - c)
-    vals = np.empty(samples)
-    for k, t in enumerate(np.linspace(0.0, 1.0, samples)):
-        s = 1.0 - t
-        d1 = q0 * (s * s) + q1 * (2.0 * s * t) + q2 * (t * t)
-        d2 = 2.0 * ((q1 - q0) * s + (q2 - q1) * t)
-        v = cross2(d1, d2)
-        # magnitude floor: collinear control nets give pure rounding noise
-        if abs(v) <= eps_zero * max(np.linalg.norm(d1) * np.linalg.norm(d2), 1e-300):
-            v = 0.0
-        vals[k] = v
-    return sign_changes(vals)
-
-
-def planar_cubic_inflection(a, b, c, d, samples: int = 2048, eps_zero: float = EPS_ZERO) -> int:
-    """Inflection count of the planar cubic with control points a, b, c, d.
-
-    Regular control polygon: the count is obtained by a curvature sign scan
-    (it is bounded by the polygon's own inflection count).  Polygon turning
-    through more than pi: the count is 0 or 2 according to whether
-    ``|B-A||C-D| / |B-P||C-P|`` exceeds 4, with ``P`` the intersection of
-    the end tangent lines.
-    """
-    a, b, c, d = (as_vec2(p) for p in (a, b, c, d))
-    arc = PolyArc2([a, b, c, d], eps_zero)
-    if is_regular_arc(arc):
-        return _planar_curvature_changes(a, b, c, d, samples, eps_zero)
-    # > pi total turn: end tangent lines must meet
-    e1, e2 = b - a, d - c
-    den = cross2(e1, e2)
-    if abs(den) <= eps_zero * norm(e1) * norm(e2):
-        raise ValueError("end tangent lines are parallel; ratio undefined")
-    # solve a + s*e1 = c + t*e2
-    rhs = c - a
-    s = cross2(rhs, e2) / den
-    p = a + s * e1
-    bp, cp = norm(b - p), norm(c - p)
-    if bp == 0.0 or cp == 0.0:
-        raise ValueError("degenerate control polygon: end leg through the intersection point")
-    ratio = (norm(b - a) * norm(d - c)) / (bp * cp)
-    return 0 if ratio <= 4.0 else 2
-
-
-def intersect_lines(p0, p1, p2, p3, n_vec, eps_zero: float = EPS_ZERO):
-    """Intersection parameters of coplanar lines (p0, p1) and (p2, p3).
-
-    Returns ``(s, t, sbar, tbar)`` with the intersection point equal to
-    ``p0 + (p1 - p0) s = p3 + (p2 - p3) t = p1 + (p0 - p1) sbar
-    = p2 + (p3 - p2) tbar``; each parameter is a ratio of triple products
-    with the plane normal ``n_vec``.
-    """
-    p0, p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p0, p1, p2, p3))
-    n_vec = np.asarray(n_vec, dtype=float)
-    nn = norm(n_vec)
-    if nn == 0.0:
-        raise ValueError("plane normal must be non-zero")
-    scale = max(norm(p1 - p0), norm(p2 - p3), norm(p3 - p0), 1e-300)
-    for q in (p1, p2, p3):
-        off = abs(dot(q - p0, n_vec)) / nn
-        if off > eps_zero * scale:
-            raise ValueError("points are not coplanar with the given normal")
-    den = triple(p1 - p0, p2 - p3, n_vec)
-    if abs(den) <= eps_zero * norm(p1 - p0) * norm(p2 - p3) * nn:
-        raise ValueError("lines are parallel; no unique intersection")
-    s = triple(p3 - p0, p2 - p3, n_vec) / den
-    t = -triple(p1 - p0, p3 - p0, n_vec) / den
-    sbar = triple(p2 - p1, p3 - p2, n_vec) / den
-    tbar = -triple(p0 - p1, p2 - p1, n_vec) / den
-    return s, t, sbar, tbar
-
-
-def convex_control_polygon(p0, p1, p2, p3, n_vec, eps_zero: float = EPS_ZERO) -> bool:
-    """Global convexity of the planar arc p0 p1 p2 p3 (either orientation).
-
-    Case split on the sign of ``(p1-p0) x (p2-p3) . N``; each case accepts
-    two sub-configurations corresponding to the end-line intersection lying
-    outside the arc on one side or the other.  When the gate is zero (end
-    edges parallel) the arc is convex iff its two turns agree strictly.
-    """
-    p0, p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p0, p1, p2, p3))
-    n_vec = np.asarray(n_vec, dtype=float)
-    nn = norm(n_vec)
-    if nn == 0.0:
-        raise ValueError("plane normal must be non-zero")
-    scale = max(norm(p1 - p0), norm(p2 - p1), norm(p3 - p2), 1e-300)
-    for q in (p1, p2, p3):
-        if abs(dot(q - p0, n_vec)) / nn > eps_zero * scale:
-            raise ValueError("points are not coplanar with the given normal")
-
-    def tp(u, v):
-        val = triple(u, v, n_vec)
-        return val, norm(u) * norm(v) * nn
-
-    g, fg = tp(p1 - p0, p2 - p3)
-    t1, f1 = tp(p1 - p0, p2 - p1)
-    t2, f2 = tp(p2 - p1, p3 - p2)
-    s1, fs1 = tp(p0 - p1, p3 - p0)
-    s2, fs2 = tp(p3 - p0, p2 - p3)
-    eps = eps_zero
-    if g > eps * fg:
-        return (t1 < -eps * f1 and t2 < -eps * f2) or (s1 < -eps * fs1 and s2 < -eps * fs2)
-    if g < -eps * fg:
-        return (t1 > eps * f1 and t2 > eps * f2) or (s1 > eps * fs1 and s2 > eps * fs2)
-    # parallel end edges: the support lines cannot cross the opposite leg
-    return (t1 > eps * f1 and t2 > eps * f2) or (t1 < -eps * f1 and t2 < -eps * f2)
 
 
 # ---------------------------------------------------------------------------

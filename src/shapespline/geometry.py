@@ -1,8 +1,8 @@
-"""Small 3D/2D vector kernel: cross products, triple products, plane
+"""Small 3D vector kernel: cross products, triple products, plane
 projection and angle sines.
 
 Every quantity in this package is carried as a plain float64 numpy array
-(shape ``(3,)`` or ``(2,)``).  The helpers here validate finiteness at the
+(shape ``(3,)``).  The helpers here validate finiteness at the
 boundaries; the algebra itself is unchecked for speed.
 
 Tolerance policy
@@ -34,33 +34,10 @@ class InvalidPlaneError(ValueError):
     """Plane normal is zero or non-finite."""
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite vector components: {v}")
-    return v
-
-
-def vec2(x: float, y: float) -> np.ndarray:
-    v = np.array([x, y], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite vector components: {v}")
-    return v
-
-
 def as_vec3(v) -> np.ndarray:
     a = np.array(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"non-finite vector components: {a}")
-    return a
-
-
-def as_vec2(v) -> np.ndarray:
-    a = np.array(v, dtype=float)
-    if a.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"non-finite vector components: {a}")
     return a
@@ -83,11 +60,6 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             a[0] * b[1] - a[1] * b[0],
         ]
     )
-
-
-def cross2(a: np.ndarray, b: np.ndarray) -> float:
-    """Scalar cross of two 2-vectors (twice the signed triangle area)."""
-    return float(a[0] * b[1] - a[1] * b[0])
 
 
 def triple(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -135,15 +107,6 @@ def sine_angle(a: np.ndarray, b: np.ndarray) -> float:
         raise DegenerateInputError("sine_angle requires non-zero vectors")
     s = norm(cross3(a, b)) / (na * nb)
     return min(s, 1.0)
-
-
-def signum(x: float, tol: float) -> int:
-    """-1 / 0 / +1 with a dead band of half-width ``tol``."""
-    if x > tol:
-        return 1
-    if x < -tol:
-        return -1
-    return 0
 
 
 def sphere_directions(m: int, extra=()) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Everything here works from raw control points or sampled positions only:
 curve evaluation goes through de Casteljau recursion, derivatives through
-the de Casteljau triangle or central finite differences, convexity through
-discrete support-line tests on sampled points.  None of it calls the
-Bernstein-basis evaluators or the criteria formulas it is used to check.
+the de Casteljau triangle, convexity through discrete support-line tests on
+sampled points.  None of it calls the Bernstein-basis evaluators or the
+criteria formulas it is used to check.
 """
 
 from __future__ import annotations
@@ -14,7 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EPS_ZERO, cross3, norm, sphere_directions
-from .polygon import _count_changes_rows, sign_changes
+from .polygon import _count_changes_rows
+
+# default sampling densities of the oracles, shared with the CLI settings
+DEFAULT_SAMPLES = 512
+DEFAULT_DIRECTIONS = 2048
 
 
 @dataclass(frozen=True)
@@ -73,22 +77,6 @@ def curvature_samples(ctrl, n: int, h: float = 1.0):
     return out, floors
 
 
-def sampled_sign_changes(f, a: float, b: float, n: int, eps_zero: float = EPS_ZERO) -> int:
-    """Strict sign changes of ``f`` over ``n`` uniform samples of [a, b].
-
-    Values within ``eps_zero * max|f|`` of zero are classified as zeros and
-    skipped, matching the strict-change convention.
-    """
-    if n < 3:
-        raise ValueError("need at least 3 samples")
-    if not a < b:
-        raise ValueError("empty interval")
-    vals = np.array([float(f(t)) for t in np.linspace(a, b, n)])
-    tol = eps_zero * max(np.abs(vals).max(), 1e-300)
-    vals[np.abs(vals) <= tol] = 0.0
-    return sign_changes(vals)
-
-
 def _witness_directions(omegas: np.ndarray) -> list:
     """Data-adapted view-direction candidates built from sampled curvature
     vectors: the vectors themselves, pairwise crosses, and solutions of
@@ -112,7 +100,10 @@ def _witness_directions(omegas: np.ndarray) -> list:
 
 
 def projected_inflection_count(
-    seg, directions: int = 2048, samples: int = 512, eps_zero: float = EPS_ZERO
+    seg,
+    directions: int = DEFAULT_DIRECTIONS,
+    samples: int = DEFAULT_SAMPLES,
+    eps_zero: float = EPS_ZERO,
 ) -> int:
     """Largest sampled sign-change count of ``omega(u) . w`` over a
     deterministic direction set; a lower bound on the number of bending
@@ -132,20 +123,6 @@ def projected_inflection_count(
     # row is rounding noise and must classify as zero
     tols = eps_zero * np.maximum(floors, 1e-300)[None, :]
     return int(_count_changes_rows(vals, tols).max())
-
-
-def finite_diff_derivatives(curve, t: float, step: float, domain=(0.0, 1.0)):
-    """Central-difference derivatives of orders 1-3 of a vector curve."""
-    lo, hi = domain
-    if not (lo <= t - 2.0 * step and t + 2.0 * step <= hi):
-        raise ValueError("t +/- 2*step must stay inside the domain")
-    f_2m, f_m = np.asarray(curve(t - 2.0 * step)), np.asarray(curve(t - step))
-    f_0 = np.asarray(curve(t))
-    f_p, f_2p = np.asarray(curve(t + step)), np.asarray(curve(t + 2.0 * step))
-    d1 = (f_p - f_m) / (2.0 * step)
-    d2 = (f_p - 2.0 * f_0 + f_m) / step**2
-    d3 = (f_2p - 2.0 * f_p + 2.0 * f_m - f_2m) / (2.0 * step**3)
-    return d1, d2, d3
 
 
 def sampled_global_convexity(curve: SampledCurve, n_vec, eps_zero: float = EPS_ZERO) -> bool:

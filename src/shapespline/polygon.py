@@ -16,11 +16,10 @@ directions in the spatial case.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
-from .geometry import EPS_ZERO, cross2, cross3, dot, norm, sphere_directions, triple
+from .geometry import EPS_ZERO, cross3, dot, norm, sphere_directions
 
 
 class ShapeFlag(enum.Enum):
@@ -95,25 +94,15 @@ class DataPolygon:
         self._chords = chords
         self._chords.flags.writeable = False
         self._lengths = lengths
-        self._binormals = self.compute_binormals(pts)
+        # np.cross rows are bit-identical to cross3; the twists stay per-row
+        # np.dot (the kernel of ``triple``) because a vectorised row sum
+        # rounds differently and the values are printed
+        self._binormals = np.cross(chords[:-1], chords[1:])
         self._binormals.flags.writeable = False
-        self._torsions = self.compute_torsions(pts)
+        self._torsions = np.array(
+            [float(np.dot(c, b)) for c, b in zip(chords[:-2], self._binormals[1:])]
+        )
         self._torsions.flags.writeable = False
-
-    # plain recomputation paths, exposed so cache coherence is testable
-    @staticmethod
-    def compute_chords(points) -> np.ndarray:
-        return np.diff(np.asarray(points, dtype=float), axis=0)
-
-    @staticmethod
-    def compute_binormals(points) -> np.ndarray:
-        ch = DataPolygon.compute_chords(points)
-        return np.array([cross3(ch[k], ch[k + 1]) for k in range(len(ch) - 1)]).reshape(-1, 3)
-
-    @staticmethod
-    def compute_torsions(points) -> np.ndarray:
-        ch = DataPolygon.compute_chords(points)
-        return np.array([triple(ch[k - 1], ch[k], ch[k + 1]) for k in range(1, len(ch) - 1)])
 
     @property
     def points(self) -> np.ndarray:
@@ -220,68 +209,7 @@ def classify_vertex(poly: DataPolygon, i: int) -> frozenset:
     return frozenset(flags)
 
 
-class PolyArc2:
-    """Planar polygonal arc with distinct consecutive points."""
-
-    def __init__(self, points, eps_zero: float = EPS_ZERO):
-        pts = np.array(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"expected an (m, 2) point array, got shape {pts.shape}")
-        if pts.shape[0] < 2:
-            raise ValueError("need at least two points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("non-finite point coordinates")
-        edges = np.diff(pts, axis=0)
-        lengths = np.linalg.norm(edges, axis=1)
-        bbox = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-        if np.any(lengths <= eps_zero * bbox):
-            raise ValueError("consecutive points must be distinct")
-        self.points = pts
-        self.eps_zero = float(eps_zero)
-        self.edges = edges
-        self.edge_lengths = lengths
-
-
-def is_regular_arc(arc: PolyArc2) -> bool:
-    """True iff the arc turns through at most pi in total, with no exact
-    pi turn at any vertex.
-
-    The total-turn condition is equivalent to all edge directions lying in
-    one closed half-plane, decided by the largest angular gap between
-    sorted directions.
-    """
-    edges = arc.edges
-    lengths = arc.edge_lengths
-    eps = arc.eps_zero
-    # exact pi turn at a vertex: consecutive edges anti-parallel
-    for k in range(len(edges) - 1):
-        c = cross2(edges[k], edges[k + 1])
-        d = float(np.dot(edges[k], edges[k + 1]))
-        floor = lengths[k] * lengths[k + 1]
-        if abs(c) <= eps * floor and d < 0.0:
-            return False
-    angles = np.sort(np.arctan2(edges[:, 1], edges[:, 0]))
-    gaps = np.diff(angles)
-    wrap = 2.0 * math.pi - (angles[-1] - angles[0])
-    max_gap = max(float(gaps.max(initial=0.0)), wrap)
-    return max_gap >= math.pi - eps
-
-
-def planar_inflection_count(arc: PolyArc2) -> int:
-    """Strict sign changes of the turn sequence of a planar arc."""
-    edges = arc.edges
-    lengths = arc.edge_lengths
-    eps = arc.eps_zero
-    turns = []
-    for k in range(len(edges) - 1):
-        v = cross2(edges[k], edges[k + 1])
-        if abs(v) <= eps * lengths[k] * lengths[k + 1]:
-            v = 0.0
-        turns.append(v)
-    return sign_changes(turns)
-
-
-def spatial_arc_inflection_count(poly: DataPolygon, directions: int = 2048) -> int:
+def spatial_arc_inflection_count(poly: DataPolygon, directions: int) -> int:
     """Largest number of turn-sequence sign changes visible along any
     sampled view direction.
 

@@ -40,10 +40,6 @@ class CurvatureQuad:
         v = 1.0 - u
         return self.c0 * (v * v) + self.c1 * (u * v) + self.c2 * (u * u)
 
-    def along(self, w: np.ndarray):
-        """Scalar coefficients of ``omega(u) . w`` in the same basis."""
-        return float(np.dot(self.c0, w)), float(np.dot(self.c1, w)), float(np.dot(self.c2, w))
-
 
 @dataclass(frozen=True)
 class CubicSegment:
@@ -131,12 +127,3 @@ class CubicSegment:
         pts = [project_point(p, plane) for p in self.bezier_points]
         return CubicSegment.from_bezier(*pts, self.h)
 
-
-def quadratic_cross(c0, c1, c2):
-    """Bernstein-2 coefficients of ``c(t) x c'(t)`` for the quadratic Bezier
-    with control points ``c0, c1, c2``:
-
-    ``c x c' = 2(c0 x c1)(1-t)^2 + (c0 x c2) 2t(1-t) + 2(c1 x c2) t^2``
-    """
-    c0, c1, c2 = as_vec3(c0), as_vec3(c1), as_vec3(c2)
-    return 2.0 * cross3(c0, c1), cross3(c0, c2), 2.0 * cross3(c1, c2)

@@ -229,6 +229,7 @@ class SplineReport:
     @property
     def summary(self) -> dict:
         per_criterion = {}
+        all_passed = True
         for v in self.all_verdicts():
             entry = per_criterion.setdefault(
                 v.criterion.value, {"applicable": 0, "passed": 0, "failed": 0}
@@ -236,10 +237,8 @@ class SplineReport:
             if v.applicable:
                 entry["applicable"] += 1
                 entry["passed" if v.passed else "failed"] += 1
-        all_passed = all(
-            v.passed for v in self.all_verdicts() if v.applicable
-        )
-        return {"criteria": per_criterion, "all_passed": bool(all_passed)}
+                all_passed = all_passed and v.passed
+        return {"criteria": per_criterion, "all_passed": all_passed}
 
     def to_dict(self) -> dict:
         return {

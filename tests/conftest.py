@@ -7,7 +7,7 @@ fully reproducible.
 import numpy as np
 import pytest
 
-from shapespline import CubicSegment, DataPolygon, triple
+from shapespline import EPS_ZERO, CubicSegment, DataPolygon, sign_changes, triple
 
 
 @pytest.fixture
@@ -85,3 +85,40 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def vec3(x, y, z):
+    return np.array([x, y, z], dtype=float)
+
+
+# reference oracles the tests compare the library against
+
+
+def sampled_sign_changes(f, a: float, b: float, n: int, eps_zero: float = EPS_ZERO) -> int:
+    """Strict sign changes of ``f`` over ``n`` uniform samples of [a, b].
+
+    Values within ``eps_zero * max|f|`` of zero are classified as zeros and
+    skipped, matching the strict-change convention.
+    """
+    if n < 3:
+        raise ValueError("need at least 3 samples")
+    if not a < b:
+        raise ValueError("empty interval")
+    vals = np.array([float(f(t)) for t in np.linspace(a, b, n)])
+    tol = eps_zero * max(np.abs(vals).max(), 1e-300)
+    vals[np.abs(vals) <= tol] = 0.0
+    return sign_changes(vals)
+
+
+def finite_diff_derivatives(curve, t: float, step: float, domain=(0.0, 1.0)):
+    """Central-difference derivatives of orders 1-3 of a vector curve."""
+    lo, hi = domain
+    if not (lo <= t - 2.0 * step and t + 2.0 * step <= hi):
+        raise ValueError("t +/- 2*step must stay inside the domain")
+    f_2m, f_m = np.asarray(curve(t - 2.0 * step)), np.asarray(curve(t - step))
+    f_0 = np.asarray(curve(t))
+    f_p, f_2p = np.asarray(curve(t + step)), np.asarray(curve(t + 2.0 * step))
+    d1 = (f_p - f_m) / (2.0 * step)
+    d2 = (f_p - 2.0 * f_0 + f_m) / step**2
+    d3 = (f_2p - 2.0 * f_p + 2.0 * f_m - f_2m) / (2.0 * step**3)
+    return d1, d2, d3

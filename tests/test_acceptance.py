@@ -23,14 +23,13 @@ from shapespline import (
     check_convexity_sampled,
     check_inflection_cubic,
     check_torsion_compat,
-    planar_cubic_inflection,
     ShapeFlag,
     Criterion,
     sine_angle,
     sign_changes,
     triple,
 )
-from shapespline.criteria import _planar_curvature_changes
+from shapespline.planar import _planar_curvature_changes, planar_cubic_inflection
 from shapespline.oracle import projected_inflection_count
 from shapespline.cli import main as cli_main
 from conftest import (

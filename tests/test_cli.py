@@ -1,11 +1,37 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from shapespline.cli import main
+from shapespline import CubicSegment
+from shapespline.cli import SETTINGS, main
+from shapespline.geometry import norm
+from shapespline.oracle import decasteljau_derivatives
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parent.parent / "README.md"
+
+# Four points of a seeded noisy helix with their Catmull-Rom tangents and
+# chord-length knots.  The torsion numerator of segment 2 is about
+# 6e-6 |d1||d2||d3|, so rounding alone moves det[d1, d2, d3] by ~1e-9 |tau|.
+NEARLY_COPLANAR = {
+    "version": 1,
+    "points": [
+        [0.5459333174242985, -0.9586815012725047, 1.6861242409579058],
+        [0.9049723310308826, -0.6313546472261607, 1.850979604035382],
+        [1.0809038665180124, -0.13234152667424195, 2.0319666921372],
+        [1.0185885142585442, 0.37034567499614524, 2.168923043419014],
+    ],
+    "tangents": [
+        [0.44032843589931336, 0.24703834753398674, 0.16405647298062875],
+        [0.26748527454685694, 0.4131699872991314, 0.17292122558964718],
+        [0.056808091613830825, 0.500850161111153, 0.158971719691816],
+        [-0.15622393969088416, 0.4609616620385616, 0.17063083720437588],
+    ],
+    "knots": [9.98245280601396, 10.909758657449466, 11.920489303244128, 12.868878152669994],
+}
 
 
 def run(capsys, *argv):
@@ -264,3 +290,102 @@ class TestConfigPrecedence:
         assert code == 0
         ts = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert ts == [0.0, 0.5, 0.5, 2.5]
+
+
+class TestVerifyTorsion:
+    def write(self, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(NEARLY_COPLANAR))
+        return doc
+
+    def test_nearly_coplanar_span_agrees(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "check", self.write(tmp_path), "--verify", "--tangents", "provided")
+        report = json.loads(out)
+        torsion = [v for v in report["segments"][1]["verdicts"] if v["criterion"] == "torsion"]
+        assert torsion and torsion[0]["passed"] is True
+        assert report["verify"]["disagreements"] == []
+        assert code == 0
+
+    def test_perturbed_numerator_reported(self, capsys, tmp_path, monkeypatch):
+        exact = CubicSegment.torsion_numerator
+
+        def perturbed(seg):
+            d1, d2, d3 = decasteljau_derivatives(seg.bezier_points, 0.0, seg.h)
+            return exact(seg) + 1e-6 * norm(d1) * norm(d2) * norm(d3)
+
+        monkeypatch.setattr(CubicSegment, "torsion_numerator", perturbed)
+        code, out, _ = run(capsys, "check", self.write(tmp_path), "--verify", "--tangents", "provided")
+        problems = json.loads(out)["verify"]["disagreements"]
+        assert any(p.startswith("segment 2: torsion numerator") for p in problems)
+        assert code == 1
+
+
+VALID_DOC = {
+    "version": 1,
+    "points": [[0, 0, 0], [1, 1, 0], [2, 1, 0.5], [3, 0, 1], [4, 0.5, 1]],
+}
+
+
+@pytest.mark.parametrize(
+    "change,argv,field",
+    [
+        ({"config": {"samples": "many"}}, [], "config 'samples'"),
+        ({"config": {"tension": True}}, [], "config 'tension'"),
+        ({"config": {"eps0": 2}}, [], "config 'eps0'"),
+        ({"config": {"parameterization": "arc"}}, [], "config 'parameterization'"),
+        ({"config": []}, [], "'config'"),
+        ({}, ["--samples", "0"], "--samples"),
+        ({}, ["--directions", "8"], "--directions"),
+        ({}, ["--eps-zero", "nan"], "--eps-zero"),
+        ({"tangents": [[1, 0, 0], [1, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0]]}, [], "'tangents' entry 1"),
+        (
+            {"tangents": [[1, 0, 0], [1, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0]]},
+            ["--tangents", "provided"],
+            "'tangents' entry 1",
+        ),
+        ({"knots": [0, 1, 2, 3, float("inf")]}, [], "'knots' entry 4"),
+        ({"points": [[0, 0, 0], [1, "a", 0], [2, 1, 0.5]]}, [], "'points' entry 1"),
+        ({"points": [[0, 0, 0], [1, True, 0], [2, 1, 0.5]]}, [], "'points' entry 1"),
+    ],
+)
+def test_malformed_input_names_the_field(capsys, tmp_path, change, argv, field):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**VALID_DOC, **change}))
+    code, out, err = run(capsys, "check", doc, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field} must be")
+
+
+def test_per_segment_minimum_names_the_flag(capsys):
+    code, _, err = run(capsys, "sample", FIXTURES / "example1.json", "--per-segment", "1")
+    assert code == 2
+    assert err.startswith("error: --per-segment must be")
+
+
+def test_int_valued_config_echoes_as_int(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**VALID_DOC, "config": {"tension": 1, "eps0": 1, "samples": 64}}))
+    code, out, _ = run(capsys, "check", doc)
+    assert code in (0, 1)
+    assert '"eps0": 1,' in out and '"tension": 1\n' in out and '"samples": 64,' in out
+
+
+def _value(setting, text):
+    return text if setting.kind is str else setting.kind(text)
+
+
+def test_documented_defaults_match_settings_table(capsys):
+    readme = " ".join(README.read_text().split())
+    common = readme[readme.index("Common flags") :]
+    documented = dict(re.findall(r"`(--[a-z-]+)[^`]*` \(([^)]+)\)", common))
+    assert documented == {s.flag: documented.get(s.flag) for s in SETTINGS}
+    for s in SETTINGS:
+        assert _value(s, documented[s.flag]) == s.default, s.flag
+
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    options = " ".join(capsys.readouterr().out.split()).split("options:", 1)[1]
+    assert options.count("(default ") == len(SETTINGS)
+    for s in SETTINGS:
+        shown = re.search(re.escape(s.flag) + r"\s[^(]*\(default ([^)]+)\)", options).group(1)
+        assert _value(s, shown) == s.default, s.flag

@@ -19,16 +19,12 @@ from shapespline import (
     check_inflection_cubic,
     check_torsion_compat,
     check_torsion_cubic,
-    convex_control_polygon,
     cross3,
-    intersect_lines,
-    planar_cubic_inflection,
     sine_angle,
     triple,
-    vec3,
 )
-from shapespline.criteria import tangent_plane_decomposition
-from conftest import random_rotation, random_segment
+from shapespline.planar import convex_control_polygon, intersect_lines, planar_cubic_inflection
+from conftest import random_rotation, random_segment, vec3
 
 TOL = Tolerances()
 
@@ -338,9 +334,10 @@ class TestCoplanarityCubic:
             n = vec3(0, 0, 1)
             verdict = check_coplanarity_cubic(seg, n, n, 0.0, TOL)
             assert verdict.applicable and verdict.passed
-            alpha, beta, res = tangent_plane_decomposition(m0, l_mid, l_prev)
+            basis = np.column_stack([l_mid, l_prev])
+            (alpha, beta), *_ = np.linalg.lstsq(basis, m0, rcond=None)
             assert alpha == pytest.approx(a1, rel=1e-8) and beta == pytest.approx(b1, rel=1e-8)
-            assert res <= 1e-10
+            assert np.linalg.norm(m0 - basis @ [alpha, beta]) <= 1e-10
 
     def test_g_sup_bounds_sampled_binormal_sine(self, rng):
         # hull bound on the curvature coefficients vs sampled curvature
@@ -508,7 +505,7 @@ class TestPlanarCubicInflection:
 
     def test_regular_s_polygon_bounded_by_polygon_count(self):
         a, b, c, d = (np.array(q, float) for q in [(0, 0), (1, 1), (2, -1), (3, 0)])
-        from shapespline import PolyArc2, is_regular_arc, planar_inflection_count
+        from shapespline.planar import PolyArc2, is_regular_arc, planar_inflection_count
 
         arc = PolyArc2([a, b, c, d])
         assert is_regular_arc(arc)
@@ -517,7 +514,7 @@ class TestPlanarCubicInflection:
 
     @pytest.mark.parametrize("ratio,expected", [(2, 0), (3.5, 0), (3.9, 0), (4.1, 2), (4.5, 2), (8, 2)])
     def test_ratio_rule_vs_curvature_scan(self, ratio, expected):
-        from shapespline.criteria import _planar_curvature_changes
+        from shapespline.planar import _planar_curvature_changes
 
         a, b, c, d = ratio_family(ratio)
         assert planar_cubic_inflection(a, b, c, d) == expected
@@ -528,7 +525,7 @@ class TestPlanarCubicInflection:
         # the end legs parallel, so the only reachable parallel case is a
         # degenerate polygon with pi vertex turns
         a, b, c, d = (np.array(q, float) for q in [(0, 0), (3, 0), (0.1, 0), (5, 0)])
-        from shapespline import PolyArc2, is_regular_arc
+        from shapespline.planar import PolyArc2, is_regular_arc
 
         assert not is_regular_arc(PolyArc2([a, b, c, d]))
         with pytest.raises(ValueError):

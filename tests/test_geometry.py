@@ -7,15 +7,14 @@ from shapespline import (
     DegenerateInputError,
     InvalidPlaneError,
     Plane,
-    cross2,
     cross3,
     project_point,
     sine_angle,
     sphere_directions,
     triple,
-    vec2,
-    vec3,
 )
+from shapespline.planar import cross2
+from conftest import vec3
 
 
 def det3_cofactor(a, b, c):
@@ -52,7 +51,7 @@ class TestCross2:
         [((1, 0), (0, 1), 1.0), ((2, 3), (4, 6), 0.0), ((1, 2), (3, 1), -5.0)],
     )
     def test_values(self, a, b, expected):
-        assert cross2(vec2(*a), vec2(*b)) == pytest.approx(expected)
+        assert cross2(np.array(a, float), np.array(b, float)) == pytest.approx(expected)
 
 
 class TestTriple:

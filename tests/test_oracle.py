@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from shapespline import CubicSegment, DataPolygon, PolyArc2, Plane, planar_inflection_count, vec3
+from shapespline import CubicSegment, DataPolygon, Plane
 from shapespline.oracle import (
     SampledCurve,
     decasteljau,
     decasteljau_derivatives,
-    finite_diff_derivatives,
     projected_inflection_count,
     sampled_global_convexity,
-    sampled_sign_changes,
 )
-from conftest import random_nonplanar_segment, random_segment
+from shapespline.planar import PolyArc2, planar_inflection_count
+from conftest import (
+    finite_diff_derivatives,
+    random_nonplanar_segment,
+    random_segment,
+    sampled_sign_changes,
+    vec3,
+)
 
 
 class TestSampledSignChanges:
@@ -100,7 +105,7 @@ class TestBezierCorollary:
                 arc = PolyArc2(pts)
             except ValueError:
                 continue
-            from shapespline import is_regular_arc
+            from shapespline.planar import is_regular_arc
 
             if not is_regular_arc(arc):
                 continue

@@ -5,15 +5,15 @@ import pytest
 
 from shapespline import (
     DataPolygon,
-    PolyArc2,
     ShapeFlag,
-    cross2,
     classify_vertex as classify,
-    is_regular_arc,
-    planar_inflection_count,
+    cross3,
     sign_changes,
     spatial_arc_inflection_count,
+    triple,
 )
+from shapespline.oracle import DEFAULT_DIRECTIONS
+from shapespline.planar import PolyArc2, cross2, is_regular_arc, planar_inflection_count
 from conftest import random_polygon
 
 EX1_POINTS = [(-3, -3, -0.5), (0, 0, 0), (0, 0, 5), (2, -4, 5.5)]
@@ -53,9 +53,12 @@ class TestDataPolygon:
     def test_cache_coherence_bit_for_bit(self, rng):
         for _ in range(20):
             poly = random_polygon(rng, 6)
-            assert np.array_equal(poly.chords, DataPolygon.compute_chords(poly.points))
-            assert np.array_equal(poly.binormals, DataPolygon.compute_binormals(poly.points))
-            assert np.array_equal(poly.torsions, DataPolygon.compute_torsions(poly.points))
+            ch = np.diff(poly.points, axis=0)
+            binormals = [cross3(ch[k], ch[k + 1]) for k in range(len(ch) - 1)]
+            torsions = [triple(ch[k - 1], ch[k], ch[k + 1]) for k in range(1, len(ch) - 1)]
+            assert np.array_equal(poly.chords, ch)
+            assert np.array_equal(poly.binormals, binormals)
+            assert np.array_equal(poly.torsions, torsions)
 
     def test_example1_measures(self):
         poly = DataPolygon(EX1_POINTS)
@@ -200,7 +203,7 @@ class TestPlanarInflectionCount:
 class TestSpatialArcInflectionCount:
     def test_planar_convex_lifted(self):
         poly = DataPolygon([(0, 0, 0), (1, 1, 0), (2, 1, 0), (3, 0, 0)])
-        assert spatial_arc_inflection_count(poly) == 0
+        assert spatial_arc_inflection_count(poly, DEFAULT_DIRECTIONS) == 0
 
     def test_noncoplanar_four_points(self, rng):
         for _ in range(100):

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from shapespline import (
-    CubicSegment,
-    Plane,
-    cross3,
-    project_point,
-    quadratic_cross,
-    triple,
-    vec3,
-)
-from shapespline.oracle import decasteljau, finite_diff_derivatives
-from conftest import random_segment
+from shapespline import CubicSegment, Plane, cross3, project_point, triple
+from shapespline.oracle import decasteljau
+from conftest import finite_diff_derivatives, random_segment, vec3
 
 
 def make_plane(rng):
@@ -145,32 +137,6 @@ class TestCurvatureQuad:
             scale = max(abs(f(u)) for u in np.linspace(0, 1, 31))
             for u in np.linspace(0.01, 0.99, 30):
                 assert abs(np.polyval(coef, u) - f(float(u))) <= 1e-9 * max(scale, 1.0)
-
-
-class TestQuadraticCross:
-    def test_all_equal_is_zero(self):
-        q = vec3(1, 2, -1)
-        for part in quadratic_cross(q, q, q):
-            assert np.allclose(part, 0.0)
-
-    def test_endpoint_value(self, rng):
-        c0, c1, c2 = (rng.uniform(-2, 2, 3) for _ in range(3))
-        q0, qm, q2 = quadratic_cross(c0, c1, c2)
-        # at t=0: c(0) x c'(0) = c0 x 2(c1 - c0) = 2 (c0 x c1)
-        assert np.allclose(q0, cross3(c0, 2.0 * (c1 - c0)))
-
-    def test_pointwise_match(self, rng):
-        for _ in range(50):
-            c0, c1, c2 = (rng.uniform(-3, 3, 3) for _ in range(3))
-            q0, qm, q2 = quadratic_cross(c0, c1, c2)
-            for t in np.linspace(0.1, 0.9, 9):
-                s = 1.0 - t
-                c = c0 * s * s + c1 * (2 * s * t) + c2 * t * t
-                dc = 2.0 * ((c1 - c0) * s + (c2 - c1) * t)
-                ref = cross3(c, dc)
-                val = q0 * s * s + qm * (2 * s * t) + q2 * t * t
-                scale = max(np.linalg.norm(ref), 1.0)
-                assert np.linalg.norm(val - ref) <= 1e-12 * scale
 
 
 class TestTorsionNumerator:

@@ -14,8 +14,7 @@ from shapespline import (
     sample_spline,
     triple,
 )
-from shapespline.oracle import finite_diff_derivatives
-from conftest import random_noncoplanar_polygon, random_polygon
+from conftest import finite_diff_derivatives, random_noncoplanar_polygon, random_polygon
 
 
 def cfg_with(**kwargs):
