@@ -25,7 +25,7 @@ import numpy as np
 
 from . import oracle
 from .criteria import Criterion, Tolerances
-from .geometry import norm, sine_angle
+from .geometry import dot_rows, norm, norm_rows, sine_rows
 from .polygon import DataPolygon, classify_vertex, sign_changes, spatial_arc_inflection_count
 from .spline import (
     Parameterization,
@@ -216,12 +216,9 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
         seg = spline.segments[i - 1]
         ctrl = seg.bezier_points
         us = np.linspace(0.0, 1.0, n_samples)
-        omegas, _ = oracle.curvature_samples(ctrl, n_samples, seg.h)
-        tangents = np.array(
-            [oracle.decasteljau_derivatives(ctrl, u, seg.h)[0] for u in us]
-        )
-        positions = np.array([oracle.decasteljau(ctrl, u) for u in us])
-        sampled = oracle.SampledCurve(us, positions)
+        tangents, d2, _ = oracle.decasteljau_derivatives(ctrl, us, seg.h)
+        omegas = np.cross(tangents, d2)
+        sampled = oracle.SampledCurve(us, oracle.decasteljau(ctrl, us))
         normals = (
             (poly.binormal(i - 1), poly.binormal(i)) if 2 <= i <= poly.n_segments - 1 else None
         )
@@ -256,41 +253,35 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
                         )
             elif crit is Criterion.TORSION:
                 tau = seg.torsion_numerator()
-                for u in (0.0, 0.37, 0.5, 1.0):
-                    d1, d2, d3 = oracle.decasteljau_derivatives(ctrl, u, seg.h)
-                    det = float(np.dot(np.cross(d1, d2), d3))
-                    # rounding in det and tau scales with |d1||d2||d3|, which
-                    # on a nearly coplanar span is far above |tau|
-                    if abs(det - tau) > 1e-9 * norm(d1) * norm(d2) * norm(d3):
-                        problems.append(
-                            f"segment {i}: torsion numerator {tau} disagrees with "
-                            f"sampled determinant {det} at u={u}"
-                        )
+                probe_us = np.array([0.0, 0.37, 0.5, 1.0])
+                d1, d2, d3 = oracle.decasteljau_derivatives(ctrl, probe_us, seg.h)
+                dets = dot_rows(np.cross(d1, d2), d3)
+                # rounding in det and tau scales with |d1||d2||d3|, which
+                # on a nearly coplanar span is far above |tau|
+                bad = np.abs(dets - tau) > 1e-9 * norm_rows(d1) * norm_rows(d2) * norm(d3)
+                for u, det in zip(probe_us[bad].tolist(), dets[bad].tolist()):
+                    problems.append(
+                        f"segment {i}: torsion numerator {tau} disagrees with "
+                        f"sampled determinant {det} at u={u}"
+                    )
             elif crit is Criterion.COPLANARITY and normals is not None:
+                scale = float(np.linalg.norm(omegas, axis=1).max())
+                bent = omegas[norm_rows(omegas) > tol.eps_zero * max(scale, 1e-300)]
                 for tag, nv in zip(("prev", "cur"), normals):
-                    scale = float(np.linalg.norm(omegas, axis=1).max())
-                    for w in omegas:
-                        wn = norm(w)
-                        if wn <= tol.eps_zero * max(scale, 1e-300):
-                            continue
-                        if sine_angle(w, nv) >= tol.eps_coplanar:
-                            problems.append(
-                                f"segment {i}: coplanarity passed but a sampled "
-                                f"binormal tilts past eps1 from the {tag} normal"
-                            )
-                            break
+                    if np.any(sine_rows(bent, nv) >= tol.eps_coplanar):
+                        problems.append(
+                            f"segment {i}: coplanarity passed but a sampled "
+                            f"binormal tilts past eps1 from the {tag} normal"
+                        )
             elif crit is Criterion.COLLINEARITY:
                 j = int(verdict.diagnostics.get("vertex", 0))
                 chords = [poly.chord(j), poly.chord(j + 1)] if j else [seg.chord]
-                for d1 in tangents:
-                    if norm(d1) == 0.0:
-                        continue
-                    if any(sine_angle(d1, l) >= tol.eps_collinear for l in chords):
-                        problems.append(
-                            f"segment {i}: collinearity passed but a sampled tangent "
-                            f"tilts past eps0 from the chords"
-                        )
-                        break
+                moving = tangents[norm_rows(tangents) != 0.0]
+                if any(np.any(sine_rows(moving, l) >= tol.eps_collinear) for l in chords):
+                    problems.append(
+                        f"segment {i}: collinearity passed but a sampled tangent "
+                        f"tilts past eps0 from the chords"
+                    )
     return problems
 
 
@@ -351,10 +342,9 @@ def cmd_sample(args) -> int:
     per_segment = _PER_SEGMENT.check(args.per_segment, _PER_SEGMENT.flag)
     polygon, spline, cfg = _build(doc, settings)
     rows = sample_spline(spline, per_segment)
+    fmt = "%d" + ",%.17g" * 8
     lines = ["segment_index,t,x,y,z,wx,wy,wz,tau_num"]
-    for i, t, pos, omega, tau in rows:
-        nums = [t, *pos, *omega, tau]
-        lines.append(str(i) + "," + ",".join(f"{v:.17g}" for v in nums))
+    lines.extend(fmt % (i, t, *pos, *omega, tau) for i, t, pos, omega, tau in rows)
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EPS_ZERO, DegenerateInputError, cross3, dot, norm, sine_angle, triple
+from .geometry import EPS_ZERO, DegenerateInputError, cross3, dot, dot_rows, norm, norm_rows
+from .geometry import sine_angle, sine_rows, triple
 from .oracle import DEFAULT_SAMPLES
 from .polygon import sign_changes
 from .segment import CubicSegment
@@ -117,20 +118,17 @@ def check_convexity_sampled(
     nn = norm(n_vec)
     if nn == 0.0:
         raise DegenerateInputError("orientation vector must be non-zero")
-    p_start = seg.point(0.0)
-    d1_start, _, _ = seg.derivatives(0.0)
-    for u in np.linspace(0.0, 1.0, samples):
-        d1, d2, _ = seg.derivatives(u)
-        w = cross3(d1, d2)
-        if dot(w, n_vec) < -eps_zero * norm(d1) * norm(d2) * nn:
-            return False
-        rel = seg.point(u) - p_start
-        rn = norm(rel)
-        if dot(cross3(rel, d1), n_vec) < -eps_zero * rn * norm(d1) * nn:
-            return False
-        if dot(cross3(d1_start, rel), n_vec) < -eps_zero * norm(d1_start) * rn * nn:
-            return False
-    return True
+    us = np.linspace(0.0, 1.0, samples)
+    d1, d2, _ = seg.derivatives(us)
+    n1 = norm_rows(d1)
+    pts = seg.point(us)
+    rel = pts - pts[0]
+    rn = norm_rows(rel)
+    return not (
+        np.any(dot_rows(np.cross(d1, d2), n_vec) < -eps_zero * n1 * norm_rows(d2) * nn)
+        or np.any(dot_rows(np.cross(rel, d1), n_vec) < -eps_zero * rn * n1 * nn)
+        or np.any(dot_rows(np.cross(d1[0], rel), n_vec) < -eps_zero * n1[0] * rn * nn)
+    )
 
 
 def _convexity_scalars(seg: CubicSegment, n_vec):
@@ -475,12 +473,9 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
         hi = min(window[1], t1)
         if hi <= lo:
             continue
-        h = t1 - t0
-        for t in np.linspace(lo, hi, n_half):
-            d1, _, _ = seg.derivatives((t - t0) / h)
-            if norm(d1) == 0.0:
-                continue
-            sup = max(sup, sine_angle(d1, l_in), sine_angle(d1, l_out))
+        d1, _, _ = seg.derivatives((np.linspace(lo, hi, n_half) - t0) / (t1 - t0))
+        d1 = d1[norm_rows(d1) != 0.0]
+        sup = max(sup, sine_rows(d1, l_in).max(initial=0.0), sine_rows(d1, l_out).max(initial=0.0))
     diag["sup_sine"] = sup
     checks_passed = checks_passed and sup < tol.eps_collinear
 
@@ -532,29 +527,25 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
             # inflection neighbourhood: the curve must pass through the vertex
             checks_passed = checks_passed and diag["interpolates_vertex"] == 1.0
             for tag, b_vec in (("prev", b_prev), ("next", b_next)):
-                vals = []
-                locs = []
+                vals, locs = [], []
                 for seg, t0, t1 in ((seg_in, t_prev, t_i), (seg_out, t_i, t_next)):
-                    h = t1 - t0
-                    for u in ts:
-                        d1, d2, _ = seg.derivatives(float(u))
-                        vals.append(dot(cross3(d1, d2), b_vec))
-                        locs.append(t0 + u * h)
-                vals = np.array(vals)
+                    d1, d2, _ = seg.derivatives(ts)
+                    vals.append(dot_rows(np.cross(d1, d2), b_vec))
+                    locs.append(t0 + ts * (t1 - t0))
+                vals, locs = np.concatenate(vals), np.concatenate(locs)
                 tol_v = eps * max(np.abs(vals).max(), 1e-300)
                 vals[np.abs(vals) <= tol_v] = 0.0
                 count = sign_changes(vals)
                 diag[f"flip_count_{tag}"] = float(count)
                 ok = count == 1
                 if ok:
-                    nz = [(locs[k], vals[k]) for k in range(len(vals)) if vals[k] != 0.0]
-                    flip_at = next(
-                        (0.5 * (nz[k][0] + nz[k + 1][0]) for k in range(len(nz) - 1)
-                         if (nz[k][1] > 0) != (nz[k + 1][1] > 0)),
-                        None,
-                    )
-                    if flip_at is not None:
-                        diag[f"flip_location_{tag}"] = flip_at
-                        ok = window[0] <= flip_at <= window[1]
+                    # the one sign change lies between two consecutive
+                    # non-zero samples; report their midpoint
+                    nz = vals != 0.0
+                    locs, pos = locs[nz], vals[nz] > 0
+                    k = int(np.argmax(pos[1:] != pos[:-1]))
+                    flip_at = 0.5 * (locs[k] + locs[k + 1])
+                    diag[f"flip_location_{tag}"] = flip_at
+                    ok = window[0] <= flip_at <= window[1]
                 checks_passed = checks_passed and ok
     return CriterionVerdict(Criterion.COLLINEARITY, True, checks_passed, diag)

@@ -2,8 +2,13 @@
 projection and angle sines.
 
 Every quantity in this package is carried as a plain float64 numpy array
-(shape ``(3,)``).  The helpers here validate finiteness at the
-boundaries; the algebra itself is unchecked for speed.
+(shape ``(3,)``, or ``(m, 3)`` for ``m`` sampled rows).  The helpers here
+validate finiteness at the boundaries; the algebra itself is unchecked for
+speed.
+
+The row forms ``dot_rows``, ``norm_rows``, ``sine_rows`` and ``np.cross``
+give, row for row, the same bits as ``dot``, ``norm``, ``sine_angle`` and
+``cross3``.
 
 Tolerance policy
 ----------------
@@ -44,11 +49,22 @@ def as_vec3(v) -> np.ndarray:
 
 
 def norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
+    # what np.linalg.norm computes for a 1-D vector, without its dispatch
+    return math.sqrt(np.dot(v, v))
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b))
+
+
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``dot`` of ``(m, k)`` rows; either side may be one vector."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def norm_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise ``norm`` of ``(m, k)`` rows."""
+    return np.sqrt(dot_rows(a, a))
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,6 +123,15 @@ def sine_angle(a: np.ndarray, b: np.ndarray) -> float:
         raise DegenerateInputError("sine_angle requires non-zero vectors")
     s = norm(cross3(a, b)) / (na * nb)
     return min(s, 1.0)
+
+
+def sine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``sine_angle`` of ``(m, 3)`` rows ``a`` against ``b``, which
+    is one vector or ``(m, 3)`` rows."""
+    na, nb = norm_rows(a), norm_rows(b)
+    if not (np.all(na != 0.0) and np.all(nb != 0.0)):
+        raise DegenerateInputError("sine_angle requires non-zero vectors")
+    return np.minimum(norm_rows(np.cross(a, b)) / (na * nb), 1.0)
 
 
 def sphere_directions(m: int, extra=()) -> np.ndarray:

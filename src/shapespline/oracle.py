@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_ZERO, cross3, norm, sphere_directions
+from .geometry import EPS_ZERO, cross3, norm, norm_rows, sphere_directions
 from .polygon import _count_changes_rows
 
 # default sampling densities of the oracles, shared with the CLI settings
@@ -39,21 +39,35 @@ class SampledCurve:
         object.__setattr__(self, "points", pts)
 
 
-def decasteljau(ctrl, u: float) -> np.ndarray:
-    """Evaluate a Bezier curve of any degree by repeated interpolation."""
-    b = np.array(ctrl, dtype=float)
+def _lift(net: np.ndarray, u):
+    """Net and ``u`` as they are for a float ``u``; for a 1-D array of ``m``
+    parameters, a ``(k, 1, d)`` net and an ``(m, 1)`` column, so that each
+    interpolation step yields ``(k - 1, m, d)`` rows."""
+    if isinstance(u, np.ndarray):
+        return net[:, None, :], u[:, None]
+    return net, u
+
+
+def decasteljau(ctrl, u) -> np.ndarray:
+    """Evaluate a Bezier curve of any degree by repeated interpolation, at
+    one parameter (a ``(d,)`` point) or a 1-D array of them (``(m, d)``)."""
+    b, u = _lift(np.array(ctrl, dtype=float), u)
     while len(b) > 1:
         b = (1.0 - u) * b[:-1] + u * b[1:]
     return b[0]
 
 
-def decasteljau_derivatives(ctrl, u: float, h: float = 1.0):
+def decasteljau_derivatives(ctrl, u, h: float = 1.0):
     """First/second/third derivative of a cubic Bezier at ``u`` from the
-    de Casteljau triangle, rescaled to a parameter interval of width ``h``."""
+    de Casteljau triangle, rescaled to a parameter interval of width ``h``.
+
+    ``u`` is one parameter or a 1-D array of them; d1 and d2 are then
+    ``(m, 3)`` rows, and the constant d3 stays one vector."""
     b0 = np.array(ctrl, dtype=float)
     if len(b0) != 4:
         raise ValueError("cubic control net expected")
-    b1 = (1.0 - u) * b0[:-1] + u * b0[1:]
+    bl, u = _lift(b0, u)
+    b1 = (1.0 - u) * bl[:-1] + u * bl[1:]
     b2 = (1.0 - u) * b1[:-1] + u * b1[1:]
     d1 = 3.0 * (b2[1] - b2[0]) / h
     d2 = 6.0 * (b1[2] - 2.0 * b1[1] + b1[0]) / h**2
@@ -68,13 +82,8 @@ def curvature_samples(ctrl, n: int, h: float = 1.0):
     curvature magnitude at sample k; values below ``eps * floors`` are
     rounding noise, not signal.
     """
-    out = np.empty((n, 3))
-    floors = np.empty(n)
-    for k, u in enumerate(np.linspace(0.0, 1.0, n)):
-        d1, d2, _ = decasteljau_derivatives(ctrl, u, h)
-        out[k] = cross3(d1, d2)
-        floors[k] = norm(d1) * norm(d2)
-    return out, floors
+    d1, d2, _ = decasteljau_derivatives(ctrl, np.linspace(0.0, 1.0, n), h)
+    return np.cross(d1, d2), norm_rows(d1) * norm_rows(d2)
 
 
 def _witness_directions(omegas: np.ndarray) -> list:

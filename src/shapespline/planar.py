@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .geometry import EPS_ZERO, dot, norm, triple
+from .geometry import EPS_ZERO, dot, dot_rows, norm, norm_rows, triple
 from .polygon import sign_changes
 
 
@@ -53,6 +53,14 @@ class PolyArc2:
         self.edge_lengths = lengths
 
 
+def _turns(arc: PolyArc2) -> np.ndarray:
+    """Scalar cross of consecutive edges, zeroed within the noise floor."""
+    a, b = arc.edges[:-1], arc.edges[1:]
+    turns = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    turns[np.abs(turns) <= arc.eps_zero * arc.edge_lengths[:-1] * arc.edge_lengths[1:]] = 0.0
+    return turns
+
+
 def is_regular_arc(arc: PolyArc2) -> bool:
     """True iff the arc turns through at most pi in total, with no exact
     pi turn at any vertex.
@@ -62,49 +70,31 @@ def is_regular_arc(arc: PolyArc2) -> bool:
     sorted directions.
     """
     edges = arc.edges
-    lengths = arc.edge_lengths
-    eps = arc.eps_zero
     # exact pi turn at a vertex: consecutive edges anti-parallel
-    for k in range(len(edges) - 1):
-        c = cross2(edges[k], edges[k + 1])
-        d = float(np.dot(edges[k], edges[k + 1]))
-        floor = lengths[k] * lengths[k + 1]
-        if abs(c) <= eps * floor and d < 0.0:
-            return False
+    if np.any((_turns(arc) == 0.0) & (dot_rows(edges[:-1], edges[1:]) < 0.0)):
+        return False
     angles = np.sort(np.arctan2(edges[:, 1], edges[:, 0]))
     gaps = np.diff(angles)
     wrap = 2.0 * math.pi - (angles[-1] - angles[0])
     max_gap = max(float(gaps.max(initial=0.0)), wrap)
-    return max_gap >= math.pi - eps
+    return max_gap >= math.pi - arc.eps_zero
 
 
 def planar_inflection_count(arc: PolyArc2) -> int:
     """Strict sign changes of the turn sequence of a planar arc."""
-    edges = arc.edges
-    lengths = arc.edge_lengths
-    eps = arc.eps_zero
-    turns = []
-    for k in range(len(edges) - 1):
-        v = cross2(edges[k], edges[k + 1])
-        if abs(v) <= eps * lengths[k] * lengths[k + 1]:
-            v = 0.0
-        turns.append(v)
-    return sign_changes(turns)
+    return sign_changes(_turns(arc))
 
 
 def _planar_curvature_changes(a, b, c, d, samples: int, eps_zero: float) -> int:
     """Sampled sign changes of x'y'' - x''y' for a planar cubic Bezier."""
     q0, q1, q2 = 3.0 * (b - a), 3.0 * (c - b), 3.0 * (d - c)
-    vals = np.empty(samples)
-    for k, t in enumerate(np.linspace(0.0, 1.0, samples)):
-        s = 1.0 - t
-        d1 = q0 * (s * s) + q1 * (2.0 * s * t) + q2 * (t * t)
-        d2 = 2.0 * ((q1 - q0) * s + (q2 - q1) * t)
-        v = cross2(d1, d2)
-        # magnitude floor: collinear control nets give pure rounding noise
-        if abs(v) <= eps_zero * max(np.linalg.norm(d1) * np.linalg.norm(d2), 1e-300):
-            v = 0.0
-        vals[k] = v
+    t = np.linspace(0.0, 1.0, samples)[:, None]
+    s = 1.0 - t
+    d1 = q0 * (s * s) + q1 * (2.0 * s * t) + q2 * (t * t)
+    d2 = 2.0 * ((q1 - q0) * s + (q2 - q1) * t)
+    vals = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    # magnitude floor: collinear control nets give pure rounding noise
+    vals[np.abs(vals) <= eps_zero * np.maximum(norm_rows(d1) * norm_rows(d2), 1e-300)] = 0.0
     return sign_changes(vals)
 
 

@@ -19,7 +19,7 @@ import enum
 
 import numpy as np
 
-from .geometry import EPS_ZERO, cross3, dot, norm, sphere_directions
+from .geometry import EPS_ZERO, dot, dot_rows, norm, sphere_directions
 
 
 class ShapeFlag(enum.Enum):
@@ -38,15 +38,7 @@ def sign_changes(seq) -> int:
     A run of zeros between two entries of opposite sign counts as a single
     change.  Entries must already be classified (exact zeros skip).
     """
-    count = 0
-    prev = 0.0
-    for x in seq:
-        if x == 0:
-            continue
-        if prev != 0 and (x > 0) != (prev > 0):
-            count += 1
-        prev = x
-    return count
+    return int(_count_changes_rows(np.asarray(seq, dtype=float)[None, :], 0.0)[0])
 
 
 def _count_changes_rows(vals: np.ndarray, tols: np.ndarray) -> np.ndarray:
@@ -94,14 +86,11 @@ class DataPolygon:
         self._chords = chords
         self._chords.flags.writeable = False
         self._lengths = lengths
-        # np.cross rows are bit-identical to cross3; the twists stay per-row
-        # np.dot (the kernel of ``triple``) because a vectorised row sum
-        # rounds differently and the values are printed
+        # np.cross and dot_rows match cross3 and triple bit for bit; a row
+        # sum would round differently, and the values are printed
         self._binormals = np.cross(chords[:-1], chords[1:])
         self._binormals.flags.writeable = False
-        self._torsions = np.array(
-            [float(np.dot(c, b)) for c, b in zip(chords[:-2], self._binormals[1:])]
-        )
+        self._torsions = dot_rows(chords[:-2], self._binormals[1:])
         self._torsions.flags.writeable = False
 
     @property
@@ -220,14 +209,9 @@ def spatial_arc_inflection_count(poly: DataPolygon, directions: int) -> int:
     turns = poly.binormals
     if len(turns) < 2:
         return 0
-    floors = np.array(
-        [poly._binormal_floor(j) for j in range(1, poly.n_segments)]
-    )
     # candidate witnesses: the turn vectors themselves plus directions
     # orthogonal to consecutive pairs (sign-region boundaries)
-    extra = list(turns)
-    extra.extend(cross3(turns[k], turns[k + 1]) for k in range(len(turns) - 1))
-    dirs = sphere_directions(directions, extra=extra)
+    dirs = sphere_directions(directions, extra=[*turns, *np.cross(turns[:-1], turns[1:])])
     vals = dirs @ turns.T
-    tols = poly.eps_zero * floors[None, :]
+    tols = poly.eps_zero * (poly._lengths[:-1] * poly._lengths[1:])[None, :]
     return int(_count_changes_rows(vals, tols).max())

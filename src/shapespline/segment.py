@@ -6,6 +6,10 @@ A segment interpolates ``p0 -> p3`` over a parameter interval of width
 parameter, so the Bezier control points are ``p1 = p0 + (h/3) m0`` and
 ``p2 = p3 - (h/3) m1``.  All derivative formulas below carry the chain-rule
 ``1/h`` factors explicitly.
+
+``point``, ``derivatives`` and ``curvature`` map a float ``u`` to ``(3,)``
+vectors and a 1-D array of ``m`` parameters to ``(m, 3)`` rows, by one
+formula, so each row equals the scalar call bit for bit.
 """
 
 from __future__ import annotations
@@ -17,9 +21,17 @@ import numpy as np
 from .geometry import EPS_ZERO, Plane, as_vec3, cross3, norm, project_point, triple
 
 
-def _check_unit_param(u: float):
+def _unit_param(u):
+    """``u`` itself, or a 1-D parameter array as an ``(m, 1)`` column that
+    broadcasts against ``(3,)`` vectors; every entry must lie in [0, 1]."""
+    if isinstance(u, np.ndarray):
+        inside = (0.0 <= u) & (u <= 1.0)
+        if not inside.all():
+            raise ValueError(f"parameter {u[~inside][0]} outside [0, 1]")
+        return u[:, None]
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"parameter {u} outside [0, 1]")
+    return u
 
 
 @dataclass(frozen=True)
@@ -85,9 +97,9 @@ class CubicSegment:
             norm(self.chord) + (self.h / 3.0) * (norm(self.m0) + norm(self.m1))
         )
 
-    def point(self, u: float) -> np.ndarray:
+    def point(self, u) -> np.ndarray:
         """Position at local parameter ``u`` in [0, 1] (Bernstein form)."""
-        _check_unit_param(u)
+        u = _unit_param(u)
         v = 1.0 - u
         return (
             self.p0 * (v * v * v)
@@ -96,9 +108,10 @@ class CubicSegment:
             + self.p3 * (u * u * u)
         )
 
-    def derivatives(self, u: float):
-        """First, second and third derivatives w.r.t. the global parameter."""
-        _check_unit_param(u)
+    def derivatives(self, u):
+        """First, second and third derivatives w.r.t. the global parameter;
+        the third is constant, one ``(3,)`` vector for any ``u``."""
+        u = _unit_param(u)
         v = 1.0 - u
         a = (3.0 / self.h) * self.chord
         d1 = self.m0 * (v * v) + (a - self.m0 - self.m1) * (2.0 * u * v) + self.m1 * (u * u)
@@ -106,9 +119,9 @@ class CubicSegment:
         d3 = (6.0 / self.h**3) * (self.h * (self.m0 + self.m1) - 2.0 * self.chord)
         return d1, d2, d3
 
-    def curvature(self, u: float) -> np.ndarray:
+    def curvature(self, u) -> np.ndarray:
         d1, d2, _ = self.derivatives(u)
-        return cross3(d1, d2)
+        return np.cross(d1, d2) if d1.ndim == 2 else cross3(d1, d2)
 
     def curvature_quad(self) -> CurvatureQuad:
         length = self.chord

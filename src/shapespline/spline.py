@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .criteria import (
     check_torsion_cubic,
     check_torsion_compat,
 )
-from .geometry import cross3, norm
+from .geometry import norm
 from .polygon import DataPolygon, ShapeFlag, classify_vertex
 from .segment import CubicSegment
 
@@ -342,19 +343,13 @@ def sample_spline(spline: Spline, per_segment: int):
     position, curvature vector, torsion numerator)."""
     if per_segment < 2:
         raise ValueError("need at least two samples per segment")
+    us = np.linspace(0.0, 1.0, per_segment)
     rows = []
     for i, seg in enumerate(spline.segments, start=1):
         t0, t1 = spline.segment_span(i)
+        d1, d2, _ = seg.derivatives(us)
         tau = seg.torsion_numerator()
-        for u in np.linspace(0.0, 1.0, per_segment):
-            d1, d2, _ = seg.derivatives(float(u))
-            rows.append(
-                (
-                    i,
-                    t0 + float(u) * (t1 - t0),
-                    seg.point(float(u)),
-                    cross3(d1, d2),
-                    tau,
-                )
-            )
+        rows.extend(
+            zip(repeat(i), t0 + us * (t1 - t0), seg.point(us), np.cross(d1, d2), repeat(tau))
+        )
     return rows

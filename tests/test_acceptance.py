@@ -32,6 +32,7 @@ from shapespline import (
 from shapespline.planar import _planar_curvature_changes, planar_cubic_inflection
 from shapespline.oracle import projected_inflection_count
 from shapespline.cli import main as cli_main
+from shapespline.geometry import dot_rows, norm_rows, sine_rows
 from conftest import (
     random_nonplanar_segment,
     random_noncoplanar_polygon,
@@ -106,25 +107,18 @@ def test_criterion_03_projection_identities(rng):
         pl = Plane(normal, float(rng.uniform(-2, 2)))
         proj = seg.project(pl)
         n = pl.normal
-        p0, q0 = seg.point(0.0), proj.point(0.0)
-        d1s, e1s = seg.derivatives(0.0)[0], proj.derivatives(0.0)[0]
-        for u in us:
-            d1, d2, _ = seg.derivatives(float(u))
-            e1, e2, _ = proj.derivatives(float(u))
-            pairs = [
-                (np.dot(np.cross(e1, e2), n), np.dot(np.cross(d1, d2), n)),
-                (
-                    np.dot(np.cross(proj.point(float(u)) - q0, e1), n),
-                    np.dot(np.cross(seg.point(float(u)) - p0, d1), n),
-                ),
-                (
-                    np.dot(np.cross(e1s, proj.point(float(u)) - q0), n),
-                    np.dot(np.cross(d1s, seg.point(float(u)) - p0), n),
-                ),
-            ]
-            for lhs, rhs in pairs:
-                err = abs(lhs - rhs) / max(1.0, abs(rhs))
-                worst = max(worst, err)
+        d1, d2, _ = seg.derivatives(us)
+        e1, e2, _ = proj.derivatives(us)
+        rel_d = seg.point(us) - seg.point(0.0)
+        rel_e = proj.point(us) - proj.point(0.0)
+        pairs = [
+            (dot_rows(np.cross(e1, e2), n), dot_rows(np.cross(d1, d2), n)),
+            (dot_rows(np.cross(rel_e, e1), n), dot_rows(np.cross(rel_d, d1), n)),
+            (dot_rows(np.cross(e1[0], rel_e), n), dot_rows(np.cross(d1[0], rel_d), n)),
+        ]
+        for lhs, rhs in pairs:
+            err = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+            worst = max(worst, err.max())
     ok = worst <= 1e-9
     report(3, ok, f"(1000 segment/plane pairs, worst rel err {worst:.2e})")
 
@@ -142,11 +136,8 @@ def test_criterion_04_torsion_constancy(rng):
             * np.linalg.norm(seg.chord)
             * np.linalg.norm(seg.m1)
         )
-        dets = []
-        for u in us:
-            d1, d2, d3 = seg.derivatives(float(u))
-            dets.append(float(np.dot(np.cross(d1, d2), d3)))
-        dets = np.array(dets)
+        d1, d2, d3 = seg.derivatives(us)
+        dets = dot_rows(np.cross(d1, d2), d3)
         # cancellation floor: dets are differences of terms of size ~mag
         scale = max(np.abs(dets).max(), 1e-4 * mag)
         worst_spread = max(worst_spread, (dets.max() - dets.min()) / scale)
@@ -259,7 +250,7 @@ def test_criterion_08_inflection_soundness(rng):
     bad = 0
     for _ in range(200):
         seg, b_prev, b_cur = make_inflection_instance(rng)
-        omegas = np.array([seg.curvature(float(u)) for u in us])
+        omegas = seg.curvature(us)
         for _ in range(32):
             lam = rng.uniform(0.05, 1.0)
             mu = -rng.uniform(0.05, 1.0)
@@ -288,9 +279,7 @@ def test_criterion_09_hull_sine_bounds(rng):
                 for p in ctrl
             ):
                 ctrl_sup = max(sine_angle(p, l_dir) for p in ctrl)
-                samp = max(
-                    sine_angle(seg.derivatives(float(u))[0], l_dir) for u in us
-                )
+                samp = sine_rows(seg.derivatives(us)[0], l_dir).max()
                 worst_t = max(worst_t, samp - ctrl_sup)
                 checked_t += 1
         if checked_g < 500:
@@ -306,11 +295,8 @@ def test_criterion_09_hull_sine_bounds(rng):
                 )
             ):
                 ctrl_sup = max(sine_angle(g, n_dir) for g in coeffs)
-                samp = 0.0
-                for u in us:
-                    w = seg.curvature(float(u))
-                    if np.linalg.norm(w) > 1e-12:
-                        samp = max(samp, sine_angle(w, n_dir))
+                w = seg.curvature(us)
+                samp = sine_rows(w[norm_rows(w) > 1e-12], n_dir).max(initial=0.0)
                 worst_g = max(worst_g, samp - ctrl_sup)
                 checked_g += 1
     ok = worst_t <= 1e-12 and worst_g <= 1e-12

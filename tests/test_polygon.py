@@ -30,6 +30,8 @@ class TestSignChanges:
             ([], 0),
             ([5], 0),
             ([1, 0, 0, 1, -1, 0, 2], 2),
+            ([0.0, -0.0, 0.0], 0),
+            (np.array([2.0, -0.0, -1e-300, 0.0, 3.0]), 2),
         ],
     )
     def test_values(self, seq, expected):

@@ -57,6 +57,13 @@ class TestEvaluation:
             seg.point(-0.01)
         with pytest.raises(ValueError):
             seg.derivatives(1.01)
+        for us in (np.array([0.0, 0.5, 1.01]), np.array([-0.01, 0.5]), np.array([0.2, np.nan])):
+            with pytest.raises(ValueError):
+                seg.point(us)
+            with pytest.raises(ValueError):
+                seg.derivatives(us)
+            with pytest.raises(ValueError):
+                seg.curvature(us)
 
 
 class TestDerivatives:
