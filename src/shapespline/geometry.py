@@ -21,6 +21,7 @@ verdicts invariant under uniform scaling and rigid motions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,14 +135,11 @@ def sine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(norm_rows(np.cross(a, b)) / (na * nb), 1.0)
 
 
-def sphere_directions(m: int, extra=()) -> np.ndarray:
-    """Deterministic direction sample on the unit sphere.
-
-    Fibonacci lattice of ``m`` points, plus the six axis directions (poles
-    included explicitly so exactly planar configurations are always probed),
-    plus any caller-supplied ``extra`` candidates (normalized; zero-length
-    entries dropped).
-    """
+@functools.lru_cache(maxsize=8)
+def lattice_directions(m: int) -> np.ndarray:
+    """Fibonacci lattice of ``m`` unit directions plus the six axis
+    directions (poles included explicitly so exactly planar configurations
+    are always probed); built once per ``m`` and returned read-only."""
     if m < 1:
         raise ValueError("need at least one direction")
     k = np.arange(m, dtype=float)
@@ -159,11 +157,21 @@ def sphere_directions(m: int, extra=()) -> np.ndarray:
             [0.0, 0.0, -1.0],
         ]
     )
-    blocks = [pts, axes]
-    for cand in extra:
-        c = np.asarray(cand, dtype=float).reshape(3)
-        ln = np.linalg.norm(c)
-        if ln > 0.0 and np.all(np.isfinite(c)):
-            blocks.append((c / ln)[None, :])
-            blocks.append((-c / ln)[None, :])
-    return np.vstack(blocks)
+    dirs = np.vstack([pts, axes])
+    dirs.flags.writeable = False
+    return dirs
+
+
+def sphere_directions(m: int, extra=()) -> np.ndarray:
+    """Deterministic direction sample on the unit sphere.
+
+    The lattice of ``lattice_directions(m)``, followed by the rows ``c/|c|``
+    and ``-c/|c|`` of each caller-supplied ``extra`` candidate ``c`` in order
+    (zero-length and non-finite candidates dropped).
+    """
+    lattice = lattice_directions(m)
+    c = np.asarray(extra, dtype=float).reshape(-1, 3)
+    ln = norm_rows(c)
+    keep = (ln > 0.0) & np.isfinite(c).all(axis=1)
+    u = c[keep] / ln[keep, None]
+    return np.vstack([lattice, np.stack([u, -u], axis=1).reshape(-1, 3)])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EPS_ZERO, cross3, norm, norm_rows, sphere_directions
-from .polygon import _count_changes_rows
+from .polygon import _max_row_changes
 
 # default sampling densities of the oracles, shared with the CLI settings
 DEFAULT_SAMPLES = 512
@@ -86,26 +86,24 @@ def curvature_samples(ctrl, n: int, h: float = 1.0):
     return np.cross(d1, d2), norm_rows(d1) * norm_rows(d2)
 
 
-def _witness_directions(omegas: np.ndarray) -> list:
+# right-hand sides (1, -dip, 1) of the dip systems, one per batch entry
+_DIP_RHS = np.array([[1.0, -dip, 1.0] for dip in (2.0, 8.0, 64.0)])[:, :, None]
+
+
+def _witness_directions(omegas: np.ndarray) -> np.ndarray:
     """Data-adapted view-direction candidates built from sampled curvature
     vectors: the vectors themselves, pairwise crosses, and solutions of
     small linear systems that force an interior sign dip."""
-    cands = []
-    n = len(omegas)
-    picks = [omegas[0], omegas[n // 2], omegas[-1]]
-    cands.extend(picks)
-    cands.append(cross3(picks[0], picks[2]))
-    cands.append(cross3(picks[0], picks[1]))
-    cands.append(cross3(picks[1], picks[2]))
-    mat = np.array(picks)
-    for dip in (2.0, 8.0, 64.0):
-        try:
-            w = np.linalg.solve(mat, np.array([1.0, -dip, 1.0]))
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(w)):
-            cands.append(w)
-    return cands
+    picks = omegas[[0, len(omegas) // 2, -1]]
+    p0, p1, p2 = picks
+    try:
+        # one single-vector solve per dip, batched: a multi-column solve
+        # rounds differently
+        dips = np.linalg.solve(np.broadcast_to(picks, (3, 3, 3)), _DIP_RHS)[:, :, 0]
+    except np.linalg.LinAlgError:
+        dips = np.empty((0, 3))
+    finite = dips[np.isfinite(dips).all(axis=1)]
+    return np.vstack([picks, cross3(p0, p2), cross3(p0, p1), cross3(p1, p2), finite])
 
 
 def projected_inflection_count(
@@ -126,12 +124,11 @@ def projected_inflection_count(
         raise ValueError("need at least 16 directions")
     omegas, floors = curvature_samples(seg.bezier_points, samples, seg.h)
     dirs = sphere_directions(directions, extra=_witness_directions(omegas))
-    vals = dirs @ omegas.T
     # magnitude floor per sample, independent of the view direction: along
     # directions nearly orthogonal to a planar segment's binormal the whole
     # row is rounding noise and must classify as zero
     tols = eps_zero * np.maximum(floors, 1e-300)[None, :]
-    return int(_count_changes_rows(vals, tols).max())
+    return _max_row_changes(dirs, omegas, tols)
 
 
 def sampled_global_convexity(curve: SampledCurve, n_vec, eps_zero: float = EPS_ZERO) -> bool:

@@ -21,6 +21,11 @@ import numpy as np
 
 from .geometry import EPS_ZERO, dot, dot_rows, norm, sphere_directions
 
+# values per block of the direction searches (128 KB): memory stays linear in
+# the number of scanned vectors, and the block's temporaries are reused from
+# the heap instead of being mapped and faulted in afresh for every block
+_BLOCK_ENTRIES = 1 << 14
+
 
 class ShapeFlag(enum.Enum):
     """Data-side qualifying conditions for the shape criteria on a span."""
@@ -38,23 +43,46 @@ def sign_changes(seq) -> int:
     A run of zeros between two entries of opposite sign counts as a single
     change.  Entries must already be classified (exact zeros skip).
     """
+    # the one-row, zero-band case of _count_changes_rows: NaN entries skip too
     return int(_count_changes_rows(np.asarray(seq, dtype=float)[None, :], 0.0)[0])
 
 
-def _count_changes_rows(vals: np.ndarray, tols: np.ndarray) -> np.ndarray:
+def _count_changes_rows(vals: np.ndarray, tols) -> np.ndarray:
     """Vectorized strict-sign-change count per row of ``vals``.
 
-    ``tols`` (broadcastable to ``vals``) is the per-entry dead band; entries
-    within it are treated as zeros and skipped.
+    ``tols`` (non-negative, broadcastable to ``vals``) is the per-entry dead
+    band; entries within it, and NaN entries, are skipped.
     """
-    s = np.zeros(vals.shape, dtype=np.int8)
-    s[vals > tols] = 1
-    s[vals < -tols] = -1
-    # forward-fill the last nonzero sign so zero runs are skipped
-    idx = np.where(s != 0, np.arange(s.shape[1]), 0)
-    np.maximum.accumulate(idx, axis=1, out=idx)
-    filled = np.take_along_axis(s, idx, axis=1)
-    return np.count_nonzero(filled[:, 1:] * filled[:, :-1] < 0, axis=1)
+    live = np.abs(vals) > tols
+    pos = vals > 0.0
+    # most blocks of the direction searches hold no dead-band entry: their
+    # flips are plain neighbour compares, with no index bookkeeping
+    if live.all():
+        return np.count_nonzero(pos[:, 1:] != pos[:, :-1], axis=1)
+    # compare adjacent surviving entries, counting a flip only where both
+    # lie in the same row
+    rows, m = live.shape
+    idx = np.flatnonzero(live)
+    row, sign = idx // m, pos.ravel()[idx]
+    flip = (row[1:] == row[:-1]) & (sign[1:] != sign[:-1])
+    return np.bincount(row[1:][flip], minlength=rows)
+
+
+def _max_row_changes(dirs: np.ndarray, vecs: np.ndarray, tols) -> int:
+    """Largest ``_count_changes_rows`` count of ``dirs @ vecs.T``, evaluated
+    a block of rows at a time so that the value matrix stays near
+    ``_BLOCK_ENTRIES`` entries.
+
+    Every block holds two rows or more: a one-row product goes through a
+    matrix-vector kernel that rounds differently from the product of the
+    whole matrix, so a one-row tail joins the block before it.
+    """
+    step = max(2, _BLOCK_ENTRIES // max(len(vecs), 1))
+    ends = [*range(step, len(dirs) - 1, step), len(dirs)]
+    return max(
+        int(_count_changes_rows(dirs[a:b] @ vecs.T, tols).max())
+        for a, b in zip([0, *ends], ends)
+    )
 
 
 class DataPolygon:
@@ -211,7 +239,7 @@ def spatial_arc_inflection_count(poly: DataPolygon, directions: int) -> int:
         return 0
     # candidate witnesses: the turn vectors themselves plus directions
     # orthogonal to consecutive pairs (sign-region boundaries)
-    dirs = sphere_directions(directions, extra=[*turns, *np.cross(turns[:-1], turns[1:])])
-    vals = dirs @ turns.T
+    extra = np.concatenate([turns, np.cross(turns[:-1], turns[1:])])
+    dirs = sphere_directions(directions, extra=extra)
     tols = poly.eps_zero * (poly._lengths[:-1] * poly._lengths[1:])[None, :]
-    return int(_count_changes_rows(vals, tols).max())
+    return _max_row_changes(dirs, turns, tols)

@@ -4,6 +4,8 @@ All randomness is seeded per test via the ``rng`` fixture so the suite is
 fully reproducible.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,47 @@ def finite_diff_derivatives(curve, t: float, step: float, domain=(0.0, 1.0)):
     d2 = (f_p - 2.0 * f_0 + f_m) / step**2
     d3 = (f_2p - 2.0 * f_p + 2.0 * f_m - f_2m) / (2.0 * step**3)
     return d1, d2, d3
+
+
+def forward_fill_changes_rows(vals: np.ndarray, tols: np.ndarray) -> np.ndarray:
+    """Vectorized strict-sign-change count per row of ``vals``.
+
+    ``tols`` (broadcastable to ``vals``) is the per-entry dead band; entries
+    within it are treated as zeros and skipped.
+    """
+    s = np.zeros(vals.shape, dtype=np.int8)
+    s[vals > tols] = 1
+    s[vals < -tols] = -1
+    # forward-fill the last nonzero sign so zero runs are skipped
+    idx = np.where(s != 0, np.arange(s.shape[1]), 0)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    filled = np.take_along_axis(s, idx, axis=1)
+    return np.count_nonzero(filled[:, 1:] * filled[:, :-1] < 0, axis=1)
+
+
+def looped_sphere_directions(m: int, extra=()) -> np.ndarray:
+    """Fibonacci lattice of ``m`` points, the six axis directions, then
+    ``+-c/|c|`` for each finite non-zero candidate ``c``, one at a time."""
+    k = np.arange(m, dtype=float)
+    z = 1.0 - 2.0 * (k + 0.5) / m
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    theta = 2.0 * math.pi * k / ((1.0 + math.sqrt(5.0)) / 2.0)
+    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+    axes = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, -1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, -1.0],
+        ]
+    )
+    blocks = [pts, axes]
+    for cand in extra:
+        c = np.asarray(cand, dtype=float).reshape(3)
+        ln = np.linalg.norm(c)
+        if ln > 0.0 and np.all(np.isfinite(c)):
+            blocks.append((c / ln)[None, :])
+            blocks.append((-c / ln)[None, :])
+    return np.vstack(blocks)

@@ -23,6 +23,7 @@ from shapespline import (
     sine_angle,
     triple,
 )
+from shapespline.geometry import dot_rows, norm_rows, sine_rows
 from shapespline.planar import convex_control_polygon, intersect_lines, planar_cubic_inflection
 from conftest import random_rotation, random_segment, vec3
 
@@ -91,9 +92,7 @@ class TestConvexitySampled:
         for _ in range(20):
             seg, b_prev, b_cur = random_convex_instance(rng)
             if check_convexity_sampled(seg, b_prev, 128):
-                omega_min = min(
-                    float(np.dot(seg.curvature(u), b_prev)) for u in np.linspace(0.05, 0.95, 31)
-                )
+                omega_min = float(dot_rows(seg.curvature(np.linspace(0.05, 0.95, 31)), b_prev).min())
                 if omega_min > 1e-6:
                     assert not check_convexity_sampled(seg, -b_prev, 128)
 
@@ -152,9 +151,7 @@ class TestInflectionCubic:
         verdict = check_inflection_cubic(seg, b_prev, b_cur, TOL)
         assert verdict.applicable and verdict.passed
         for n_vec in (b_prev, b_cur):
-            vals = np.array(
-                [float(np.dot(seg.curvature(u), n_vec)) for u in np.linspace(0, 1, 512)]
-            )
+            vals = dot_rows(seg.curvature(np.linspace(0, 1, 512)), n_vec)
             tol = 1e-9 * np.abs(vals).max()
             vals[np.abs(vals) <= tol] = 0.0
             from shapespline import sign_changes
@@ -176,9 +173,7 @@ class TestInflectionCubic:
             if rng.uniform() < 0.5:
                 lam, mu = -lam, -mu
             n_mix = lam * b_prev + mu * b_cur
-            vals = np.array(
-                [float(np.dot(seg.curvature(u), n_mix)) for u in np.linspace(0, 1, 512)]
-            )
+            vals = dot_rows(seg.curvature(np.linspace(0, 1, 512)), n_mix)
             tol = 1e-9 * np.abs(vals).max()
             vals[np.abs(vals) <= tol] = 0.0
             assert sign_changes(vals) == 1
@@ -280,10 +275,7 @@ class TestCollinearityCubic:
             if any(np.dot(p, l_dir) <= 0.05 for p in ctrl):
                 continue
             control_sup = max(sine_angle(p, l_dir) for p in ctrl)
-            sampled_sup = max(
-                sine_angle(seg.derivatives(float(u))[0], l_dir)
-                for u in np.linspace(0, 1, 512)
-            )
+            sampled_sup = sine_rows(seg.derivatives(np.linspace(0, 1, 512))[0], l_dir).max()
             assert sampled_sup <= control_sup + 1e-12
             checked += 1
 
@@ -352,11 +344,9 @@ class TestCoplanarityCubic:
             if any(np.dot(g, n) <= 0.05 * np.linalg.norm(g) for g in coeffs):
                 continue
             control_sup = max(sine_angle(g, n) for g in coeffs)
-            for u in np.linspace(0, 1, 512):
-                w = seg.curvature(float(u))
-                if np.linalg.norm(w) < 1e-12:
-                    continue
-                assert sine_angle(w, n) <= control_sup + 1e-12
+            w = seg.curvature(np.linspace(0, 1, 512))
+            w = w[norm_rows(w) >= 1e-12]
+            assert np.all(sine_rows(w, n) <= control_sup + 1e-12)
             checked += 1
 
 

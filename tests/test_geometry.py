@@ -13,8 +13,9 @@ from shapespline import (
     sphere_directions,
     triple,
 )
+from shapespline.geometry import lattice_directions
 from shapespline.planar import cross2
-from conftest import vec3
+from conftest import looped_sphere_directions, vec3
 
 
 def det3_cofactor(a, b, c):
@@ -177,3 +178,32 @@ class TestSphereDirections:
 
     def test_deterministic(self):
         assert np.array_equal(sphere_directions(128), sphere_directions(128))
+
+    def test_lattice_memoised_read_only(self):
+        lattice = lattice_directions(96)
+        assert lattice is lattice_directions(96)
+        assert not lattice.flags.writeable
+        with pytest.raises(ValueError):
+            lattice[0, 0] = 0.0
+        out = sphere_directions(96)
+        assert out.flags.writeable and not np.shares_memory(out, lattice)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("m", [1, 16, 512, 2048])
+    def test_matches_looped_construction(self, rng, m):
+        extra = [
+            *rng.normal(size=(20, 3)) * 10.0 ** rng.uniform(-150, 150, (20, 1)),
+            np.zeros(3),
+            np.array([np.nan, 1.0, 0.0]),
+            np.array([np.inf, 0.0, 0.0]),
+            np.array([1e200, 1e200, 0.0]),
+            np.array([5e-324, 0.0, 0.0]),
+        ]
+        for cands in ((), extra[:1], extra, np.array(extra)):
+            assert np.array_equal(
+                sphere_directions(m, extra=cands), looped_sphere_directions(m, extra=cands)
+            )
+
+    def test_rejects_empty_lattice(self):
+        with pytest.raises(ValueError):
+            sphere_directions(0)

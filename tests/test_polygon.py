@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapespline import (
     DataPolygon,
@@ -14,7 +18,9 @@ from shapespline import (
 )
 from shapespline.oracle import DEFAULT_DIRECTIONS
 from shapespline.planar import PolyArc2, cross2, is_regular_arc, planar_inflection_count
-from conftest import random_polygon
+from shapespline import polygon
+from shapespline.polygon import _BLOCK_ENTRIES, _count_changes_rows
+from conftest import forward_fill_changes_rows, random_polygon
 
 EX1_POINTS = [(-3, -3, -0.5), (0, 0, 0), (0, 0, 5), (2, -4, 5.5)]
 EX2_POINTS = [(-3, -3, -0.5), (0, 0, 0), (0, 0, 10), (2, -4, 10.5)]
@@ -36,6 +42,119 @@ class TestSignChanges:
     )
     def test_values(self, seq, expected):
         assert sign_changes(seq) == expected
+
+
+def dead_band_rows(rng, rows, m, tols):
+    """Rows mixing large values of either sign with the entries a dead band
+    must skip: exact zeros of both signs, values exactly at +-tol, values
+    strictly inside the band and NaN; some rows are all zero."""
+    tol = np.broadcast_to(tols, (rows, m))
+    vals = rng.normal(0.0, 3.0, (rows, m)) * np.maximum(tol, 1.0)
+    kind = rng.integers(0, 12, (rows, m))
+    vals[kind == 0] = 0.0
+    vals[kind == 1] = -0.0
+    vals[kind == 2] = tol[kind == 2]
+    vals[kind == 3] = -tol[kind == 3]
+    inside = kind == 4
+    vals[inside] = rng.uniform(-1.0, 1.0, inside.sum()) * tol[inside]
+    vals[kind == 5] = np.nan
+    vals[rng.uniform(size=rows) < 0.1] = 0.0
+    # a third of the rows keep no skipped entry at all
+    clean = rng.uniform(size=rows) < 0.3
+    vals[clean] = np.where(np.abs(vals[clean]) > tol[clean], vals[clean], 5.0 * (tol[clean] + 1.0))
+    return vals
+
+
+class TestCountChangesRows:
+    """The dead-band counter equals the forward-fill reference row for row."""
+
+    def check(self, vals, tols):
+        got = _count_changes_rows(vals, tols)
+        want = forward_fill_changes_rows(vals, tols)
+        assert got.shape == (vals.shape[0],)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 128])
+    def test_broadcast_row_tols(self, rng, m):
+        for _ in range(20):
+            tols = rng.uniform(0.0, 2.0, (1, m))
+            self.check(dead_band_rows(rng, 40, m, tols), tols)
+
+    def test_full_tols(self, rng):
+        for _ in range(20):
+            tols = rng.uniform(0.0, 2.0, (30, 64))
+            self.check(dead_band_rows(rng, 30, 64, tols), tols)
+
+    def test_scalar_zero_tols(self, rng):
+        for _ in range(20):
+            self.check(dead_band_rows(rng, 25, 50, 0.0), 0.0)
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            np.zeros((4, 9)),
+            np.full((3, 5), -0.0),
+            np.full((2, 6), np.nan),
+            np.array([[1.0]]),
+            np.array([[0.0]]),
+            np.array([[np.nan]]),
+            np.array([[1.0], [-1.0], [0.0], [np.nan]]),
+            np.array([[2.0, 1.0, -1.0, -2.0, 1.0, 0.5, -0.5, 3.0]]),
+        ],
+    )
+    def test_edge_shapes(self, vals):
+        self.check(vals, 0.0)
+        self.check(vals, np.ones((1, vals.shape[1])))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 12)),
+            elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -3.0, np.nan]),
+        ),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_property(self, vals, tol):
+        # entries sit on, inside and outside the dead band [-tol, tol]
+        self.check(vals, tol)
+        self.check(vals, np.full((1, vals.shape[1]), tol))
+
+
+class TestMaxRowChanges:
+    """The blocked scan sees the rows of the whole product ``dirs @ vecs.T``
+    bit for bit, and so gives the reference count of that product."""
+
+    @pytest.mark.parametrize(
+        "n,rows",
+        [
+            (1, 23),
+            (100, 518),  # several full blocks and a partial one
+            (1000, 2065),  # a one-row tail joins the block before it
+            (_BLOCK_ENTRIES // 2 + 1, 41),  # two-row blocks
+            (_BLOCK_ENTRIES + 3, 31),
+        ],
+    )
+    def test_matches_whole_product(self, monkeypatch, n, rows):
+        rng = np.random.default_rng(n)
+        dirs = rng.normal(size=(rows, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        # near-planar vectors of mixed magnitudes put many values near the band
+        vecs = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e3, (n, 1))
+        vecs[:, 2] *= 1e-9
+        tols = 1e-9 * np.linalg.norm(vecs, axis=1)[None, :]
+        blocks = []
+
+        def recording(vals, tols):
+            blocks.append(vals)
+            return _count_changes_rows(vals, tols)
+
+        monkeypatch.setattr(polygon, "_count_changes_rows", recording)
+        got = polygon._max_row_changes(dirs, vecs, tols)
+        whole = dirs @ vecs.T
+        assert all(len(b) >= min(2, rows) for b in blocks)
+        assert np.array_equal(np.vstack(blocks), whole)
+        assert got == forward_fill_changes_rows(whole, tols).max()
 
 
 class TestDataPolygon:
@@ -246,3 +365,18 @@ class TestSpatialArcInflectionCount:
             except ValueError:
                 continue
             assert spatial_arc_inflection_count(poly, 64) == planar_inflection_count(arc)
+
+    def test_memory_linear_in_points(self):
+        # the value matrix is scanned a block of directions at a time; the
+        # whole (2048 + ~4n) x n matrix at 2 000 points would need ~160 MB
+        rng = np.random.default_rng(7)
+        t = np.linspace(0.0, 60.0 * math.pi, 2000)
+        pts = np.column_stack([np.cos(t), np.sin(t), 0.05 * t]) + rng.normal(0.0, 0.01, (2000, 3))
+        poly = DataPolygon(pts)
+        tracemalloc.start()
+        try:
+            spatial_arc_inflection_count(poly, DEFAULT_DIRECTIONS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
