@@ -25,8 +25,8 @@ import numpy as np
 
 from . import oracle
 from .criteria import Criterion, Tolerances
-from .geometry import dot_rows, norm, norm_rows, sine_rows
-from .polygon import DataPolygon, classify_vertex, sign_changes, spatial_arc_inflection_count
+from .geometry import cross_rows, dot_rows, norm, norm_rows, sine_rows
+from .polygon import DataPolygon, sign_changes, span_flags, spatial_arc_inflection_count
 from .spline import (
     Parameterization,
     SplineConfig,
@@ -217,7 +217,7 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
         ctrl = seg.bezier_points
         us = np.linspace(0.0, 1.0, n_samples)
         tangents, d2, _ = oracle.decasteljau_derivatives(ctrl, us, seg.h)
-        omegas = np.cross(tangents, d2)
+        omegas = cross_rows(tangents, d2)
         sampled = oracle.SampledCurve(us, oracle.decasteljau(ctrl, us))
         normals = (
             (poly.binormal(i - 1), poly.binormal(i)) if 2 <= i <= poly.n_segments - 1 else None
@@ -255,7 +255,7 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
                 tau = seg.torsion_numerator()
                 probe_us = np.array([0.0, 0.37, 0.5, 1.0])
                 d1, d2, d3 = oracle.decasteljau_derivatives(ctrl, probe_us, seg.h)
-                dets = dot_rows(np.cross(d1, d2), d3)
+                dets = dot_rows(cross_rows(d1, d2), d3)
                 # rounding in det and tau scales with |d1||d2||d3|, which
                 # on a nearly coplanar span is far above |tau|
                 bad = np.abs(dets - tau) > 1e-9 * norm_rows(d1) * norm_rows(d2) * norm(d3)
@@ -325,8 +325,8 @@ def cmd_measures(args) -> int:
             {"span": i, "value": float(polygon.span_torsion(i))} for i in range(2, n)
         ],
         "spans": [
-            {"index": i, "flags": sorted(f.value for f in classify_vertex(polygon, i))}
-            for i in range(1, n + 1)
+            {"index": i, "flags": sorted(f.value for f in flags)}
+            for i, flags in enumerate(span_flags(polygon, np.arange(1, n + 1)), start=1)
         ],
         "collinear_vertices": [
             j for j in range(1, n) if polygon.vertex_is_collinear(j)
@@ -342,9 +342,11 @@ def cmd_sample(args) -> int:
     per_segment = _PER_SEGMENT.check(args.per_segment, _PER_SEGMENT.flag)
     polygon, spline, cfg = _build(doc, settings)
     rows = sample_spline(spline, per_segment)
+    # formatted from Python floats: one tolist() beats a numpy scalar per value
+    values = np.column_stack([rows["t"], rows["position"], rows["curvature"], rows["tau"]])
     fmt = "%d" + ",%.17g" * 8
     lines = ["segment_index,t,x,y,z,wx,wy,wz,tau_num"]
-    lines.extend(fmt % (i, t, *pos, *omega, tau) for i, t, pos, omega, tau in rows)
+    lines.extend(fmt % (i, *v) for i, v in zip(rows["segment"].tolist(), values.tolist()))
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

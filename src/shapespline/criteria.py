@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EPS_ZERO, DegenerateInputError, cross3, dot, dot_rows, norm, norm_rows
-from .geometry import sine_angle, sine_rows, triple
+from .geometry import EPS_ZERO, DegenerateInputError, cross3, cross_rows, dot, dot_rows, norm
+from .geometry import first_max, norm_rows, powers, sine_angle, sine_rows, triple_rows
 from .oracle import DEFAULT_SAMPLES
 from .polygon import sign_changes
-from .segment import CubicSegment
+from .segment import CubicSegment, curvature_quad_rows
 
 
 class Criterion(enum.Enum):
@@ -104,6 +104,36 @@ def _not_applicable(criterion: Criterion, diagnostics=None) -> CriterionVerdict:
     return CriterionVerdict(criterion, False, None, diagnostics or {})
 
 
+class Rows:
+    """One closed-form checker run over a batch of rows: per row, whether
+    it applies, whether it passed, and its named diagnostics in the order
+    the verdict lists them.
+
+    A non-applicable row carries only the first ``head`` diagnostics, and a
+    None entry of a column is left out of its row's verdict.
+    """
+
+    def __init__(self, criterion: Criterion, applicable, passed, columns: dict, head: int):
+        self.criterion = criterion
+        self.applicable = applicable.tolist()
+        self.passed = passed.tolist()
+        self.names = tuple(columns)
+        self.columns = [c if isinstance(c, list) else c.tolist() for c in columns.values()]
+        self.head = head
+
+    def verdict(self, r: int) -> CriterionVerdict:
+        if not self.applicable[r]:
+            diag = {k: c[r] for k, c in zip(self.names[: self.head], self.columns)}
+            return CriterionVerdict(self.criterion, False, None, diag)
+        diag = {k: c[r] for k, c in zip(self.names, self.columns) if c[r] is not None}
+        return CriterionVerdict(self.criterion, True, self.passed[r], diag)
+
+
+def _row(v) -> np.ndarray:
+    """One vector as a one-row batch."""
+    return np.asarray(v, dtype=float).reshape(1, -1)
+
+
 # ---------------------------------------------------------------------------
 # convexity
 
@@ -125,22 +155,44 @@ def check_convexity_sampled(
     rel = pts - pts[0]
     rn = norm_rows(rel)
     return not (
-        np.any(dot_rows(np.cross(d1, d2), n_vec) < -eps_zero * n1 * norm_rows(d2) * nn)
-        or np.any(dot_rows(np.cross(rel, d1), n_vec) < -eps_zero * rn * n1 * nn)
-        or np.any(dot_rows(np.cross(d1[0], rel), n_vec) < -eps_zero * n1[0] * rn * nn)
+        np.any(dot_rows(cross_rows(d1, d2), n_vec) < -eps_zero * n1 * norm_rows(d2) * nn)
+        or np.any(dot_rows(cross_rows(rel, d1), n_vec) < -eps_zero * rn * n1 * nn)
+        or np.any(dot_rows(cross_rows(d1[0], rel), n_vec) < -eps_zero * n1[0] * rn * nn)
     )
 
 
-def _convexity_scalars(seg: CubicSegment, n_vec):
-    length = seg.chord
-    a = triple(seg.m0, seg.m1, n_vec)
-    b = triple(seg.m0, length, n_vec)
-    c = triple(length, seg.m1, n_vec)
-    nn = norm(n_vec)
-    fa = norm(seg.m0) * norm(seg.m1) * nn
-    fb = norm(seg.m0) * norm(length) * nn
-    fc = norm(length) * norm(seg.m1) * nn
-    return a, b, c, fa, fb, fc
+def convexity_rows(m0, m1, chord, h, n_prev, n_cur, eps: float) -> Rows:
+    """``check_convexity_cubic`` over rows of segments and normal pairs."""
+    d = dot_rows(n_prev, n_cur)
+    nprev, ncur = norm_rows(n_prev), norm_rows(n_cur)
+    applicable = d > eps * (nprev * ncur)
+    third = h / 3.0
+    n0, n1, nl = norm_rows(m0), norm_rows(m1), norm_rows(chord)
+    columns = {"normal_dot": d}
+    passed = applicable
+    for tag, n_vec, nn in (("prev", n_prev, nprev), ("cur", n_cur, ncur)):
+        a = triple_rows(m0, m1, n_vec)
+        b = triple_rows(m0, chord, n_vec)
+        c = triple_rows(chord, m1, n_vec)
+        fa, fb, fc = n0 * n1 * nn, n0 * nl * nn, nl * n1 * nn
+        ta = third * a
+        thr = first_max(ta, 0.0)
+        thr_low = np.where(0.0 < ta, 0.0, ta)  # min(ta, 0.0) as Python picks it
+        margin_b = eps * (fb + third * fa)
+        margin_c = eps * (fc + third * fa)
+        ok = ((b - thr) > margin_b) & ((c - thr) > margin_c)
+        reversed_ok = ((b - thr_low) < -margin_b) & ((c - thr_low) < -margin_c)
+        columns.update(
+            {
+                f"a_{tag}": a,
+                f"b_{tag}": b,
+                f"c_{tag}": c,
+                f"passed_{tag}": ok,
+                f"reversed_orientation_{tag}": reversed_ok,
+            }
+        )
+        passed = passed & ok
+    return Rows(Criterion.CONVEXITY, applicable, passed, columns, head=1)
 
 
 def check_convexity_cubic(
@@ -158,37 +210,36 @@ def check_convexity_cubic(
     The opposite branches (``a > 0`` with ``b, c < 0``; ``a < 0`` with
     ``b, c < (h/3) a``) describe a control polygon convex in the reversed
     orientation and are surfaced via ``reversed_orientation`` only.
+    The one-row case of ``convexity_rows``.
     """
-    eps = tol.eps_zero
-    n_prev = np.asarray(n_prev, dtype=float)
-    n_cur = np.asarray(n_cur, dtype=float)
-    d = dot(n_prev, n_cur)
-    floor = norm(n_prev) * norm(n_cur)
-    diag = {"normal_dot": d}
-    if not d > eps * floor:
-        return _not_applicable(Criterion.CONVEXITY, diag)
-
-    third = seg.h / 3.0
-    passed = True
-    for tag, n_vec in (("prev", n_prev), ("cur", n_cur)):
-        a, b, c, fa, fb, fc = _convexity_scalars(seg, n_vec)
-        thr = max(third * a, 0.0)
-        margin_b = eps * (fb + third * fa)
-        margin_c = eps * (fc + third * fa)
-        ok = (b - thr) > margin_b and (c - thr) > margin_c
-        thr_low = min(third * a, 0.0)
-        reversed_ok = (b - thr_low) < -margin_b and (c - thr_low) < -margin_c
-        diag[f"a_{tag}"] = a
-        diag[f"b_{tag}"] = b
-        diag[f"c_{tag}"] = c
-        diag[f"passed_{tag}"] = float(ok)
-        diag[f"reversed_orientation_{tag}"] = float(reversed_ok)
-        passed = passed and ok
-    return CriterionVerdict(Criterion.CONVEXITY, True, passed, diag)
+    rows = convexity_rows(*seg.rows(), _row(n_prev), _row(n_cur), tol.eps_zero)
+    return rows.verdict(0)
 
 
 # ---------------------------------------------------------------------------
 # inflection
+
+
+def inflection_rows(quad, n_prev, n_cur, eps: float) -> Rows:
+    """``check_inflection_cubic`` over rows of curvature coefficients
+    ``(c0, c1, c2)`` and normal pairs."""
+    c0, _, c2 = quad
+    d = dot_rows(n_prev, n_cur)
+    nprev, ncur = norm_rows(n_prev), norm_rows(n_cur)
+    applicable = d < -eps * (nprev * ncur)
+    nc0, nc2 = norm_rows(c0), norm_rows(c2)
+    columns = {"normal_dot": d}
+    passed = applicable
+    for key, c, nc, n_vec, nn, want in (
+        ("c0_dot_nprev", c0, nc0, n_prev, nprev, +1),
+        ("c0_dot_ncur", c0, nc0, n_cur, ncur, -1),
+        ("c2_dot_nprev", c2, nc2, n_prev, nprev, -1),
+        ("c2_dot_ncur", c2, nc2, n_cur, ncur, +1),
+    ):
+        val = dot_rows(c, n_vec)
+        columns[key] = val
+        passed = passed & (want * val > eps * (nc * nn))
+    return Rows(Criterion.INFLECTION, applicable, passed, columns, head=1)
 
 
 def check_inflection_cubic(
@@ -197,32 +248,25 @@ def check_inflection_cubic(
     """Closed-form inflection check: applicable when the end binormals
     oppose, passing iff the curvature coefficients satisfy the four sign
     conditions ``c0.Nprev > 0 > c0.Ncur`` and ``c2.Nprev < 0 < c2.Ncur``
-    (so the bending flips exactly once for every admissible mixed normal)."""
-    eps = tol.eps_zero
-    n_prev = np.asarray(n_prev, dtype=float)
-    n_cur = np.asarray(n_cur, dtype=float)
-    d = dot(n_prev, n_cur)
-    floor = norm(n_prev) * norm(n_cur)
-    diag = {"normal_dot": d}
-    if not d < -eps * floor:
-        return _not_applicable(Criterion.INFLECTION, diag)
-
-    quad = seg.curvature_quad()
-    checks = (
-        ("c0_dot_nprev", dot(quad.c0, n_prev), norm(quad.c0) * norm(n_prev), +1),
-        ("c0_dot_ncur", dot(quad.c0, n_cur), norm(quad.c0) * norm(n_cur), -1),
-        ("c2_dot_nprev", dot(quad.c2, n_prev), norm(quad.c2) * norm(n_prev), -1),
-        ("c2_dot_ncur", dot(quad.c2, n_cur), norm(quad.c2) * norm(n_cur), +1),
-    )
-    passed = True
-    for key, val, f, want in checks:
-        diag[key] = val
-        passed = passed and (want * val > eps * f)
-    return CriterionVerdict(Criterion.INFLECTION, True, passed, diag)
+    (so the bending flips exactly once for every admissible mixed normal).
+    The one-row case of ``inflection_rows``."""
+    quad = curvature_quad_rows(*seg.rows())
+    return inflection_rows(quad, _row(n_prev), _row(n_cur), tol.eps_zero).verdict(0)
 
 
 # ---------------------------------------------------------------------------
 # torsion
+
+
+def torsion_rows(m0, m1, chord, delta, delta_floor, eps: float) -> Rows:
+    """``check_torsion_cubic`` over rows of segments and span twists."""
+    applicable = np.abs(delta) > eps * delta_floor
+    t = triple_rows(m0, chord, m1)
+    f = norm_rows(m0) * norm_rows(chord) * norm_rows(m1)
+    product = t * delta
+    passed = applicable & (product > eps * f * np.abs(delta))
+    columns = {"delta": delta, "tangent_triple": t, "product": product}
+    return Rows(Criterion.TORSION, applicable, passed, columns, head=1)
 
 
 def check_torsion_cubic(
@@ -230,20 +274,13 @@ def check_torsion_cubic(
 ) -> CriterionVerdict:
     """Torsion-sign check: applicable when the span twist ``delta`` is
     non-zero, passing iff ``[m0, L, m1] * delta > 0`` (the segment twists
-    off its osculating plane the same way the data polygon does)."""
-    eps = tol.eps_zero
+    off its osculating plane the same way the data polygon does).
+    The one-row case of ``torsion_rows``."""
     if delta_floor is None:
         delta_floor = norm(seg.chord) ** 3
-    diag = {"delta": delta}
-    if not abs(delta) > eps * delta_floor:
-        return _not_applicable(Criterion.TORSION, diag)
-    t = triple(seg.m0, seg.chord, seg.m1)
-    f = norm(seg.m0) * norm(seg.chord) * norm(seg.m1)
-    product = t * delta
-    diag["tangent_triple"] = t
-    diag["product"] = product
-    passed = product > eps * f * abs(delta)
-    return CriterionVerdict(Criterion.TORSION, True, passed, diag)
+    m0, m1, chord, _ = seg.rows()
+    rows = torsion_rows(m0, m1, chord, np.array([delta], dtype=float), delta_floor, tol.eps_zero)
+    return rows.verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +340,31 @@ def check_collinearity_cubic(
 # coplanarity
 
 
+def coplanarity_rows(quad, n_prev, n_cur, delta, delta_floor, eps: float, eps_coplanar: float) -> Rows:
+    """``check_coplanarity_cubic`` over rows of curvature coefficients
+    ``(c0, c1, c2)``, normal pairs and span twists."""
+    np_n, nc_n = norm_rows(n_prev), norm_rows(n_cur)
+    applicable = (np.abs(delta) <= eps * delta_floor) & (np_n > 0.0) & (nc_n > 0.0)
+    columns = {"delta": delta, "normal_norm_product": np_n * nc_n}
+    g_norms = [norm_rows(g) for g in quad]
+    g_scale = first_max(first_max(g_norms[0], g_norms[1]), g_norms[2])
+    hypothesis_ok = np.ones(len(delta), dtype=bool)
+    sup = np.zeros(len(delta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (g, ng) in enumerate(zip(quad, g_norms)):
+            # zero coefficients (locally straight) are skipped
+            bent = (g_scale > 0.0) & ~(ng <= eps * g_scale)
+            for tag, n_vec, nn in (("prev", n_prev, np_n), ("cur", n_cur, nc_n)):
+                hypothesis_ok &= ~(bent & (dot_rows(g, n_vec) < 0.0))
+                s = np.minimum(norm_rows(cross_rows(g, n_vec)) / (ng * nn), 1.0)
+                sup = np.where(bent & (s > sup), s, sup)
+                columns[f"sine_c{k}_{tag}"] = [x if b else None for x, b in zip(s.tolist(), bent.tolist())]
+    columns["sup_sine"] = sup
+    columns["hypothesis_ok"] = hypothesis_ok
+    passed = applicable & (sup < eps_coplanar)
+    return Rows(Criterion.COPLANARITY, applicable, passed, columns, head=2)
+
+
 def check_coplanarity_cubic(
     seg: CubicSegment,
     n_prev,
@@ -314,40 +376,39 @@ def check_coplanarity_cubic(
     """Sufficient coplanarity check: with a vanishing span twist and
     well-defined end binormals, the segment's osculating plane stays within
     sine ``eps_coplanar`` of the data plane if its three curvature
-    coefficients do.  Zero coefficients (locally straight) are skipped."""
-    eps = tol.eps_zero
-    n_prev = np.asarray(n_prev, dtype=float)
-    n_cur = np.asarray(n_cur, dtype=float)
+    coefficients do.  Zero coefficients (locally straight) are skipped.
+    The one-row case of ``coplanarity_rows``."""
     if delta_floor is None:
         delta_floor = norm(seg.chord) ** 3
-    np_n, nc_n = norm(n_prev), norm(n_cur)
-    diag = {"delta": delta, "normal_norm_product": np_n * nc_n}
-    if not (abs(delta) <= eps * delta_floor and np_n > 0.0 and nc_n > 0.0):
-        return _not_applicable(Criterion.COPLANARITY, diag)
-
-    quad = seg.curvature_quad()
-    coeffs = (quad.c0, quad.c1, quad.c2)
-    g_scale = max(norm(g) for g in coeffs)
-    hypothesis_ok = True
-    sup = 0.0
-    if g_scale > 0.0:
-        for k, g in enumerate(coeffs):
-            if norm(g) <= eps * g_scale:
-                continue
-            for tag, n_vec in (("prev", n_prev), ("cur", n_cur)):
-                if dot(g, n_vec) < 0.0:
-                    hypothesis_ok = False
-                s = sine_angle(g, n_vec)
-                diag[f"sine_c{k}_{tag}"] = s
-                sup = max(sup, s)
-    diag["sup_sine"] = sup
-    diag["hypothesis_ok"] = float(hypothesis_ok)
-    passed = sup < tol.eps_coplanar
-    return CriterionVerdict(Criterion.COPLANARITY, True, passed, diag)
+    rows = coplanarity_rows(
+        curvature_quad_rows(*seg.rows()),
+        _row(n_prev),
+        _row(n_cur),
+        np.array([delta], dtype=float),
+        delta_floor,
+        tol.eps_zero,
+        tol.eps_coplanar,
+    )
+    return rows.verdict(0)
 
 
 # ---------------------------------------------------------------------------
 # adjacency compatibility
+
+
+def adjacency_rows(m, n_vertex, l_prev, l_cur, eps: float) -> Rows:
+    """``check_adjacency_compat`` over rows of joint tangents, vertex
+    binormals and chord pairs."""
+    nn = norm_rows(n_vertex)
+    applicable = nn != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_proj = m - (dot_rows(m, n_vertex) / (nn * nn))[:, None] * n_vertex
+    product = dot_rows(cross_rows(t_proj, l_cur), cross_rows(t_proj, l_prev))
+    nt = norm_rows(t_proj)
+    floor = powers(nt, 2) * norm_rows(l_cur) * norm_rows(l_prev)
+    passed = applicable & (product < -eps * floor)
+    columns = {"vertex_normal_norm": nn, "product": product, "projected_tangent_norm": nt}
+    return Rows(Criterion.ADJACENCY_COMPAT, applicable, passed, columns, head=1)
 
 
 def check_adjacency_compat(
@@ -361,29 +422,36 @@ def check_adjacency_compat(
     """Compatibility of convexity/inflection behaviour across a C1 joint:
     the shared tangent, projected onto the plane of the vertex binormal,
     must point strictly inside the wedge of the two chords
-    (``(t x l_cur) . (t x l_prev) < 0``)."""
+    (``(t x l_cur) . (t x l_prev) < 0``).  The one-row case of
+    ``adjacency_rows``."""
     eps = tol.eps_zero
     gap = norm(prev_seg.m1 - next_seg.m0)
     scale = norm(prev_seg.m1) + norm(next_seg.m0)
     if gap > eps * max(scale, 1e-300):
         raise ValueError("segments do not share a tangent at the joint")
-    n_vertex = np.asarray(n_vertex, dtype=float)
-    l_prev = np.asarray(l_prev, dtype=float)
-    l_cur = np.asarray(l_cur, dtype=float)
-    nn = norm(n_vertex)
-    diag = {"vertex_normal_norm": nn}
-    if nn == 0.0:
-        return _not_applicable(Criterion.ADJACENCY_COMPAT, diag)
-    m = prev_seg.m1
-    t_proj = m - (dot(m, n_vertex) / (nn * nn)) * n_vertex
-    a = cross3(t_proj, l_cur)
-    b = cross3(t_proj, l_prev)
-    product = dot(a, b)
-    floor = norm(t_proj) ** 2 * norm(l_cur) * norm(l_prev)
-    diag["product"] = product
-    diag["projected_tangent_norm"] = norm(t_proj)
-    passed = product < -eps * floor
-    return CriterionVerdict(Criterion.ADJACENCY_COMPAT, True, passed, diag)
+    rows = adjacency_rows(prev_seg.m1[None], _row(n_vertex), _row(l_prev), _row(l_cur), eps)
+    return rows.verdict(0)
+
+
+def torsion_compat_rows(delta_prev, delta_cur, tau_prev, tau_cur, eps: float, delta_floor, tau_floor) -> Rows:
+    """``check_torsion_compat`` over rows of joints."""
+    applicable = ~((np.abs(delta_prev) <= eps * delta_floor) | (np.abs(delta_cur) <= eps * delta_floor))
+    opposed = delta_prev * delta_cur < 0.0
+    zero_prev = np.abs(tau_prev) <= eps * tau_floor
+    zero_cur = np.abs(tau_cur) <= eps * tau_floor
+    discontinuous = np.abs(tau_prev - tau_cur) > eps * (np.abs(tau_prev) + np.abs(tau_cur) + tau_floor)
+    same_ok = (tau_prev * delta_prev > eps * np.abs(delta_prev) * tau_floor) & (
+        tau_cur * delta_cur > eps * np.abs(delta_cur) * tau_floor
+    )
+    passed = applicable & np.where(opposed, (zero_prev & zero_cur) | discontinuous, same_ok)
+    columns = {
+        "delta_prev": delta_prev,
+        "delta_cur": delta_cur,
+        "tau_joint_prev": tau_prev,
+        "tau_joint_cur": tau_cur,
+        "torsion_discontinuous": opposed & discontinuous,
+    }
+    return Rows(Criterion.TORSION_COMPAT, applicable, passed, columns, head=4)
 
 
 def check_torsion_compat(
@@ -401,32 +469,13 @@ def check_torsion_compat(
     their torsion signs if the torsion vanishes at the joint from both
     sides, or if the spline is torsion-discontinuous there (reported via
     ``torsion_discontinuous``).  Same-sign twists just require each side to
-    match its own twist.
+    match its own twist.  The one-row case of ``torsion_compat_rows``.
     """
-    eps = tol.eps_zero
-    diag = {
-        "delta_prev": delta_prev,
-        "delta_cur": delta_cur,
-        "tau_joint_prev": tau_joint_prev,
-        "tau_joint_cur": tau_joint_cur,
-    }
-    if abs(delta_prev) <= eps * delta_floor or abs(delta_cur) <= eps * delta_floor:
-        return _not_applicable(Criterion.TORSION_COMPAT, diag)
-    if delta_prev * delta_cur < 0.0:
-        zero_prev = abs(tau_joint_prev) <= eps * tau_floor
-        zero_cur = abs(tau_joint_cur) <= eps * tau_floor
-        discontinuous = abs(tau_joint_prev - tau_joint_cur) > eps * (
-            abs(tau_joint_prev) + abs(tau_joint_cur) + tau_floor
-        )
-        diag["torsion_discontinuous"] = float(discontinuous)
-        passed = (zero_prev and zero_cur) or discontinuous
-    else:
-        diag["torsion_discontinuous"] = 0.0
-        passed = (
-            tau_joint_prev * delta_prev > eps * abs(delta_prev) * tau_floor
-            and tau_joint_cur * delta_cur > eps * abs(delta_cur) * tau_floor
-        )
-    return CriterionVerdict(Criterion.TORSION_COMPAT, True, passed, diag)
+    values = (delta_prev, delta_cur, tau_joint_prev, tau_joint_cur)
+    rows = torsion_compat_rows(
+        *(np.array([v], dtype=float) for v in values), tol.eps_zero, delta_floor, tau_floor
+    )
+    return rows.verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +579,7 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
                 vals, locs = [], []
                 for seg, t0, t1 in ((seg_in, t_prev, t_i), (seg_out, t_i, t_next)):
                     d1, d2, _ = seg.derivatives(ts)
-                    vals.append(dot_rows(np.cross(d1, d2), b_vec))
+                    vals.append(dot_rows(cross_rows(d1, d2), b_vec))
                     locs.append(t0 + ts * (t1 - t0))
                 vals, locs = np.concatenate(vals), np.concatenate(locs)
                 tol_v = eps * max(np.abs(vals).max(), 1e-300)

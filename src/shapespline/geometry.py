@@ -6,9 +6,12 @@ Every quantity in this package is carried as a plain float64 numpy array
 validate finiteness at the boundaries; the algebra itself is unchecked for
 speed.
 
-The row forms ``dot_rows``, ``norm_rows``, ``sine_rows`` and ``np.cross``
-give, row for row, the same bits as ``dot``, ``norm``, ``sine_angle`` and
-``cross3``.
+The row forms ``dot_rows``, ``norm_rows``, ``cross_rows``, ``triple_rows``
+and ``sine_rows`` give, row for row, the same bits as ``dot``, ``norm``,
+``cross3``, ``triple`` and ``sine_angle``.  ``cross_rows`` stands in for
+``np.cross`` throughout: the same formula, without its axis handling.
+``powers`` raises entries to an integer power through Python floats,
+because numpy's ``**`` on an array rounds differently from ``float.__pow__``.
 
 Tolerance policy
 ----------------
@@ -79,9 +82,32 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``cross3`` over the last axis; either side may be one vector."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def triple(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     """Scalar triple product a . (b x c)."""
     return dot(a, cross3(b, c))
+
+
+def triple_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row-wise ``triple`` of ``(m, 3)`` rows."""
+    return dot_rows(a, cross_rows(b, c))
+
+
+def powers(x: np.ndarray, k: int) -> np.ndarray:
+    """``x ** k`` entry by entry, rounded as Python float powers are."""
+    return np.array([v**k for v in x.tolist()])
+
+
+def first_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry-wise ``max(a, b)`` as Python picks it: ``b`` only where it is
+    greater, so a NaN ``b`` never replaces ``a`` and a NaN ``a`` stays."""
+    return np.where(b > a, b, a)
 
 
 @dataclass(frozen=True)
@@ -132,7 +158,7 @@ def sine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     na, nb = norm_rows(a), norm_rows(b)
     if not (np.all(na != 0.0) and np.all(nb != 0.0)):
         raise DegenerateInputError("sine_angle requires non-zero vectors")
-    return np.minimum(norm_rows(np.cross(a, b)) / (na * nb), 1.0)
+    return np.minimum(norm_rows(cross_rows(a, b)) / (na * nb), 1.0)
 
 
 @functools.lru_cache(maxsize=8)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_ZERO, cross3, norm, norm_rows, sphere_directions
+from .geometry import EPS_ZERO, cross3, cross_rows, norm, norm_rows, sphere_directions
 from .polygon import _max_row_changes
 
 # default sampling densities of the oracles, shared with the CLI settings
@@ -83,7 +83,7 @@ def curvature_samples(ctrl, n: int, h: float = 1.0):
     rounding noise, not signal.
     """
     d1, d2, _ = decasteljau_derivatives(ctrl, np.linspace(0.0, 1.0, n), h)
-    return np.cross(d1, d2), norm_rows(d1) * norm_rows(d2)
+    return cross_rows(d1, d2), norm_rows(d1) * norm_rows(d2)
 
 
 # right-hand sides (1, -dip, 1) of the dip systems, one per batch entry
@@ -150,18 +150,18 @@ def sampled_global_convexity(curve: SampledCurve, n_vec, eps_zero: float = EPS_Z
     tang = np.diff(pts, axis=0)
     tl = np.linalg.norm(tang, axis=1)
 
-    turns = np.cross(tang[:-1], tang[1:]) @ n_vec
+    turns = cross_rows(tang[:-1], tang[1:]) @ n_vec
     if np.any(turns < -eps_zero * tl[:-1] * tl[1:] * nn):
         return False
 
     rel = pts[1:] - pts[0]
     rl = np.linalg.norm(rel, axis=1)
     # tangent support at each sample: ((p_k - p_0) x t_k) . n >= 0
-    sweep = np.cross(rel[:-1], tang[1:]) @ n_vec
+    sweep = cross_rows(rel[:-1], tang[1:]) @ n_vec
     if np.any(sweep < -eps_zero * rl[:-1] * tl[1:] * nn):
         return False
 
-    start = np.cross(np.broadcast_to(tang[0], rel.shape), rel) @ n_vec
+    start = cross_rows(tang[0], rel) @ n_vec
     if np.any(start < -eps_zero * tl[0] * rl * nn):
         return False
     return True

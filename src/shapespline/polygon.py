@@ -16,10 +16,11 @@ directions in the spatial case.
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import EPS_ZERO, dot, dot_rows, norm, sphere_directions
+from .geometry import EPS_ZERO, cross_rows, dot_rows, norm_rows, sphere_directions
 
 # values per block of the direction searches (128 KB): memory stays linear in
 # the number of scanned vectors, and the block's temporaries are reused from
@@ -114,9 +115,9 @@ class DataPolygon:
         self._chords = chords
         self._chords.flags.writeable = False
         self._lengths = lengths
-        # np.cross and dot_rows match cross3 and triple bit for bit; a row
+        # cross_rows and dot_rows match cross3 and triple bit for bit; a row
         # sum would round differently, and the values are printed
-        self._binormals = np.cross(chords[:-1], chords[1:])
+        self._binormals = cross_rows(chords[:-1], chords[1:])
         self._binormals.flags.writeable = False
         self._torsions = dot_rows(chords[:-2], self._binormals[1:])
         self._torsions.flags.writeable = False
@@ -169,22 +170,74 @@ class DataPolygon:
             raise IndexError(f"span index {i} out of range 2..{self.n_segments - 1}")
         return float(self._torsions[i - 2])
 
-    # classification floors
+    # classification, one row per interior vertex or span
+
+    @cached_property
+    def _vertex_classes(self):
+        """Per interior vertex (row j-1 is vertex j): the binormal norm, its
+        classification floor, and whether the binormal is zero and whether
+        the vertex is collinear, both relative to that floor."""
+        lengths, eps = self._lengths, self.eps_zero
+        norms = norm_rows(self._binormals)
+        floors = lengths[:-1] * lengths[1:]
+        zero = norms <= eps * floors
+        collinear = zero & (dot_rows(self._chords[:-1], self._chords[1:]) > eps * floors)
+        return norms, floors, zero, collinear
+
+    @cached_property
+    def _torsion_floors(self) -> np.ndarray:
+        """Classification floor of each span twist (row i-2 is span i)."""
+        return self._lengths[:-2] * self._lengths[1:-1] * self._lengths[2:]
+
     def _binormal_floor(self, j: int) -> float:
-        return float(self._lengths[j - 1] * self._lengths[j])
+        return float(self._vertex_classes[1][j - 1])
 
     def _torsion_floor(self, i: int) -> float:
-        return float(self._lengths[i - 2] * self._lengths[i - 1] * self._lengths[i])
+        return float(self._torsion_floors[i - 2])
 
     def binormal_is_zero(self, j: int) -> bool:
-        return norm(self.binormal(j)) <= self.eps_zero * self._binormal_floor(j)
+        self.binormal(j)  # IndexError outside 1..n-1
+        return bool(self._vertex_classes[2][j - 1])
 
     def vertex_is_collinear(self, j: int) -> bool:
         """Chords around vertex j parallel and co-directed."""
-        if not self.binormal_is_zero(j):
-            return False
-        d = dot(self._chords[j - 1], self._chords[j])
-        return d > self.eps_zero * self._binormal_floor(j)
+        self.binormal(j)  # IndexError outside 1..n-1
+        return bool(self._vertex_classes[3][j - 1])
+
+
+# flag sets by bit code, bit k standing for _FLAG_BITS[k]
+_FLAG_BITS = (
+    ShapeFlag.CONVEX,
+    ShapeFlag.INFLECTION,
+    ShapeFlag.TORSION,
+    ShapeFlag.COPLANAR,
+    ShapeFlag.COLLINEAR,
+)
+_FLAG_SETS = tuple(
+    frozenset(f for k, f in enumerate(_FLAG_BITS) if code >> k & 1) for code in range(32)
+)
+
+
+def span_flags(poly: DataPolygon, spans) -> list:
+    """``classify_vertex`` of every span in the 1-based index array
+    ``spans``, computed over all of them at once."""
+    n, eps = poly.n_segments, poly.eps_zero
+    norms, floors, _, collinear = poly._vertex_classes
+    spans = np.asarray(spans, dtype=int)
+    # either end vertex collinear; the padding stands for the end points
+    padded = np.concatenate([[False], collinear, [False]])
+    codes = (padded[spans - 1] | padded[spans]).astype(int) << 4
+    inner = np.flatnonzero((2 <= spans) & (spans <= n - 1))
+    prev, cur = spans[inner] - 2, spans[inner] - 1
+    np_, nc = norms[prev], norms[cur]
+    well_defined = (np_ > eps * floors[prev]) & (nc > eps * floors[cur])
+    d = dot_rows(poly.binormals[prev], poly.binormals[cur])
+    convex = well_defined & (d > eps * np_ * nc)
+    inflection = well_defined & ~convex & (d < -eps * np_ * nc)
+    torsion = np.abs(poly.torsions[prev]) > eps * poly._torsion_floors[prev]
+    coplanar = well_defined & ~torsion
+    codes[inner] |= convex | inflection << 1 | torsion << 2 | coplanar << 3
+    return [_FLAG_SETS[c] for c in codes.tolist()]
 
 
 def classify_vertex(poly: DataPolygon, i: int) -> frozenset:
@@ -193,37 +246,12 @@ def classify_vertex(poly: DataPolygon, i: int) -> frozenset:
     CONVEX / INFLECTION compare the turn binormals at the span's two end
     vertices (available on interior spans only); TORSION / COPLANAR classify
     the span twist; COLLINEAR is set when either end vertex has parallel,
-    co-directed chords.
+    co-directed chords.  The one-row case of ``span_flags``.
     """
     n = poly.n_segments
     if not 1 <= i <= n:
         raise IndexError(f"span index {i} out of range 1..{n}")
-    eps = poly.eps_zero
-    flags = set()
-
-    if 2 <= i <= n - 1:
-        bp, bc = poly.binormal(i - 1), poly.binormal(i)
-        np_, nc = norm(bp), norm(bc)
-        well_defined = (
-            np_ > eps * poly._binormal_floor(i - 1) and nc > eps * poly._binormal_floor(i)
-        )
-        if well_defined:
-            d = dot(bp, bc)
-            if d > eps * np_ * nc:
-                flags.add(ShapeFlag.CONVEX)
-            elif d < -eps * np_ * nc:
-                flags.add(ShapeFlag.INFLECTION)
-        delta = poly.span_torsion(i)
-        if abs(delta) > eps * poly._torsion_floor(i):
-            flags.add(ShapeFlag.TORSION)
-        elif well_defined:
-            flags.add(ShapeFlag.COPLANAR)
-
-    for j in (i - 1, i):
-        if 1 <= j <= n - 1 and poly.vertex_is_collinear(j):
-            flags.add(ShapeFlag.COLLINEAR)
-
-    return frozenset(flags)
+    return span_flags(poly, [i])[0]
 
 
 def spatial_arc_inflection_count(poly: DataPolygon, directions: int) -> int:
@@ -239,7 +267,7 @@ def spatial_arc_inflection_count(poly: DataPolygon, directions: int) -> int:
         return 0
     # candidate witnesses: the turn vectors themselves plus directions
     # orthogonal to consecutive pairs (sign-region boundaries)
-    extra = np.concatenate([turns, np.cross(turns[:-1], turns[1:])])
+    extra = np.concatenate([turns, cross_rows(turns[:-1], turns[1:])])
     dirs = sphere_directions(directions, extra=extra)
     tols = poly.eps_zero * (poly._lengths[:-1] * poly._lengths[1:])[None, :]
     return _max_row_changes(dirs, turns, tols)

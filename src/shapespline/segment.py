@@ -1,4 +1,4 @@
-"""One cubic Hermite segment in Bezier form, with closed-form derivatives,
+"""Cubic Hermite segments in Bezier form, with closed-form derivatives,
 the curvature-vector quadratic and the (constant) torsion numerator.
 
 A segment interpolates ``p0 -> p3`` over a parameter interval of width
@@ -7,9 +7,13 @@ parameter, so the Bezier control points are ``p1 = p0 + (h/3) m0`` and
 ``p2 = p3 - (h/3) m1``.  All derivative formulas below carry the chain-rule
 ``1/h`` factors explicitly.
 
-``point``, ``derivatives`` and ``curvature`` map a float ``u`` to ``(3,)``
-vectors and a 1-D array of ``m`` parameters to ``(m, 3)`` rows, by one
-formula, so each row equals the scalar call bit for bit.
+Every formula is written once, over rows: the ``*_rows`` functions take
+``n`` segments as ``(n, 3)`` arrays and ``n`` widths, and evaluate them at
+``m`` parameters as ``(n, m, 3)`` grids.  A :class:`CubicSegment` method is
+their one-row case, so each row of a batched call equals the method call on
+that segment bit for bit; ``point``, ``derivatives`` and ``curvature`` map
+a float ``u`` to ``(3,)`` vectors and a 1-D array of ``m`` parameters to
+``(m, 3)`` rows.
 """
 
 from __future__ import annotations
@@ -18,20 +22,81 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_ZERO, Plane, as_vec3, cross3, norm, project_point, triple
+from .geometry import EPS_ZERO, Plane, as_vec3, cross_rows, norm_rows, powers, project_point
+from .geometry import triple_rows
 
 
 def _unit_param(u):
-    """``u`` itself, or a 1-D parameter array as an ``(m, 1)`` column that
-    broadcasts against ``(3,)`` vectors; every entry must lie in [0, 1]."""
-    if isinstance(u, np.ndarray):
-        inside = (0.0 <= u) & (u <= 1.0)
-        if not inside.all():
-            raise ValueError(f"parameter {u[~inside][0]} outside [0, 1]")
-        return u[:, None]
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"parameter {u} outside [0, 1]")
-    return u
+    """A 1-D array of parameters, every entry in [0, 1]."""
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    inside = (0.0 <= arr) & (arr <= 1.0)
+    if not inside.all():
+        raise ValueError(f"parameter {arr[~inside][0]} outside [0, 1]")
+    return arr
+
+
+def net_fault(m0, m1, chord, h):
+    """``(row, reason)`` of the first of ``n`` segments that is not a valid
+    cubic segment (its width is not positive, or its endpoints coincide
+    relative to the size of its control polygon), or None."""
+    chord_len = norm_rows(chord)
+    scale = chord_len + (h / 3.0) * (norm_rows(m0) + norm_rows(m1))
+    narrow = ~(h > 0.0)
+    bad = np.flatnonzero(narrow | (chord_len <= EPS_ZERO * scale))
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    if narrow[k]:
+        return k, f"parameter width must be positive, got {h.tolist()[k]}"
+    return k, "endpoints coincide"
+
+
+def point_rows(nets, u) -> np.ndarray:
+    """Positions (Bernstein form) of ``(n, 4, 3)`` Bezier nets at the
+    parameters ``u``: an ``(n, m, 3)`` grid."""
+    u = u[:, None]
+    v = 1.0 - u
+    b = nets[:, :, None, :]
+    return (
+        b[:, 0] * (v * v * v)
+        + b[:, 1] * (3.0 * v * v * u)
+        + b[:, 2] * (3.0 * v * u * u)
+        + b[:, 3] * (u * u * u)
+    )
+
+
+def derivative_rows(m0, m1, chord, h, u):
+    """First and second derivatives w.r.t. the global parameter as
+    ``(n, m, 3)`` grids, and the constant third derivative as ``(n, 3)``."""
+    u = u[:, None]
+    v = 1.0 - u
+    a = (3.0 / h)[:, None] * chord
+    e1 = (a - m0 - m1)[:, None]
+    e2 = (a - 2.0 * m0 - m1)[:, None]
+    e3 = (-a + m0 + 2.0 * m1)[:, None]
+    d1 = m0[:, None] * (v * v) + e1 * (2.0 * u * v) + m1[:, None] * (u * u)
+    d2 = (2.0 / h)[:, None, None] * (e2 * v + e3 * u)
+    d3 = (6.0 / powers(h, 3))[:, None] * (h[:, None] * (m0 + m1) - 2.0 * chord)
+    return d1, d2, d3
+
+
+def curvature_quad_rows(m0, m1, chord, h):
+    """Coefficients ``c0, c1, c2`` of :class:`CurvatureQuad`, as ``(n, 3)``
+    rows each."""
+    c1 = (2.0 / h)[:, None] * cross_rows(m0, m1)
+    k = (6.0 / powers(h, 2))[:, None]
+    return k * cross_rows(m0, chord) - c1, c1, k * cross_rows(chord, m1) - c1
+
+
+def torsion_numerator_rows(m0, m1, chord, h) -> np.ndarray:
+    """The constant value of det[d1, d2, d3] over each segment."""
+    return (12.0 / powers(h, 4)) * triple_rows(m0, chord, m1)
+
+
+def torsion_floor_rows(m0, m1, chord, h) -> np.ndarray:
+    """Magnitude floor of each torsion numerator: the same product with
+    norms in place of the triple product."""
+    return norm_rows(m0) * norm_rows(chord) * norm_rows(m1) / powers(h, 4) * 12.0
 
 
 @dataclass(frozen=True)
@@ -64,15 +129,18 @@ class CubicSegment:
     def __post_init__(self):
         for name in ("p0", "p3", "m0", "m1"):
             object.__setattr__(self, name, as_vec3(getattr(self, name)))
-        if not self.h > 0.0:
-            raise ValueError(f"parameter width must be positive, got {self.h}")
-        if norm(self.chord) <= EPS_ZERO * self.control_scale:
-            raise ValueError("segment endpoints coincide")
+        fault = net_fault(*self.rows())
+        if fault is not None:
+            raise ValueError(fault[1])
 
     @classmethod
     def from_bezier(cls, p0, p1, p2, p3, h: float) -> "CubicSegment":
         p0, p1, p2, p3 = (as_vec3(p) for p in (p0, p1, p2, p3))
         return cls(p0, p3, 3.0 * (p1 - p0) / h, 3.0 * (p3 - p2) / h, h)
+
+    def rows(self):
+        """This segment as the one-row batch ``(m0, m1, chord, h)``."""
+        return self.m0[None], self.m1[None], self.chord[None], np.array([self.h], dtype=float)
 
     @property
     def chord(self) -> np.ndarray:
@@ -90,53 +158,31 @@ class CubicSegment:
     def bezier_points(self) -> np.ndarray:
         return np.array([self.p0, self.p1, self.p2, self.p3])
 
-    @property
-    def control_scale(self) -> float:
-        """Rotation-invariant size of the control polygon."""
-        return float(
-            norm(self.chord) + (self.h / 3.0) * (norm(self.m0) + norm(self.m1))
-        )
-
     def point(self, u) -> np.ndarray:
         """Position at local parameter ``u`` in [0, 1] (Bernstein form)."""
-        u = _unit_param(u)
-        v = 1.0 - u
-        return (
-            self.p0 * (v * v * v)
-            + self.p1 * (3.0 * v * v * u)
-            + self.p2 * (3.0 * v * u * u)
-            + self.p3 * (u * u * u)
-        )
+        pts = point_rows(self.bezier_points[None], _unit_param(u))[0]
+        return pts if isinstance(u, np.ndarray) else pts[0]
 
     def derivatives(self, u):
         """First, second and third derivatives w.r.t. the global parameter;
         the third is constant, one ``(3,)`` vector for any ``u``."""
-        u = _unit_param(u)
-        v = 1.0 - u
-        a = (3.0 / self.h) * self.chord
-        d1 = self.m0 * (v * v) + (a - self.m0 - self.m1) * (2.0 * u * v) + self.m1 * (u * u)
-        d2 = (2.0 / self.h) * ((a - 2.0 * self.m0 - self.m1) * v + (-a + self.m0 + 2.0 * self.m1) * u)
-        d3 = (6.0 / self.h**3) * (self.h * (self.m0 + self.m1) - 2.0 * self.chord)
-        return d1, d2, d3
+        d1, d2, d3 = derivative_rows(*self.rows(), _unit_param(u))
+        if isinstance(u, np.ndarray):
+            return d1[0], d2[0], d3[0]
+        return d1[0, 0], d2[0, 0], d3[0]
 
     def curvature(self, u) -> np.ndarray:
         d1, d2, _ = self.derivatives(u)
-        return np.cross(d1, d2) if d1.ndim == 2 else cross3(d1, d2)
+        return cross_rows(d1, d2)
 
     def curvature_quad(self) -> CurvatureQuad:
-        length = self.chord
-        mm = cross3(self.m0, self.m1)
-        c0 = (6.0 / self.h**2) * cross3(self.m0, length) - (2.0 / self.h) * mm
-        c1 = (2.0 / self.h) * mm
-        c2 = (6.0 / self.h**2) * cross3(length, self.m1) - (2.0 / self.h) * mm
-        return CurvatureQuad(c0, c1, c2)
+        return CurvatureQuad(*(c[0] for c in curvature_quad_rows(*self.rows())))
 
     def torsion_numerator(self) -> float:
         """The constant value of det[d1, d2, d3] over the whole segment."""
-        return (12.0 / self.h**4) * triple(self.m0, self.chord, self.m1)
+        return float(torsion_numerator_rows(*self.rows())[0])
 
     def project(self, plane: Plane) -> "CubicSegment":
         """Segment whose control points are the projections of this one's."""
         pts = [project_point(p, plane) for p in self.bezier_points]
         return CubicSegment.from_bezier(*pts, self.h)
-

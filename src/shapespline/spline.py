@@ -1,5 +1,5 @@
-"""Assemble C1 cubic splines over a data polygon and run the per-segment
-criteria battery.
+"""Assemble C1 cubic splines over a data polygon and run the criteria
+battery over all segments at once.
 
 Tangent construction defaults to the central-difference (Catmull-Rom) rule
 ``m_j = tension * (x_{j+1} - x_{j-1})`` at interior vertices with one-sided
@@ -9,31 +9,43 @@ of every twist-based verdict is independent of ``tension``.
 Knots are dimensionless: uniform spacing uses ``h_i = 1``; chord-length
 spacing uses ``h_i = |L_i| / mean(|L|)`` so that uniformly scaling the data
 rescales neither the knot vector nor any verdict.
+
+A spline keeps its segments as arrays (tangents, widths ``h`` and Bezier
+nets, one row per segment); per-segment :class:`CubicSegment` objects are
+built on first use, for the checks that still run one segment at a time.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import cached_property
 
 import numpy as np
 
 from .criteria import (
     CriterionVerdict,
     Tolerances,
-    check_adjacency_compat,
+    adjacency_rows,
     check_collinearity_cubic,
     check_collinearity_extended,
-    check_convexity_cubic,
-    check_coplanarity_cubic,
-    check_inflection_cubic,
-    check_torsion_cubic,
-    check_torsion_compat,
+    convexity_rows,
+    coplanarity_rows,
+    inflection_rows,
+    torsion_compat_rows,
+    torsion_rows,
 )
-from .geometry import norm
-from .polygon import DataPolygon, ShapeFlag, classify_vertex
-from .segment import CubicSegment
+from .geometry import cross_rows, first_max
+from .polygon import DataPolygon, ShapeFlag, span_flags
+from .segment import (
+    CubicSegment,
+    curvature_quad_rows,
+    derivative_rows,
+    net_fault,
+    point_rows,
+    torsion_floor_rows,
+    torsion_numerator_rows,
+)
 
 
 class TangentMode(enum.Enum):
@@ -60,10 +72,29 @@ class SplineConfig:
 
 @dataclass(frozen=True)
 class Spline:
+    """Segment i (1-based) runs from data point i-1 to i over the knot
+    interval ``[knots[i-1], knots[i]]`` of width ``widths[i-1]``, with end
+    tangents ``tangents[i-1]`` and ``tangents[i]`` and Bezier net
+    ``nets[i-1]``."""
+
     polygon: DataPolygon
     knots: np.ndarray
     tangents: np.ndarray
-    segments: tuple
+    widths: np.ndarray
+    nets: np.ndarray
+
+    def rows(self):
+        """All segments as one batch ``(m0, m1, chord, h)``."""
+        return self.tangents[:-1], self.tangents[1:], self.polygon.chords, self.widths
+
+    @cached_property
+    def segments(self) -> tuple:
+        """One :class:`CubicSegment` per segment, built on first use."""
+        pts, tangents = self.polygon.points, self.tangents
+        return tuple(
+            CubicSegment(pts[k], pts[k + 1], tangents[k], tangents[k + 1], h)
+            for k, h in enumerate(self.widths.tolist())
+        )
 
     def segment_span(self, i: int):
         """Knot interval of segment i (1-based)."""
@@ -100,8 +131,7 @@ def catmull_rom_tangents(polygon: DataPolygon, tension: float) -> np.ndarray:
     tangents = np.empty_like(pts)
     tangents[0] = 2.0 * tension * polygon.chord(1)
     tangents[n] = 2.0 * tension * polygon.chord(n)
-    for j in range(1, n):
-        tangents[j] = tension * (pts[j + 1] - pts[j - 1])
+    tangents[1:n] = tension * (pts[2:] - pts[:-2])
     return tangents
 
 
@@ -126,10 +156,10 @@ def build_spline(
             raise ValueError(
                 f"need {n + 1} tangents, got shape {tangents.shape}"
             )
-        if not np.all(np.isfinite(tangents)):
-            raise ValueError("non-finite tangent components")
     else:
         tangents = catmull_rom_tangents(polygon, cfg.tension)
+    if not np.all(np.isfinite(tangents)):
+        raise ValueError("non-finite tangent components")
 
     if knots is not None:
         kv = np.array(knots, dtype=float)
@@ -140,17 +170,15 @@ def build_spline(
     else:
         kv = _knot_vector(polygon, cfg.parameterization)
 
-    segments = tuple(
-        CubicSegment(
-            polygon.points[i - 1],
-            polygon.points[i],
-            tangents[i - 1],
-            tangents[i],
-            float(kv[i] - kv[i - 1]),
-        )
-        for i in range(1, n + 1)
-    )
-    return Spline(polygon, kv, tangents, segments)
+    h = np.diff(kv)
+    m0, m1 = tangents[:-1], tangents[1:]
+    fault = net_fault(m0, m1, polygon.chords, h)
+    if fault is not None:
+        raise ValueError(f"segment {fault[0] + 1}: {fault[1]}")
+    p0, p3 = polygon.points[:-1], polygon.points[1:]
+    third = (h / 3.0)[:, None]
+    nets = np.stack([p0, p0 + third * m0, p3 - third * m1, p3], axis=1)
+    return Spline(polygon, kv, tangents, h, nets)
 
 
 # ---------------------------------------------------------------------------
@@ -253,103 +281,111 @@ class SplineReport:
 def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
     """Run every applicable criterion on every segment, vertex and joint.
 
-    Deterministic for fixed inputs: segments are processed in order and
-    verdict lists are assembled in a fixed criterion order.
+    Each closed-form criterion runs once over all rows; the verdicts are
+    then assembled in a fixed order (vertices, then each segment's verdicts
+    in criterion order, then joints), so the report is deterministic and
+    the first non-finite diagnostic is the one a segment-by-segment run
+    would meet first.
     """
     poly = spline.polygon
     tol = cfg.tolerances
     n = poly.n_segments
     eps = tol.eps_zero
+    m0, m1, chord, h = spline.rows()
+    delta, dfloor = poly.torsions, poly._torsion_floors
+    # rows that a criterion does not apply to are computed too, and may
+    # divide by zero or overflow; their values are never reported
+    with np.errstate(all="ignore"):
+        # interior segments 2..n-1 are rows 0..n-3 of the span batches
+        inner = slice(1, n - 1)
+        m0_i, m1_i, chord_i, h_i = m0[inner], m1[inner], chord[inner], h[inner]
+        b_prev, b_cur = poly.binormals[:-1], poly.binormals[1:]
+        quad = curvature_quad_rows(m0_i, m1_i, chord_i, h_i)
+        battery = (
+            (ShapeFlag.CONVEX, convexity_rows(m0_i, m1_i, chord_i, h_i, b_prev, b_cur, eps)),
+            (ShapeFlag.INFLECTION, inflection_rows(quad, b_prev, b_cur, eps)),
+            (ShapeFlag.TORSION, torsion_rows(m0_i, m1_i, chord_i, delta, dfloor, eps)),
+            (
+                ShapeFlag.COPLANAR,
+                coplanarity_rows(quad, b_prev, b_cur, delta, dfloor, eps, tol.eps_coplanar),
+            ),
+        )
+        # joints 1..n-1 are rows 0..n-2; torsion compatibility needs both
+        # neighbouring spans interior, so joint j is row j-2 of its batch
+        adjacency = adjacency_rows(m1[:-1], poly.binormals, chord[:-1], chord[1:], eps)
+        tau = torsion_numerator_rows(m0, m1, chord, h)
+        tau_floor = torsion_floor_rows(m0, m1, chord, h)
+        compat = torsion_compat_rows(
+            delta[:-1],
+            delta[1:],
+            tau[1:-2],
+            tau[2:-1],
+            eps,
+            first_max(dfloor[:-1], dfloor[1:]),
+            first_max(tau_floor[1:-2], tau_floor[2:-1]),
+        )
+    norms, floors, _, collinear = poly._vertex_classes
+    has_adjacency = (norms > eps * floors).tolist()
+    collinear = collinear.tolist()
+    deltas = delta.tolist()
 
     vertex_reports = []
     for j in range(1, n):
-        collinear = poly.vertex_is_collinear(j)
-        extended = check_collinearity_extended(spline, j, tol) if collinear else None
-        vertex_reports.append(
-            VertexReport(j, poly.binormal(j), collinear, extended)
-        )
+        extended = check_collinearity_extended(spline, j, tol) if collinear[j - 1] else None
+        vertex_reports.append(VertexReport(j, poly.binormal(j), collinear[j - 1], extended))
 
     segment_reports = []
-    for i in range(1, n + 1):
-        seg = spline.segments[i - 1]
-        flags = classify_vertex(poly, i)
-        verdicts = []
-        if 2 <= i <= n - 1:
-            b_prev, b_cur = poly.binormal(i - 1), poly.binormal(i)
-            delta = poly.span_torsion(i)
-            dfloor = poly._torsion_floor(i)
-            if ShapeFlag.CONVEX in flags:
-                verdicts.append(check_convexity_cubic(seg, b_prev, b_cur, tol))
-            if ShapeFlag.INFLECTION in flags:
-                verdicts.append(check_inflection_cubic(seg, b_prev, b_cur, tol))
-            if ShapeFlag.TORSION in flags:
-                verdicts.append(check_torsion_cubic(seg, delta, tol, delta_floor=dfloor))
-            if ShapeFlag.COPLANAR in flags:
-                verdicts.append(
-                    check_coplanarity_cubic(seg, b_prev, b_cur, delta, tol, delta_floor=dfloor)
-                )
-        else:
-            delta = None
-        for j in (i - 1, i):
-            if 1 <= j <= n - 1 and poly.vertex_is_collinear(j):
-                v = check_collinearity_cubic(seg, poly.chord(j), poly.chord(j + 1), tol)
-                verdicts.append(
-                    CriterionVerdict(
-                        v.criterion,
-                        v.applicable,
-                        v.passed,
-                        {**v.diagnostics, "vertex": float(j)},
+    for i, flags in enumerate(span_flags(poly, np.arange(1, n + 1)), start=1):
+        verdicts = [rows.verdict(i - 2) for flag, rows in battery if flag in flags]
+        if ShapeFlag.COLLINEAR in flags:
+            for j in (i - 1, i):
+                if 1 <= j <= n - 1 and collinear[j - 1]:
+                    v = check_collinearity_cubic(
+                        spline.segments[i - 1], poly.chord(j), poly.chord(j + 1), tol
                     )
-                )
-        segment_reports.append(
-            SegmentReport(
-                i,
-                flags,
-                float(delta) if 2 <= i <= n - 1 else None,
-                tuple(verdicts),
-            )
+                    verdicts.append(
+                        CriterionVerdict(
+                            v.criterion, v.applicable, v.passed, {**v.diagnostics, "vertex": float(j)}
+                        )
+                    )
+        delta_i = deltas[i - 2] if 2 <= i <= n - 1 else None
+        segment_reports.append(SegmentReport(i, flags, delta_i, tuple(verdicts)))
+
+    joint_reports = [
+        JointReport(
+            j,
+            adjacency.verdict(j - 1) if has_adjacency[j - 1] else None,
+            compat.verdict(j - 2) if 2 <= j <= n - 2 else None,
         )
-
-    joint_reports = []
-    for j in range(1, n):
-        seg_prev, seg_next = spline.segments[j - 1], spline.segments[j]
-        b_j = poly.binormal(j)
-        adjacency = None
-        if norm(b_j) > eps * poly._binormal_floor(j):
-            adjacency = check_adjacency_compat(
-                seg_prev, seg_next, b_j, poly.chord(j), poly.chord(j + 1), tol
-            )
-        torsion_compat = None
-        if 2 <= j and j + 1 <= n - 1:
-            torsion_compat = check_torsion_compat(
-                poly.span_torsion(j),
-                poly.span_torsion(j + 1),
-                seg_prev.torsion_numerator(),
-                seg_next.torsion_numerator(),
-                tol,
-                delta_floor=max(poly._torsion_floor(j), poly._torsion_floor(j + 1)),
-                tau_floor=max(
-                    norm(s.m0) * norm(s.chord) * norm(s.m1) / s.h**4 * 12.0
-                    for s in (seg_prev, seg_next)
-                ),
-            )
-        joint_reports.append(JointReport(j, adjacency, torsion_compat))
-
+        for j in range(1, n)
+    ]
     return SplineReport(tuple(vertex_reports), tuple(segment_reports), tuple(joint_reports))
 
 
-def sample_spline(spline: Spline, per_segment: int):
-    """Uniform samples per segment: rows of (segment index, global t,
-    position, curvature vector, torsion numerator)."""
+SAMPLE_DTYPE = np.dtype(
+    [
+        ("segment", int),
+        ("t", float),
+        ("position", float, 3),
+        ("curvature", float, 3),
+        ("tau", float),
+    ]
+)
+
+
+def sample_spline(spline: Spline, per_segment: int) -> np.ndarray:
+    """Uniform samples per segment, evaluated over all segments at once:
+    one ``SAMPLE_DTYPE`` record (segment index, global t, position,
+    curvature vector, torsion numerator) per sample, segment by segment."""
     if per_segment < 2:
         raise ValueError("need at least two samples per segment")
     us = np.linspace(0.0, 1.0, per_segment)
-    rows = []
-    for i, seg in enumerate(spline.segments, start=1):
-        t0, t1 = spline.segment_span(i)
-        d1, d2, _ = seg.derivatives(us)
-        tau = seg.torsion_numerator()
-        rows.extend(
-            zip(repeat(i), t0 + us * (t1 - t0), seg.point(us), np.cross(d1, d2), repeat(tau))
-        )
-    return rows
+    m0, m1, chord, h = spline.rows()
+    d1, d2, _ = derivative_rows(m0, m1, chord, h, us)
+    rows = np.empty((len(h), per_segment), dtype=SAMPLE_DTYPE)
+    rows["segment"] = np.arange(1, len(h) + 1)[:, None]
+    rows["t"] = spline.knots[:-1, None] + us * h[:, None]
+    rows["position"] = point_rows(spline.nets, us)
+    rows["curvature"] = cross_rows(d1, d2)
+    rows["tau"] = torsion_numerator_rows(m0, m1, chord, h)[:, None]
+    return rows.ravel()

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from shapespline import EPS_ZERO, CubicSegment, DataPolygon, sign_changes, triple
+from shapespline import EPS_ZERO, CubicSegment, DataPolygon, cross3, sign_changes, triple
+from shapespline.geometry import dot, norm
 
 
 @pytest.fixture
@@ -168,3 +169,46 @@ def looped_sphere_directions(m: int, extra=()) -> np.ndarray:
             blocks.append((c / ln)[None, :])
             blocks.append((-c / ln)[None, :])
     return np.vstack(blocks)
+
+
+# per-segment closed-form formulas, one segment at a time with Python-float
+# powers; the batched kernels must equal them row for row
+
+
+def ref_convexity_scalars(seg, n_vec):
+    """(a, b, c, fa, fb, fc) of the convexity check against one normal."""
+    length = seg.chord
+    a = triple(seg.m0, seg.m1, n_vec)
+    b = triple(seg.m0, length, n_vec)
+    c = triple(length, seg.m1, n_vec)
+    nn = norm(n_vec)
+    fa = norm(seg.m0) * norm(seg.m1) * nn
+    fb = norm(seg.m0) * norm(length) * nn
+    fc = norm(length) * norm(seg.m1) * nn
+    return a, b, c, fa, fb, fc
+
+
+def ref_curvature_quad(seg):
+    """(c0, c1, c2) of the curvature-vector quadratic."""
+    length = seg.chord
+    mm = cross3(seg.m0, seg.m1)
+    c0 = (6.0 / seg.h**2) * cross3(seg.m0, length) - (2.0 / seg.h) * mm
+    c1 = (2.0 / seg.h) * mm
+    c2 = (6.0 / seg.h**2) * cross3(length, seg.m1) - (2.0 / seg.h) * mm
+    return c0, c1, c2
+
+
+def ref_torsion_numerator(seg) -> float:
+    return (12.0 / seg.h**4) * triple(seg.m0, seg.chord, seg.m1)
+
+
+def ref_tau_floor(seg) -> float:
+    return norm(seg.m0) * norm(seg.chord) * norm(seg.m1) / seg.h**4 * 12.0
+
+
+def ref_adjacency_product(m, n_vertex, l_prev, l_cur):
+    """(product, |t_proj|, floor) of the adjacency check at one joint."""
+    nn = norm(n_vertex)
+    t_proj = m - (dot(m, n_vertex) / (nn * nn)) * n_vertex
+    product = dot(cross3(t_proj, l_cur), cross3(t_proj, l_prev))
+    return product, norm(t_proj), norm(t_proj) ** 2 * norm(l_cur) * norm(l_prev)

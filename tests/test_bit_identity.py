@@ -1,26 +1,40 @@
 """Array forms against scalar forms, bit for bit.
 
-Every sampled check evaluates its samples in one array call, and the
-reports print those values to 17 digits.  These tests pin that each row of
-an array call equals the scalar call on that row exactly (``np.array_equal``,
-not ``allclose``), over inputs spanning 24 decades of scale, so that a
-numpy or BLAS change that rounds one form differently fails here instead
-of moving printed digits.
+Every sampled check evaluates its samples in one array call, the
+closed-form battery runs over all segments at once, and the reports print
+those values to 17 digits.  These tests pin that each row of an array call
+equals the scalar call on that row exactly (``np.array_equal``, not
+``allclose``), over inputs spanning 24 decades of scale, so that a numpy or
+BLAS change that rounds one form differently fails here instead of moving
+printed digits.
 """
 
 import numpy as np
 
+from conftest import (
+    ref_adjacency_product,
+    ref_convexity_scalars,
+    ref_curvature_quad,
+    ref_tau_floor,
+    ref_torsion_numerator,
+)
 from shapespline import CubicSegment
+from shapespline.criteria import adjacency_rows, convexity_rows
 from shapespline.geometry import (
     cross3,
+    cross_rows,
     dot,
     dot_rows,
     norm,
     norm_rows,
+    powers,
     sine_angle,
     sine_rows,
+    triple,
+    triple_rows,
 )
 from shapespline.oracle import decasteljau, decasteljau_derivatives
+from shapespline.segment import curvature_quad_rows, torsion_floor_rows, torsion_numerator_rows
 
 ROWS = 4000
 
@@ -58,8 +72,14 @@ def test_geometry_row_forms(rng):
     assert np.array_equal(norm_rows(a[:, :2]), stack(map(norm, a[:, :2])))
     assert np.array_equal(sine_rows(a, b), stack(map(sine_angle, a, b)))
     assert np.array_equal(sine_rows(a, one), stack(sine_angle(x, one) for x in a))
-    assert np.array_equal(np.cross(a, b), stack(map(cross3, a, b)))
-    assert np.array_equal(np.cross(one, a), stack(cross3(one, x) for x in a))
+    assert np.array_equal(cross_rows(a, b), stack(map(cross3, a, b)))
+    assert np.array_equal(cross_rows(one, a), stack(cross3(one, x) for x in a))
+    assert np.array_equal(cross_rows(a, one), stack(cross3(x, one) for x in a))
+    assert np.array_equal(cross_rows(a, b), np.cross(a, b))
+    assert np.array_equal(cross_rows(a, one), np.cross(a, one))
+    assert np.array_equal(cross_rows(a[:128, None], b[None, :64]), np.cross(a[:128, None], b[None, :64]))
+    c = scaled_rows(rng, ROWS)
+    assert np.array_equal(triple_rows(a, b, c), stack(map(triple, a, b, c)))
     # norm is what np.linalg.norm computes for a 1-D vector
     assert np.array_equal(norm_rows(a), stack(float(np.linalg.norm(x)) for x in a))
 
@@ -91,3 +111,60 @@ def test_decasteljau(rng):
     net = scaled_rows(rng, 7, 2)
     us = grid(rng)
     assert np.array_equal(decasteljau(net, us), stack(decasteljau(net, float(u)) for u in us))
+
+
+def scaled_segments(rng, n):
+    """Segments of random direction with coordinates from 1e-12 to 1e12
+    and widths from 1e-3 to 1e3, where numpy's ``**`` rounds differently
+    from Python's."""
+    segs = []
+    while len(segs) < n:
+        p0, p3, m0, m1 = 10.0 ** rng.uniform(-12, 12) * rng.normal(size=(4, 3))
+        try:
+            segs.append(CubicSegment(p0, p3, m0, m1, float(10.0 ** rng.uniform(-3, 3))))
+        except ValueError:
+            continue
+    return segs
+
+
+def test_powers(rng):
+    x = 10.0 ** rng.uniform(-3, 3, ROWS)
+    for k in (2, 3, 4):
+        assert np.array_equal(powers(x, k), stack(v**k for v in x.tolist()))
+
+
+def test_closed_form_rows(rng):
+    segs = scaled_segments(rng, 2000)
+    m0, m1 = stack(s.m0 for s in segs), stack(s.m1 for s in segs)
+    chord, h = stack(s.chord for s in segs), np.array([s.h for s in segs])
+    quad = curvature_quad_rows(m0, m1, chord, h)
+    for k, ref in enumerate(zip(*map(ref_curvature_quad, segs))):
+        assert np.array_equal(quad[k], stack(ref))
+    assert np.array_equal(torsion_numerator_rows(m0, m1, chord, h), stack(map(ref_torsion_numerator, segs)))
+    assert np.array_equal(torsion_floor_rows(m0, m1, chord, h), stack(map(ref_tau_floor, segs)))
+
+    n_prev, n_cur = scaled_rows(rng, len(segs)), scaled_rows(rng, len(segs))
+    eps = 1e-9
+    rows = convexity_rows(m0, m1, chord, h, n_prev, n_cur, eps)
+    columns = dict(zip(rows.names, rows.columns))
+    for tag, normals in (("prev", n_prev), ("cur", n_cur)):
+        ref = [ref_convexity_scalars(s, nv) for s, nv in zip(segs, normals)]
+        for key, values in zip("abc", zip(*ref)):
+            assert columns[f"{key}_{tag}"] == list(values)
+        ok, reversed_ok = [], []
+        for s, (a, b, c, fa, fb, fc) in zip(segs, ref):
+            third = s.h / 3.0
+            margin_b, margin_c = eps * (fb + third * fa), eps * (fc + third * fa)
+            thr, thr_low = max(third * a, 0.0), min(third * a, 0.0)
+            ok.append((b - thr) > margin_b and (c - thr) > margin_c)
+            reversed_ok.append((b - thr_low) < -margin_b and (c - thr_low) < -margin_c)
+        assert columns[f"passed_{tag}"] == ok
+        assert columns[f"reversed_orientation_{tag}"] == reversed_ok
+
+    l_prev, l_cur = scaled_rows(rng, len(segs)), scaled_rows(rng, len(segs))
+    rows = adjacency_rows(m1, n_prev, l_prev, l_cur, eps)
+    columns = dict(zip(rows.names, rows.columns))
+    ref = list(map(ref_adjacency_product, m1, n_prev, l_prev, l_cur))
+    assert columns["product"] == [r[0] for r in ref]
+    assert columns["projected_tangent_norm"] == [r[1] for r in ref]
+    assert rows.passed == [r[0] < -eps * r[2] for r in ref]

@@ -82,6 +82,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", doc)
         assert code == 2
 
+    def test_build_fault_names_the_segment(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        points = [[k, 0.5 * k * k, 0] for k in range(5)]
+        tangents = [[1, 0, 0]] * 4 + [[1e12, 0, 0]]
+        doc.write_text(json.dumps({"version": 1, "points": points, "tangents": tangents}))
+        code, out, err = run(capsys, "check", doc, "--tangents", "provided")
+        assert (code, out, err) == (2, "", "error: segment 4: endpoints coincide\n")
+
     def test_verify_clean_on_fixtures(self, capsys):
         for name in ("example1.json", "helix6.json", "coplanar.json", "provided.json"):
             code, out, _ = run(capsys, "check", FIXTURES / name, "--verify")

@@ -1,6 +1,9 @@
 """Report bytes pinned per fixture: the sha256 of stdout and the exit code
 of five CLI invocations on each of the 9 fixtures, plus ``inflection`` and
-``inflection --verify`` at the default densities on two seeded documents.
+``inflection --verify`` at the default densities on two small seeded
+documents, and ``check`` and ``check --verify --samples 128`` on three
+larger ones (a 120-point helix, a 120-point S-curve and a 40-point
+polyline with collinear runs).
 
 A refactor that keeps verdicts but moves a printed digit fails here, with
 the fixture and the command in the test id.  Re-record after a deliberate
@@ -45,6 +48,13 @@ def collinear_polyline(rng, corners: int = 6, run: int = 2) -> np.ndarray:
     return np.array(pts)
 
 
+def noisy_helix(rng, n: int) -> np.ndarray:
+    """Helix with a little positional noise: convex, twisted spans."""
+    t = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(n) / rng.uniform(10.0, 14.0)
+    pts = np.column_stack([np.cos(t), np.sin(t), rng.uniform(0.15, 0.35) * t])
+    return pts + rng.normal(0.0, 0.02, pts.shape)
+
+
 def planar_scurve(rng, n: int = 14) -> np.ndarray:
     """Sine serpentine in a plane z = const: every segment is planar, so the
     axis directions in that plane see only dead-band bending."""
@@ -58,12 +68,20 @@ def planar_scurve(rng, n: int = 14) -> np.ndarray:
 GENERATED = {
     "gen-polyline": collinear_polyline(np.random.default_rng(9)),
     "gen-scurve": planar_scurve(np.random.default_rng(9)),
+    "gen-helix-120": noisy_helix(np.random.default_rng(10), 120),
+    "gen-scurve-120": planar_scurve(np.random.default_rng(10), 120),
+    "gen-polyline-40": collinear_polyline(np.random.default_rng(10), corners=14, run=2),
 }
 GENERATED_COMMANDS = {
     "inflection-default": ("inflection",),
     "inflection-verify-default": ("inflection", "--verify"),
+    "check": ("check",),
+    "check-verify": ("check", "--verify", "--samples", "128"),
 }
-GENERATED_CASES = [(g, c) for g in GENERATED for c in GENERATED_COMMANDS]
+GENERATED_CASES = [
+    *((g, c) for g in ("gen-polyline", "gen-scurve") for c in ("inflection-default", "inflection-verify-default")),
+    *((g, c) for g in ("gen-helix-120", "gen-scurve-120", "gen-polyline-40") for c in ("check", "check-verify")),
+]
 
 
 def invoke(argv):

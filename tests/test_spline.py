@@ -14,6 +14,7 @@ from shapespline import (
     sample_spline,
     triple,
 )
+from shapespline.segment import net_fault
 from conftest import finite_diff_derivatives, random_noncoplanar_polygon, random_polygon
 
 
@@ -69,6 +70,28 @@ class TestBuild:
         assert spline.segments[1].h == 1.5
         with pytest.raises(ValueError):
             build_spline(poly, knots=[0.0, 2.0, 2.0])
+
+    def test_build_faults_name_the_segment(self):
+        poly = DataPolygon([(k, 0.5 * k * k, 0) for k in range(5)])
+        tangents = [[1.0, 0.0, 0.0]] * 5
+        # a tangent so long that the chord of segment 4 is rounding noise
+        # beside its control polygon
+        tangents[4] = [1e12, 0.0, 0.0]
+        with pytest.raises(ValueError, match="^segment 4: endpoints coincide$"):
+            build_spline(poly, cfg_with(tangent_mode=TangentMode.PROVIDED), provided_tangents=tangents)
+        # the first faulty row, with the first of its faults
+        chords, widths = np.eye(3), np.array([1.0, 0.0, -1.0])
+        assert net_fault(1e12 * chords, chords, chords, widths) == (0, "endpoints coincide")
+        assert net_fault(chords, chords, chords, widths) == (1, "parameter width must be positive, got 0.0")
+
+    def test_segments_built_on_first_use(self, rng):
+        poly = random_noncoplanar_polygon(rng, 7)
+        spline = build_spline(poly)
+        analyze(spline)
+        assert "segments" not in vars(spline)
+        for k, seg in enumerate(spline.segments):
+            assert np.array_equal(seg.bezier_points, spline.nets[k])
+            assert seg.h == spline.widths[k]
 
     def test_endpoint_tangents_one_sided(self):
         poly = DataPolygon([(0, 0, 0), (1, 0, 0), (2, 1, 0)])
