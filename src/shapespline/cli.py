@@ -16,6 +16,7 @@ the randomized mixed-normal probes used there.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from . import oracle
 from .criteria import Criterion, Tolerances
 from .geometry import cross_rows, dot_rows, norm, norm_rows, sine_rows
 from .polygon import DataPolygon, sign_changes, span_flags, spatial_arc_inflection_count
+from .segment import torsion_numerator_rows
 from .spline import (
     Parameterization,
     SplineConfig,
@@ -210,13 +212,13 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
     n_samples = settings["samples"]
     poly = spline.polygon
     problems = []
+    taus = torsion_numerator_rows(*spline.rows()).tolist()
 
-    for seg_rep in report.segments:
+    # widths as Python floats: numpy floats round the oracle's h**k differently
+    for seg_rep, ctrl, h, tau in zip(report.segments, spline.nets, spline.widths.tolist(), taus):
         i = seg_rep.index
-        seg = spline.segments[i - 1]
-        ctrl = seg.bezier_points
         us = np.linspace(0.0, 1.0, n_samples)
-        tangents, d2, _ = oracle.decasteljau_derivatives(ctrl, us, seg.h)
+        tangents, d2, _ = oracle.decasteljau_derivatives(ctrl, us, h)
         omegas = cross_rows(tangents, d2)
         sampled = oracle.SampledCurve(us, oracle.decasteljau(ctrl, us))
         normals = (
@@ -252,9 +254,8 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
                             f"flips {changes} times along probe {k}"
                         )
             elif crit is Criterion.TORSION:
-                tau = seg.torsion_numerator()
                 probe_us = np.array([0.0, 0.37, 0.5, 1.0])
-                d1, d2, d3 = oracle.decasteljau_derivatives(ctrl, probe_us, seg.h)
+                d1, d2, d3 = oracle.decasteljau_derivatives(ctrl, probe_us, h)
                 dets = dot_rows(cross_rows(d1, d2), d3)
                 # rounding in det and tau scales with |d1||d2||d3|, which
                 # on a nearly coplanar span is far above |tau|
@@ -274,8 +275,8 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
                             f"binormal tilts past eps1 from the {tag} normal"
                         )
             elif crit is Criterion.COLLINEARITY:
-                j = int(verdict.diagnostics.get("vertex", 0))
-                chords = [poly.chord(j), poly.chord(j + 1)] if j else [seg.chord]
+                j = int(verdict.diagnostics["vertex"])
+                chords = [poly.chord(j), poly.chord(j + 1)]
                 moving = tangents[norm_rows(tangents) != 0.0]
                 if any(np.any(sine_rows(moving, l) >= tol.eps_collinear) for l in chords):
                     problems.append(
@@ -295,10 +296,7 @@ def cmd_check(args) -> int:
     polygon, spline, cfg = _build(doc, settings)
     report = analyze(spline, cfg)
     payload = {"version": 1, "config": _config_echo(settings), **report.to_dict()}
-    failures = [
-        v for v in report.all_verdicts() if v.applicable and not v.passed
-    ]
-    exit_code = 1 if failures else 0
+    exit_code = 0 if payload["summary"]["all_passed"] else 1
     if args.verify:
         problems = _verify_report(spline, report, cfg, settings)
         payload["verify"] = {"disagreements": problems}
@@ -357,11 +355,13 @@ def cmd_inflection(args) -> int:
     polygon, spline, cfg = _build(doc, settings)
     directions = settings["directions"]
     arc_count = spatial_arc_inflection_count(polygon, directions)
+    # widths as Python floats: numpy floats round the oracle's h**k differently
+    nets = list(zip(spline.nets, spline.widths.tolist()))
     seg_counts = [
         oracle.projected_inflection_count(
-            seg, directions, settings["samples"], cfg.tolerances.eps_zero
+            ctrl, h, directions, settings["samples"], cfg.tolerances.eps_zero
         )
-        for seg in spline.segments
+        for ctrl, h in nets
     ]
     payload = {
         "version": 1,
@@ -377,9 +377,9 @@ def cmd_inflection(args) -> int:
             problems.append(
                 f"arc count {arc_count} undercounts: {dense} at double density"
             )
-        for k, seg in enumerate(spline.segments):
+        for k, (ctrl, h) in enumerate(nets):
             dense = oracle.projected_inflection_count(
-                seg, 2 * directions, settings["samples"], cfg.tolerances.eps_zero
+                ctrl, h, 2 * directions, settings["samples"], cfg.tolerances.eps_zero
             )
             if dense > seg_counts[k]:
                 problems.append(
@@ -438,8 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

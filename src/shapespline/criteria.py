@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import EPS_ZERO, DegenerateInputError, cross3, cross_rows, dot, dot_rows, norm
-from .geometry import first_max, norm_rows, powers, sine_angle, sine_rows, triple_rows
+from .geometry import first_max, norm_rows, powers, sine_rows, triple_rows
 from .oracle import DEFAULT_SAMPLES
 from .polygon import sign_changes
-from .segment import CubicSegment, curvature_quad_rows
+from .segment import CubicSegment, curvature_quad_rows, derivative_rows, point_rows
 
 
 class Criterion(enum.Enum):
@@ -138,27 +138,38 @@ def _row(v) -> np.ndarray:
 # convexity
 
 
-def check_convexity_sampled(
-    seg: CubicSegment, n_vec, samples: int = DEFAULT_SAMPLES, eps_zero: float = EPS_ZERO
-) -> bool:
-    """Sampled global-convexity test of the segment's projection along
-    ``n_vec``: curvature, swept-area and start-tangent conditions must all
-    be non-negative (within noise) at every sample."""
+def convexity_sampled_rows(
+    nets, m0, m1, chord, h, n_vec, samples: int = DEFAULT_SAMPLES, eps_zero: float = EPS_ZERO
+) -> np.ndarray:
+    """Sampled global-convexity test of each segment's projection along
+    ``n_vec``, over rows of Bezier nets and their ``(m0, m1, chord, h)``:
+    per row, whether the curvature, swept-area and start-tangent conditions
+    are all non-negative (within noise) at every sample."""
     n_vec = np.asarray(n_vec, dtype=float)
     nn = norm(n_vec)
     if nn == 0.0:
         raise DegenerateInputError("orientation vector must be non-zero")
     us = np.linspace(0.0, 1.0, samples)
-    d1, d2, _ = seg.derivatives(us)
+    d1, d2, _ = derivative_rows(m0, m1, chord, h, us)
     n1 = norm_rows(d1)
-    pts = seg.point(us)
-    rel = pts - pts[0]
+    pts = point_rows(nets, us)
+    rel = pts - pts[:, :1]
     rn = norm_rows(rel)
-    return not (
-        np.any(dot_rows(cross_rows(d1, d2), n_vec) < -eps_zero * n1 * norm_rows(d2) * nn)
-        or np.any(dot_rows(cross_rows(rel, d1), n_vec) < -eps_zero * rn * n1 * nn)
-        or np.any(dot_rows(cross_rows(d1[0], rel), n_vec) < -eps_zero * n1[0] * rn * nn)
+    bad = (
+        (dot_rows(cross_rows(d1, d2), n_vec) < -eps_zero * n1 * norm_rows(d2) * nn)
+        | (dot_rows(cross_rows(rel, d1), n_vec) < -eps_zero * rn * n1 * nn)
+        | (dot_rows(cross_rows(d1[:, :1], rel), n_vec) < -eps_zero * n1[:, :1] * rn * nn)
     )
+    return ~bad.any(axis=1)
+
+
+def check_convexity_sampled(
+    seg: CubicSegment, n_vec, samples: int = DEFAULT_SAMPLES, eps_zero: float = EPS_ZERO
+) -> bool:
+    """Sampled global-convexity test of the segment's projection along
+    ``n_vec``.  The one-row case of ``convexity_sampled_rows``."""
+    ok = convexity_sampled_rows(seg.bezier_points[None], *seg.rows(), n_vec, samples, eps_zero)
+    return bool(ok[0])
 
 
 def convexity_rows(m0, m1, chord, h, n_prev, n_cur, eps: float) -> Rows:
@@ -287,12 +298,44 @@ def check_torsion_cubic(
 # collinearity
 
 
-def _derivative_control_points(seg: CubicSegment):
-    return (
-        seg.m0,
-        (3.0 / seg.h) * seg.chord - seg.m0 - seg.m1,
-        seg.m1,
-    )
+def _hull_sines(ctrl, key: str, v_prev, nv_prev, v_cur, nv_cur, eps: float):
+    """The convex-hull sine bound shared by collinearity and coplanarity:
+    the ``sine_{key}{k}_{tag}`` columns of three control vectors ``ctrl``
+    against ``v_prev`` and ``v_cur`` (None where a control vector is
+    numerically zero), their supremum, the mask of rows with no obtuse
+    angle, and the mask of rows with no zero control vector."""
+    norms = [norm_rows(g) for g in ctrl]
+    scale = first_max(first_max(norms[0], norms[1]), norms[2])
+    columns = {}
+    no_obtuse = np.ones(len(scale), dtype=bool)
+    all_live = np.ones(len(scale), dtype=bool)
+    sup = np.zeros(len(scale))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (g, ng) in enumerate(zip(ctrl, norms)):
+            live = (scale > 0.0) & ~(ng <= eps * scale)
+            all_live &= live
+            for tag, vec, nv in (("prev", v_prev, nv_prev), ("cur", v_cur, nv_cur)):
+                no_obtuse &= ~(live & (dot_rows(g, vec) < 0.0))
+                s = np.minimum(norm_rows(cross_rows(g, vec)) / (ng * nv), 1.0)
+                sup = np.where(live & (s > sup), s, sup)
+                columns[f"sine_{key}{k}_{tag}"] = [x if b else None for x, b in zip(s.tolist(), live.tolist())]
+    return columns, sup, no_obtuse, all_live
+
+
+def collinearity_rows(m0, m1, chord, h, l_prev, l_cur, eps: float, eps_collinear: float) -> Rows:
+    """``check_collinearity_cubic`` over rows of segments and chord pairs;
+    the control vectors are the hodograph points ``(m0, 3L/h - m0 - m1, m1)``."""
+    np_l, nc_l = norm_rows(l_prev), norm_rows(l_cur)
+    cr = norm_rows(cross_rows(l_prev, l_cur))
+    d = dot_rows(l_prev, l_cur)
+    floor = np_l * nc_l
+    applicable = (cr <= eps * floor) & (d > eps * floor)
+    ctrl = (m0, (3.0 / h)[:, None] * chord - m0 - m1, m1)
+    sines, sup, no_obtuse, all_live = _hull_sines(ctrl, "p", l_prev, np_l, l_cur, nc_l, eps)
+    columns = {"chord_cross_norm": cr, "chord_dot": d, **sines, "sup_sine": sup}
+    columns["hypothesis_ok"] = no_obtuse & all_live
+    passed = applicable & (sup < eps_collinear)
+    return Rows(Criterion.COLLINEARITY, applicable, passed, columns, head=2)
 
 
 def check_collinearity_cubic(
@@ -304,36 +347,13 @@ def check_collinearity_cubic(
 
     Hypothesis (each derivative control point non-zero and within 90 deg of
     the chords) is reported through ``hypothesis_ok``; control points that
-    are numerically zero are skipped in the supremum.
+    are numerically zero are skipped in the supremum.  The one-row case of
+    ``collinearity_rows``.
     """
-    eps = tol.eps_zero
-    l_prev = np.asarray(l_prev, dtype=float)
-    l_cur = np.asarray(l_cur, dtype=float)
-    cr = norm(cross3(l_prev, l_cur))
-    d = dot(l_prev, l_cur)
-    floor = norm(l_prev) * norm(l_cur)
-    diag = {"chord_cross_norm": cr, "chord_dot": d}
-    if not (cr <= eps * floor and d > eps * floor):
-        return _not_applicable(Criterion.COLLINEARITY, diag)
-
-    ctrl = _derivative_control_points(seg)
-    ctrl_scale = max(norm(p) for p in ctrl)
-    hypothesis_ok = True
-    sup = 0.0
-    for k, p in enumerate(ctrl):
-        if norm(p) <= eps * ctrl_scale:
-            hypothesis_ok = False
-            continue
-        for tag, l_vec in (("prev", l_prev), ("cur", l_cur)):
-            if dot(p, l_vec) < 0.0:
-                hypothesis_ok = False
-            s = sine_angle(p, l_vec)
-            diag[f"sine_p{k}_{tag}"] = s
-            sup = max(sup, s)
-    diag["sup_sine"] = sup
-    diag["hypothesis_ok"] = float(hypothesis_ok)
-    passed = sup < tol.eps_collinear
-    return CriterionVerdict(Criterion.COLLINEARITY, True, passed, diag)
+    rows = collinearity_rows(
+        *seg.rows(), _row(l_prev), _row(l_cur), tol.eps_zero, tol.eps_collinear
+    )
+    return rows.verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +365,8 @@ def coplanarity_rows(quad, n_prev, n_cur, delta, delta_floor, eps: float, eps_co
     ``(c0, c1, c2)``, normal pairs and span twists."""
     np_n, nc_n = norm_rows(n_prev), norm_rows(n_cur)
     applicable = (np.abs(delta) <= eps * delta_floor) & (np_n > 0.0) & (nc_n > 0.0)
-    columns = {"delta": delta, "normal_norm_product": np_n * nc_n}
-    g_norms = [norm_rows(g) for g in quad]
-    g_scale = first_max(first_max(g_norms[0], g_norms[1]), g_norms[2])
-    hypothesis_ok = np.ones(len(delta), dtype=bool)
-    sup = np.zeros(len(delta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, (g, ng) in enumerate(zip(quad, g_norms)):
-            # zero coefficients (locally straight) are skipped
-            bent = (g_scale > 0.0) & ~(ng <= eps * g_scale)
-            for tag, n_vec, nn in (("prev", n_prev, np_n), ("cur", n_cur, nc_n)):
-                hypothesis_ok &= ~(bent & (dot_rows(g, n_vec) < 0.0))
-                s = np.minimum(norm_rows(cross_rows(g, n_vec)) / (ng * nn), 1.0)
-                sup = np.where(bent & (s > sup), s, sup)
-                columns[f"sine_c{k}_{tag}"] = [x if b else None for x, b in zip(s.tolist(), bent.tolist())]
+    sines, sup, hypothesis_ok, _ = _hull_sines(quad, "c", n_prev, np_n, n_cur, nc_n, eps)
+    columns = {"delta": delta, "normal_norm_product": np_n * nc_n, **sines}
     columns["sup_sine"] = sup
     columns["hypothesis_ok"] = hypothesis_ok
     passed = applicable & (sup < eps_coplanar)
@@ -505,7 +513,10 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
         return _not_applicable(Criterion.COLLINEARITY, {"vertex": float(vertex)})
     eps = tol.eps_zero
     i = vertex
-    seg_in, seg_out = spline.segments[i - 1], spline.segments[i]
+    # segments i and i+1 (rows i-1 and i) meet at the vertex
+    pair = slice(i - 1, i + 1)
+    nets = spline.nets[pair]
+    m0, m1, chord, h = (a[pair] for a in spline.rows())
     knots = spline.knots
     t_prev, t_i, t_next = knots[i - 1], knots[i], knots[i + 1]
     frac = tol.eta_fraction
@@ -517,34 +528,38 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
     l_in, l_out = poly.chord(i), poly.chord(i + 1)
     sup = 0.0
     n_half = 33
-    for seg, t0, t1 in ((seg_in, t_prev, t_i), (seg_out, t_i, t_next)):
+    for k, t0, t1 in ((0, t_prev, t_i), (1, t_i, t_next)):
         lo = max(window[0], t0)
         hi = min(window[1], t1)
         if hi <= lo:
             continue
-        d1, _, _ = seg.derivatives((np.linspace(lo, hi, n_half) - t0) / (t1 - t0))
+        us = (np.linspace(lo, hi, n_half) - t0) / (t1 - t0)
+        d1 = derivative_rows(*(a[k : k + 1] for a in (m0, m1, chord, h)), us)[0][0]
         d1 = d1[norm_rows(d1) != 0.0]
         sup = max(sup, sine_rows(d1, l_in).max(initial=0.0), sine_rows(d1, l_out).max(initial=0.0))
     diag["sup_sine"] = sup
     checks_passed = checks_passed and sup < tol.eps_collinear
 
+    # first and second derivatives at the neighbouring vertices: the start
+    # of the incoming segment and the end of the outgoing one
+    d1_ends, d2_ends, _ = derivative_rows(m0, m1, chord, h, np.array([0.0, 1.0]))
+    ends = ((i - 1, d1_ends[0, 0], d2_ends[0, 0]), (i + 1, d1_ends[1, 1], d2_ends[1, 1]))
+
     # (b) curvature orientation at the neighbouring vertices
-    for j, seg, u in ((i - 1, seg_in, 0.0), (i + 1, seg_out, 1.0)):
+    for j, d1, d2 in ends:
         if not 1 <= j <= n - 1:
             continue
         b_j = poly.binormal(j)
         if norm(b_j) <= eps * poly._binormal_floor(j):
             continue
-        d1, d2, _ = seg.derivatives(u)
         val = dot(cross3(d1, d2), b_j)
         diag[f"curvature_sign_v{j}"] = val
         checks_passed = checks_passed and val >= -eps * norm(d1) * norm(d2) * norm(b_j)
 
     # (c) tangent inside the data wedge at the neighbouring vertices
-    for j, seg, u in ((i - 1, seg_in, 0.0), (i + 1, seg_out, 1.0)):
+    for j, d1, _ in ends:
         if not (1 <= j <= n - 1) or poly.binormal_is_zero(j):
             continue
-        d1, _, _ = seg.derivatives(u)
         ca = cross3(d1, poly.chord(j))
         cb = cross3(d1, poly.chord(j + 1))
         floor = norm(d1) ** 2 * poly.chord_length(j) * poly.chord_length(j + 1)
@@ -552,10 +567,11 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
         diag[f"wedge_product_v{j}"] = product
         checks_passed = checks_passed and product < -eps * floor
 
-    # (d) neighbourhood-dependent behaviour across both segments
+    # (d) neighbourhood-dependent behaviour across both segments; an
+    # interpolating spline passes through the vertex by construction
+    # (``nets[i-1, 3]`` is the vertex itself)
     has_nbrs = 1 <= i - 1 and i + 1 <= n - 1
-    interp_gap = norm(seg_in.point(1.0) - poly.points[i])
-    diag["interpolates_vertex"] = float(interp_gap <= eps * max(poly.scale, 1e-300))
+    diag["interpolates_vertex"] = 1.0
     if has_nbrs:
         b_prev, b_next = poly.binormal(i - 1), poly.binormal(i + 1)
         nbr_dot = dot(b_prev, b_next)
@@ -567,21 +583,16 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
             for tag, b_vec in (("prev", b_prev), ("next", b_next)):
                 if norm(b_vec) == 0.0:
                     continue
-                ok = check_convexity_sampled(seg_in, b_vec, 65, eps) and check_convexity_sampled(
-                    seg_out, b_vec, 65, eps
-                )
+                ok = bool(convexity_sampled_rows(nets, m0, m1, chord, h, b_vec, 65, eps).all())
                 diag[f"neighbourhood_convex_{tag}"] = float(ok)
                 checks_passed = checks_passed and ok
         else:
-            # inflection neighbourhood: the curve must pass through the vertex
-            checks_passed = checks_passed and diag["interpolates_vertex"] == 1.0
+            # inflection neighbourhood: one bending flip inside the window
+            d1, d2, _ = derivative_rows(m0, m1, chord, h, ts)
+            omegas = cross_rows(d1, d2)
+            locs = np.concatenate([t_prev + ts * (t_i - t_prev), t_i + ts * (t_next - t_i)])
             for tag, b_vec in (("prev", b_prev), ("next", b_next)):
-                vals, locs = [], []
-                for seg, t0, t1 in ((seg_in, t_prev, t_i), (seg_out, t_i, t_next)):
-                    d1, d2, _ = seg.derivatives(ts)
-                    vals.append(dot_rows(cross_rows(d1, d2), b_vec))
-                    locs.append(t0 + ts * (t1 - t0))
-                vals, locs = np.concatenate(vals), np.concatenate(locs)
+                vals = dot_rows(omegas, b_vec).ravel()
                 tol_v = eps * max(np.abs(vals).max(), 1e-300)
                 vals[np.abs(vals) <= tol_v] = 0.0
                 count = sign_changes(vals)
@@ -591,9 +602,9 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
                     # the one sign change lies between two consecutive
                     # non-zero samples; report their midpoint
                     nz = vals != 0.0
-                    locs, pos = locs[nz], vals[nz] > 0
+                    nz_locs, pos = locs[nz], vals[nz] > 0
                     k = int(np.argmax(pos[1:] != pos[:-1]))
-                    flip_at = 0.5 * (locs[k] + locs[k + 1])
+                    flip_at = 0.5 * (nz_locs[k] + nz_locs[k + 1])
                     diag[f"flip_location_{tag}"] = flip_at
                     ok = window[0] <= flip_at <= window[1]
                 checks_passed = checks_passed and ok

@@ -107,14 +107,16 @@ def _witness_directions(omegas: np.ndarray) -> np.ndarray:
 
 
 def projected_inflection_count(
-    seg,
+    ctrl,
+    h: float,
     directions: int = DEFAULT_DIRECTIONS,
     samples: int = DEFAULT_SAMPLES,
     eps_zero: float = EPS_ZERO,
 ) -> int:
     """Largest sampled sign-change count of ``omega(u) . w`` over a
-    deterministic direction set; a lower bound on the number of bending
-    reversals visible from any viewpoint.
+    deterministic direction set, for the cubic with control net ``ctrl``
+    over a parameter interval of width ``h``; a lower bound on the number
+    of bending reversals visible from any viewpoint.
 
     Valid because the planar curvature of the projection along ``w`` has
     the same sign pattern as ``omega . w`` (projection drops only the
@@ -122,7 +124,7 @@ def projected_inflection_count(
     """
     if directions < 16:
         raise ValueError("need at least 16 directions")
-    omegas, floors = curvature_samples(seg.bezier_points, samples, seg.h)
+    omegas, floors = curvature_samples(ctrl, samples, h)
     dirs = sphere_directions(directions, extra=_witness_directions(omegas))
     # magnitude floor per sample, independent of the view direction: along
     # directions nearly orthogonal to a planar segment's binormal the whole

@@ -144,11 +144,6 @@ class DataPolygon:
     def n_segments(self) -> int:
         return len(self._chords)
 
-    @property
-    def scale(self) -> float:
-        """Rotation-invariant length scale: total chord length."""
-        return float(self._lengths.sum())
-
     def chord(self, i: int) -> np.ndarray:
         """Chord ``L_i = x_i - x_{i-1}`` for 1 <= i <= n."""
         if not 1 <= i <= self.n_segments:
@@ -191,9 +186,6 @@ class DataPolygon:
 
     def _binormal_floor(self, j: int) -> float:
         return float(self._vertex_classes[1][j - 1])
-
-    def _torsion_floor(self, i: int) -> float:
-        return float(self._torsion_floors[i - 2])
 
     def binormal_is_zero(self, j: int) -> bool:
         self.binormal(j)  # IndexError outside 1..n-1

@@ -9,11 +9,12 @@ parameter, so the Bezier control points are ``p1 = p0 + (h/3) m0`` and
 
 Every formula is written once, over rows: the ``*_rows`` functions take
 ``n`` segments as ``(n, 3)`` arrays and ``n`` widths, and evaluate them at
-``m`` parameters as ``(n, m, 3)`` grids.  A :class:`CubicSegment` method is
-their one-row case, so each row of a batched call equals the method call on
-that segment bit for bit; ``point``, ``derivatives`` and ``curvature`` map
-a float ``u`` to ``(3,)`` vectors and a 1-D array of ``m`` parameters to
-``(m, 3)`` rows.
+``m`` parameters as ``(n, m, 3)`` grids.  A spline is evaluated through
+them on its own rows.  :class:`CubicSegment` is the one-row API for
+library callers: each of its methods runs the row kernel on a batch of
+one, so it equals the matching row of a batched call bit for bit;
+``point``, ``derivatives`` and ``curvature`` map a float ``u`` to ``(3,)``
+vectors and a 1-D array of ``m`` parameters to ``(m, 3)`` rows.
 """
 
 from __future__ import annotations

@@ -10,16 +10,15 @@ Knots are dimensionless: uniform spacing uses ``h_i = 1``; chord-length
 spacing uses ``h_i = |L_i| / mean(|L|)`` so that uniformly scaling the data
 rescales neither the knot vector nor any verdict.
 
-A spline keeps its segments as arrays (tangents, widths ``h`` and Bezier
-nets, one row per segment); per-segment :class:`CubicSegment` objects are
-built on first use, for the checks that still run one segment at a time.
+A spline is one set of rows, one per segment: the end tangents, the knot
+widths ``h`` and the ``(n, 4, 3)`` Bezier nets.  Every criterion, sampler
+and oracle reads slices of them; no per-segment object is built.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +26,8 @@ from .criteria import (
     CriterionVerdict,
     Tolerances,
     adjacency_rows,
-    check_collinearity_cubic,
     check_collinearity_extended,
+    collinearity_rows,
     convexity_rows,
     coplanarity_rows,
     inflection_rows,
@@ -38,7 +37,6 @@ from .criteria import (
 from .geometry import cross_rows, first_max
 from .polygon import DataPolygon, ShapeFlag, span_flags
 from .segment import (
-    CubicSegment,
     curvature_quad_rows,
     derivative_rows,
     net_fault,
@@ -86,33 +84,6 @@ class Spline:
     def rows(self):
         """All segments as one batch ``(m0, m1, chord, h)``."""
         return self.tangents[:-1], self.tangents[1:], self.polygon.chords, self.widths
-
-    @cached_property
-    def segments(self) -> tuple:
-        """One :class:`CubicSegment` per segment, built on first use."""
-        pts, tangents = self.polygon.points, self.tangents
-        return tuple(
-            CubicSegment(pts[k], pts[k + 1], tangents[k], tangents[k + 1], h)
-            for k, h in enumerate(self.widths.tolist())
-        )
-
-    def segment_span(self, i: int):
-        """Knot interval of segment i (1-based)."""
-        return float(self.knots[i - 1]), float(self.knots[i])
-
-    def locate(self, t: float):
-        """(segment index, local u) for a global parameter value."""
-        knots = self.knots
-        if not knots[0] <= t <= knots[-1]:
-            raise ValueError(f"parameter {t} outside [{knots[0]}, {knots[-1]}]")
-        i = int(np.searchsorted(knots, t, side="right"))
-        i = min(max(i, 1), len(knots) - 1)
-        t0, t1 = knots[i - 1], knots[i]
-        return i, (t - t0) / (t1 - t0)
-
-    def point(self, t: float) -> np.ndarray:
-        i, u = self.locate(t)
-        return self.segments[i - 1].point(u)
 
 
 def _knot_vector(polygon: DataPolygon, parameterization: Parameterization) -> np.ndarray:
@@ -293,6 +264,7 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
     eps = tol.eps_zero
     m0, m1, chord, h = spline.rows()
     delta, dfloor = poly.torsions, poly._torsion_floors
+    norms, floors, _, collinear = poly._vertex_classes
     # rows that a criterion does not apply to are computed too, and may
     # divide by zero or overflow; their values are never reported
     with np.errstate(all="ignore"):
@@ -324,10 +296,20 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
             first_max(dfloor[:-1], dfloor[1:]),
             first_max(tau_floor[1:-2], tau_floor[2:-1]),
         )
-    norms, floors, _, collinear = poly._vertex_classes
+        # the collinearity bound of segment i (row i-1) at each collinear
+        # end vertex j, in report order: j = i-1, then j = i
+        ends = np.arange(n)[:, None] + np.array([0, 1])
+        at = np.concatenate([[False], collinear, [False]])[ends]
+        k, vert_of = np.nonzero(at)[0], ends[at]
+        coll = collinearity_rows(
+            m0[k], m1[k], chord[k], h[k], chord[vert_of - 1], chord[vert_of], eps, tol.eps_collinear
+        )
     has_adjacency = (norms > eps * floors).tolist()
     collinear = collinear.tolist()
     deltas = delta.tolist()
+    # rows of segment i are coll_start[i-1] .. coll_start[i]-1
+    coll_start = np.searchsorted(k, np.arange(n + 1)).tolist()
+    vert_of = vert_of.tolist()
 
     vertex_reports = []
     for j in range(1, n):
@@ -337,17 +319,13 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
     segment_reports = []
     for i, flags in enumerate(span_flags(poly, np.arange(1, n + 1)), start=1):
         verdicts = [rows.verdict(i - 2) for flag, rows in battery if flag in flags]
-        if ShapeFlag.COLLINEAR in flags:
-            for j in (i - 1, i):
-                if 1 <= j <= n - 1 and collinear[j - 1]:
-                    v = check_collinearity_cubic(
-                        spline.segments[i - 1], poly.chord(j), poly.chord(j + 1), tol
-                    )
-                    verdicts.append(
-                        CriterionVerdict(
-                            v.criterion, v.applicable, v.passed, {**v.diagnostics, "vertex": float(j)}
-                        )
-                    )
+        for r in range(coll_start[i - 1], coll_start[i]):
+            v = coll.verdict(r)
+            verdicts.append(
+                CriterionVerdict(
+                    v.criterion, v.applicable, v.passed, {**v.diagnostics, "vertex": float(vert_of[r])}
+                )
+            )
         delta_i = deltas[i - 2] if 2 <= i <= n - 1 else None
         segment_reports.append(SegmentReport(i, flags, delta_i, tuple(verdicts)))
 

@@ -9,8 +9,20 @@ import math
 import numpy as np
 import pytest
 
-from shapespline import EPS_ZERO, CubicSegment, DataPolygon, cross3, sign_changes, triple
+from shapespline import (
+    EPS_ZERO,
+    Criterion,
+    CriterionVerdict,
+    CubicSegment,
+    DataPolygon,
+    Tolerances,
+    cross3,
+    sign_changes,
+    sine_angle,
+    triple,
+)
 from shapespline.geometry import dot, norm
+from shapespline.segment import point_rows
 
 
 @pytest.fixture
@@ -92,6 +104,27 @@ def random_rotation(rng):
 
 def vec3(x, y, z):
     return np.array([x, y, z], dtype=float)
+
+
+def spline_segments(spline) -> tuple:
+    """One :class:`CubicSegment` per segment of ``spline``, built from its
+    rows, for tests that check the one-row API against a built spline."""
+    pts, tangents = spline.polygon.points, spline.tangents
+    return tuple(
+        CubicSegment(pts[k], pts[k + 1], tangents[k], tangents[k + 1], h)
+        for k, h in enumerate(spline.widths.tolist())
+    )
+
+
+def spline_point(spline, t: float) -> np.ndarray:
+    """Position of ``spline`` at the global parameter ``t``, evaluated on
+    the net of the segment whose knot interval holds ``t``."""
+    knots = spline.knots
+    if not knots[0] <= t <= knots[-1]:
+        raise ValueError(f"parameter {t} outside [{knots[0]}, {knots[-1]}]")
+    i = min(max(int(np.searchsorted(knots, t, side="right")), 1), len(knots) - 1)
+    t0, t1 = knots[i - 1], knots[i]
+    return point_rows(spline.nets[i - 1 : i], np.array([(t - t0) / (t1 - t0)]))[0, 0]
 
 
 # reference oracles the tests compare the library against
@@ -204,6 +237,39 @@ def ref_torsion_numerator(seg) -> float:
 
 def ref_tau_floor(seg) -> float:
     return norm(seg.m0) * norm(seg.chord) * norm(seg.m1) / seg.h**4 * 12.0
+
+
+def ref_collinearity_cubic(seg, l_prev, l_cur, tol=Tolerances()):
+    """The collinearity check of one segment, one hodograph point and one
+    chord at a time."""
+    eps = tol.eps_zero
+    l_prev = np.asarray(l_prev, dtype=float)
+    l_cur = np.asarray(l_cur, dtype=float)
+    cr = norm(cross3(l_prev, l_cur))
+    d = dot(l_prev, l_cur)
+    floor = norm(l_prev) * norm(l_cur)
+    diag = {"chord_cross_norm": cr, "chord_dot": d}
+    if not (cr <= eps * floor and d > eps * floor):
+        return CriterionVerdict(Criterion.COLLINEARITY, False, None, diag)
+
+    ctrl = (seg.m0, (3.0 / seg.h) * seg.chord - seg.m0 - seg.m1, seg.m1)
+    ctrl_scale = max(norm(p) for p in ctrl)
+    hypothesis_ok = True
+    sup = 0.0
+    for k, p in enumerate(ctrl):
+        if norm(p) <= eps * ctrl_scale:
+            hypothesis_ok = False
+            continue
+        for tag, l_vec in (("prev", l_prev), ("cur", l_cur)):
+            if dot(p, l_vec) < 0.0:
+                hypothesis_ok = False
+            s = sine_angle(p, l_vec)
+            diag[f"sine_p{k}_{tag}"] = s
+            sup = max(sup, s)
+    diag["sup_sine"] = sup
+    diag["hypothesis_ok"] = float(hypothesis_ok)
+    passed = sup < tol.eps_collinear
+    return CriterionVerdict(Criterion.COLLINEARITY, True, passed, diag)
 
 
 def ref_adjacency_product(m, n_vertex, l_prev, l_cur):

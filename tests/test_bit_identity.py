@@ -13,13 +13,14 @@ import numpy as np
 
 from conftest import (
     ref_adjacency_product,
+    ref_collinearity_cubic,
     ref_convexity_scalars,
     ref_curvature_quad,
     ref_tau_floor,
     ref_torsion_numerator,
 )
-from shapespline import CubicSegment
-from shapespline.criteria import adjacency_rows, convexity_rows
+from shapespline import CubicSegment, Tolerances
+from shapespline.criteria import adjacency_rows, collinearity_rows, convexity_rows
 from shapespline.geometry import (
     cross3,
     cross_rows,
@@ -168,3 +169,66 @@ def test_closed_form_rows(rng):
     assert columns["product"] == [r[0] for r in ref]
     assert columns["projected_tangent_norm"] == [r[1] for r in ref]
     assert rows.passed == [r[0] < -eps * r[2] for r in ref]
+
+
+def collinearity_cases(rng):
+    """(segment, l_prev, l_cur) triples for the collinearity check: chords
+    along one direction with tangents near it, at coordinates from 1e-12 to
+    1e12, plus a zero middle hodograph point (3L/h = m0 + m1), an obtuse
+    hodograph point, and anti-parallel and crossing chords."""
+    cases = []
+    while len(cases) < 600:
+        scale = 10.0 ** rng.uniform(-12, 12)
+        d = rng.normal(size=3)
+        tilt = 10.0 ** rng.uniform(-4, 0)
+        m0, m1 = scale * (d + tilt * rng.normal(size=(2, 3)))
+        p0 = scale * rng.normal(size=3)
+        p3 = p0 + scale * rng.uniform(0.5, 2.0) * d
+        try:
+            seg = CubicSegment(p0, p3, m0, m1, float(10.0 ** rng.uniform(-3, 3)))
+        except ValueError:
+            continue
+        l_prev = scale * rng.uniform(0.1, 3.0) * d
+        cases.append((seg, l_prev, rng.uniform(0.1, 3.0) * l_prev))
+    for _ in range(50):
+        m0, m1 = rng.integers(-8, 9, (2, 3)).astype(float)
+        d = rng.integers(1, 9, 3).astype(float)
+        for a, b in ((m0, m1), (rng.integers(1, 5) * d, rng.integers(1, 5) * d)):
+            zero_mid = CubicSegment(np.zeros(3), a + b, a, b, 3.0)
+            assert not np.any((3.0 / zero_mid.h) * zero_mid.chord - zero_mid.m0 - zero_mid.m1)
+            cases.append((zero_mid, zero_mid.chord, 2.0 * zero_mid.chord))
+        seg = CubicSegment(np.zeros(3), m0 + m1, m0, m1, 3.0)
+        # the start tangent points backwards along the chords
+        obtuse = CubicSegment(np.zeros(3), m0 + m1, -(m0 + m1) + 0.1 * m0, m1, 1.0)
+        cases.append((obtuse, obtuse.chord, obtuse.chord))
+        cases.append((seg, seg.chord, -seg.chord))
+        cases.append((seg, seg.chord, seg.chord + rng.normal(size=3)))
+    return cases
+
+
+def test_collinearity_rows(rng):
+    tol = Tolerances(eps_collinear=0.05)
+    cases = collinearity_cases(rng)
+    segs = [c[0] for c in cases]
+    rows = collinearity_rows(
+        stack(s.m0 for s in segs),
+        stack(s.m1 for s in segs),
+        stack(s.chord for s in segs),
+        np.array([s.h for s in segs]),
+        stack(c[1] for c in cases),
+        stack(c[2] for c in cases),
+        tol.eps_zero,
+        tol.eps_collinear,
+    )
+    kinds = set()
+    for r, case in enumerate(cases):
+        got, ref = rows.verdict(r), ref_collinearity_cubic(*case, tol)
+        assert (got.applicable, got.passed) == (ref.applicable, ref.passed)
+        assert list(got.diagnostics) == list(ref.diagnostics)
+        assert np.array_equal(list(got.diagnostics.values()), list(ref.diagnostics.values()))
+        diag = ref.diagnostics
+        kinds.add((ref.applicable, ref.passed, diag.get("hypothesis_ok"), "sine_p1_prev" in diag))
+    # passing, failing and not applicable rows, with the hypothesis holding
+    # and failing, and with a zero middle hodograph point
+    assert {(False, None, None, False), (True, True, 1.0, True), (True, False, 1.0, True)} <= kinds
+    assert {(True, True, 0.0, False), (True, False, 0.0, True)} <= kinds

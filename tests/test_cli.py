@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapespline import CubicSegment
-from shapespline.cli import SETTINGS, main
-from shapespline.geometry import norm
-from shapespline.oracle import decasteljau_derivatives
+from shapespline import CubicSegment, cli
+from shapespline.cli import SETTINGS, build_parser, main
+from shapespline.geometry import norm_rows
+from shapespline.segment import derivative_rows
+
+from conftest import spline_point
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -186,7 +188,7 @@ class TestSample:
             vals = line.split(",")
             t = float(vals[1])
             pos = np.array([float(v) for v in vals[2:5]])
-            assert np.linalg.norm(spline.point(t) - pos) <= 1e-12 * scale
+            assert np.linalg.norm(spline_point(spline, t) - pos) <= 1e-12 * scale
 
     def test_unwritable_path_exits_2(self, capsys, tmp_path):
         code, _, err = run(
@@ -315,17 +317,83 @@ class TestVerifyTorsion:
         assert code == 0
 
     def test_perturbed_numerator_reported(self, capsys, tmp_path, monkeypatch):
-        exact = CubicSegment.torsion_numerator
+        exact = cli.torsion_numerator_rows
 
-        def perturbed(seg):
-            d1, d2, d3 = decasteljau_derivatives(seg.bezier_points, 0.0, seg.h)
-            return exact(seg) + 1e-6 * norm(d1) * norm(d2) * norm(d3)
+        def perturbed(m0, m1, chord, h):
+            d1, d2, d3 = derivative_rows(m0, m1, chord, h, np.array([0.0]))
+            return exact(m0, m1, chord, h) + 1e-6 * norm_rows(d1[:, 0]) * norm_rows(d2[:, 0]) * norm_rows(d3)
 
-        monkeypatch.setattr(CubicSegment, "torsion_numerator", perturbed)
+        monkeypatch.setattr(cli, "torsion_numerator_rows", perturbed)
         code, out, _ = run(capsys, "check", self.write(tmp_path), "--verify", "--tangents", "provided")
         problems = json.loads(out)["verify"]["disagreements"]
         assert any(p.startswith("segment 2: torsion numerator") for p in problems)
         assert code == 1
+
+
+def test_no_command_builds_segment_objects(capsys, tmp_path, monkeypatch, rng):
+    # a polyline with collinear runs: 3 points on every edge between
+    # random corners, so every check reaches the collinearity criteria
+    corners = rng.uniform(-2.0, 2.0, (5, 3))
+    pts = [corners[0]]
+    for a, b in zip(corners[:-1], corners[1:]):
+        pts.extend(a + (k / 4) * (b - a) for k in range(1, 5))
+    doc = tmp_path / "polyline.json"
+    doc.write_text(json.dumps({"version": 1, "points": np.array(pts).tolist()}))
+
+    def forbidden(seg):
+        raise AssertionError("a CubicSegment was built")
+
+    monkeypatch.setattr(CubicSegment, "__post_init__", forbidden)
+    code, out, _ = run(capsys, "check", doc)
+    report = json.loads(out)
+    assert code in (0, 1)
+    assert any(v["collinearity_extended"] for v in report["vertices"])
+    assert any(v["criterion"] == "collinearity" for s in report["segments"] for v in s["verdicts"])
+    code, out, _ = run(capsys, "check", doc, "--verify", "--samples", "64")
+    assert code in (0, 1) and "verify" in json.loads(out)
+    code, out, _ = run(capsys, "inflection", doc, "--verify", "--samples", "64", "--directions", "128")
+    assert code in (0, 1) and len(json.loads(out)["per_segment_curve_counts"]) == len(pts) - 1
+    code, out, _ = run(capsys, "sample", doc, "--per-segment", "5")
+    assert code == 0 and len(out.splitlines()) == 1 + 5 * (len(pts) - 1)
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["check", "--help"],
+        ["sample", "--help"],
+        ["inflection", "--help"],
+        [],
+        ["bogus"],
+        ["check"],
+        ["check", "doc.json", "--param", "bogus"],
+        ["check", "doc.json", "--samples", "many"],
+        ["sample", "doc.json", "--per-segment"],
+        ["measures", "doc.json", "--verify"],
+    ],
+)
+def test_one_parser_per_process_keeps_messages(capsys, argv):
+    fresh = _parse_outcome(capsys, lambda a: build_parser().parse_args(a), argv)
+    assert fresh[0] in (0, 2)
+    # main parses with the one cached parser, before and after other calls
+    assert _parse_outcome(capsys, main, argv) == fresh
+    assert _parse_outcome(capsys, main, ["check", "--help"])[0] == 0
+    assert _parse_outcome(capsys, main, argv) == fresh
+    # a valid command still reads the same after the parser was reused
+    first = run(capsys, "check", FIXTURES / "example1.json", "--eps-collinear", "0.2")
+    assert run(capsys, "check", FIXTURES / "example1.json") != first
+    assert run(capsys, "check", FIXTURES / "example1.json", "--eps-collinear", "0.2") == first
 
 
 VALID_DOC = {

@@ -50,13 +50,13 @@ class TestProjectedInflectionCount:
     def test_planar_convex_is_zero(self):
         # quarter-turn-ish planar segment bending one way
         seg = CubicSegment(vec3(0, 0, 0), vec3(2, 0, 0), vec3(1, 1, 0), vec3(1, -1, 0), 1.0)
-        assert projected_inflection_count(seg, 256) == 0
+        assert projected_inflection_count(seg.bezier_points, seg.h, 256) == 0
 
     def test_nonplanar_cubic_is_two(self, rng):
         hits = 0
         for _ in range(50):
             seg = random_nonplanar_segment(rng)
-            count = projected_inflection_count(seg, 2048)
+            count = projected_inflection_count(seg.bezier_points, seg.h, 2048)
             assert count >= 1
             hits += count == 2
         assert hits >= 49
@@ -66,7 +66,7 @@ class TestProjectedInflectionCount:
         seg = CubicSegment(vec3(0, 0, 0), vec3(4, 0, 0), vec3(1, 2, 0), vec3(1, 2, 0), 1.0)
         vals = [float(seg.curvature(u)[2]) for u in np.linspace(0, 1, 64)]
         assert vals[0] * vals[-1] < 0
-        assert projected_inflection_count(seg, 512) == 1
+        assert projected_inflection_count(seg.bezier_points, seg.h, 512) == 1
 
     def test_count_along_plane_normal_matches_unprojected(self, rng):
         # counting along w = N on the projected segment equals the sampled
@@ -185,7 +185,7 @@ class TestNegativeResults:
         # a non-planar cubic always shows at least one bending reversal
         for _ in range(100):
             seg = random_nonplanar_segment(rng)
-            assert projected_inflection_count(seg, 2048) >= 1
+            assert projected_inflection_count(seg.bezier_points, seg.h, 2048) >= 1
 
     def test_noncoplanar_four_point_arcs(self, rng):
         from shapespline import spatial_arc_inflection_count

@@ -15,7 +15,12 @@ from shapespline import (
     triple,
 )
 from shapespline.segment import net_fault
-from conftest import finite_diff_derivatives, random_noncoplanar_polygon, random_polygon
+from conftest import (
+    finite_diff_derivatives,
+    random_noncoplanar_polygon,
+    random_polygon,
+    spline_segments,
+)
 
 
 def cfg_with(**kwargs):
@@ -37,18 +42,24 @@ class TestBuild:
         poly = DataPolygon(pts)
         spline = build_spline(poly, cfg_with(parameterization=Parameterization.UNIFORM))
         for i in range(1, poly.n_segments):
-            gap = np.linalg.norm(spline.segments[i - 1].m1 - spline.segments[i].m0)
+            segs = spline_segments(spline)
+            gap = np.linalg.norm(segs[i - 1].m1 - segs[i].m0)
             assert gap == 0.0
 
     def test_chord_vs_uniform_torsion_rescaling(self, rng):
         poly = random_noncoplanar_polygon(rng, 6)
         chord = build_spline(poly, cfg_with(parameterization=Parameterization.CHORD_LENGTH))
         unif = build_spline(poly, cfg_with(parameterization=Parameterization.UNIFORM))
-        for sc, su in zip(chord.segments, unif.segments):
+        chord_segs, unif_segs = spline_segments(chord), spline_segments(unif)
+        for sc, su in zip(chord_segs, unif_segs):
             assert np.array_equal(sc.m0, su.m0) and np.array_equal(sc.m1, su.m1)
+        # the one-row API reproduces the spline's own nets
+        for spline, segs in ((chord, chord_segs), (unif, unif_segs)):
+            for seg, net, h in zip(segs, spline.nets, spline.widths):
+                assert np.array_equal(seg.bezier_points, net) and seg.h == h
         # interior segments have a twist bounded away from zero
         for i in range(2, poly.n_segments):
-            sc, su = chord.segments[i - 1], unif.segments[i - 1]
+            sc, su = chord_segs[i - 1], unif_segs[i - 1]
             ratio = sc.torsion_numerator() / su.torsion_numerator()
             assert ratio == pytest.approx((su.h / sc.h) ** 4, rel=1e-9)
 
@@ -66,8 +77,9 @@ class TestBuild:
     def test_explicit_knots(self):
         poly = DataPolygon([(0, 0, 0), (1, 0, 0), (2, 1, 0)])
         spline = build_spline(poly, knots=[0.0, 2.0, 3.5])
-        assert spline.segments[0].h == 2.0
-        assert spline.segments[1].h == 1.5
+        segs = spline_segments(spline)
+        assert segs[0].h == 2.0
+        assert segs[1].h == 1.5
         with pytest.raises(ValueError):
             build_spline(poly, knots=[0.0, 2.0, 2.0])
 
@@ -84,15 +96,6 @@ class TestBuild:
         assert net_fault(1e12 * chords, chords, chords, widths) == (0, "endpoints coincide")
         assert net_fault(chords, chords, chords, widths) == (1, "parameter width must be positive, got 0.0")
 
-    def test_segments_built_on_first_use(self, rng):
-        poly = random_noncoplanar_polygon(rng, 7)
-        spline = build_spline(poly)
-        analyze(spline)
-        assert "segments" not in vars(spline)
-        for k, seg in enumerate(spline.segments):
-            assert np.array_equal(seg.bezier_points, spline.nets[k])
-            assert seg.h == spline.widths[k]
-
     def test_endpoint_tangents_one_sided(self):
         poly = DataPolygon([(0, 0, 0), (1, 0, 0), (2, 1, 0)])
         spline = build_spline(poly, cfg_with(tension=0.5))
@@ -106,8 +109,9 @@ class TestCatmullRomIdentities:
             for _ in range(20):
                 poly = random_noncoplanar_polygon(rng, 6)
                 spline = build_spline(poly, cfg_with(tension=tension))
+                segs = spline_segments(spline)
                 for i in range(2, poly.n_segments):
-                    seg = spline.segments[i - 1]
+                    seg = segs[i - 1]
                     t = triple(seg.m0, seg.chord, seg.m1)
                     expected = tension**2 * poly.span_torsion(i)
                     assert t == pytest.approx(expected, rel=1e-10, abs=1e-12)
@@ -245,7 +249,7 @@ class TestSampleSpline:
     def test_curvature_matches_finite_differences(self, rng):
         poly = random_polygon(rng, 5)
         spline = build_spline(poly)
-        for i, seg in enumerate(spline.segments, start=1):
+        for i, seg in enumerate(spline_segments(spline), start=1):
             h = seg.h
             curve = lambda u: seg.point(u)
             for u in (0.3, 0.6):
