@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
+from . import jsonout, oracle
 from .criteria import Criterion, Tolerances
 from .geometry import cross_rows, dot_rows, norm, norm_rows, sine_rows
 from .polygon import DataPolygon, sign_changes, span_flags, spatial_arc_inflection_count
@@ -192,7 +192,7 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=1) + "\n", out_path)
+    _write(jsonout.dumps(payload) + "\n", out_path)
 
 
 def _config_echo(settings: dict) -> dict:
@@ -295,7 +295,7 @@ def cmd_check(args) -> int:
     settings = _resolve_settings(args, doc)
     polygon, spline, cfg = _build(doc, settings)
     report = analyze(spline, cfg)
-    payload = {"version": 1, "config": _config_echo(settings), **report.to_dict()}
+    payload = {"version": 1, "config": _config_echo(settings), **report.json_sections()}
     exit_code = 0 if payload["summary"]["all_passed"] else 1
     if args.verify:
         problems = _verify_report(spline, report, cfg, settings)

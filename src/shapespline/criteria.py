@@ -22,6 +22,7 @@ relative margin.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -106,27 +107,54 @@ def _not_applicable(criterion: Criterion, diagnostics=None) -> CriterionVerdict:
 
 class Rows:
     """One closed-form checker run over a batch of rows: per row, whether
-    it applies, whether it passed, and its named diagnostics in the order
-    the verdict lists them.
+    it applies, whether it passed, and its named diagnostics as float
+    columns in the order the verdict lists them.
 
-    A non-applicable row carries only the first ``head`` diagnostics, and a
-    None entry of a column is left out of its row's verdict.
+    A non-applicable row carries only the first ``head`` diagnostics.  A
+    column named in ``masks`` is reported only on the rows its mask holds;
+    ``present[name]`` is the resulting per-row mask of each column.
     """
 
-    def __init__(self, criterion: Criterion, applicable, passed, columns: dict, head: int):
+    def __init__(self, criterion: Criterion, applicable, passed, columns: dict, head: int, masks=None):
         self.criterion = criterion
-        self.applicable = applicable.tolist()
-        self.passed = passed.tolist()
-        self.names = tuple(columns)
-        self.columns = [c if isinstance(c, list) else c.tolist() for c in columns.values()]
-        self.head = head
+        self.applicable = applicable
+        self.passed = passed
+        self.columns = {}
+        self.present = {}
+        for k, (name, col) in enumerate(columns.items()):
+            shown = np.ones(len(applicable), dtype=bool) if k < head else applicable
+            if masks and name in masks:
+                shown = shown & masks[name]
+            self.add_column(name, col, shown)
+
+    def add_column(self, name: str, values, present=None) -> None:
+        """Append a diagnostic, reported on every row unless ``present``
+        says otherwise; bool columns report as 1.0 and 0.0."""
+        self.columns[name] = np.asarray(values, dtype=float)
+        self.present[name] = np.ones(len(self.applicable), dtype=bool) if present is None else present
+        self.__dict__.pop("_lists", None)
+
+    def all_finite(self, rows) -> bool:
+        """Whether every diagnostic reported on ``rows`` is finite."""
+        return all(
+            (np.isfinite(col[rows]) | ~self.present[name][rows]).all()
+            for name, col in self.columns.items()
+        )
+
+    @functools.cached_property
+    def _lists(self):
+        return (
+            self.applicable.tolist(),
+            self.passed.tolist(),
+            [(name, col.tolist(), self.present[name].tolist()) for name, col in self.columns.items()],
+        )
 
     def verdict(self, r: int) -> CriterionVerdict:
-        if not self.applicable[r]:
-            diag = {k: c[r] for k, c in zip(self.names[: self.head], self.columns)}
+        applicable, passed, columns = self._lists
+        diag = {name: col[r] for name, col, shown in columns if shown[r]}
+        if not applicable[r]:
             return CriterionVerdict(self.criterion, False, None, diag)
-        diag = {k: c[r] for k, c in zip(self.names, self.columns) if c[r] is not None}
-        return CriterionVerdict(self.criterion, True, self.passed[r], diag)
+        return CriterionVerdict(self.criterion, True, passed[r], diag)
 
 
 def _row(v) -> np.ndarray:
@@ -301,25 +329,27 @@ def check_torsion_cubic(
 def _hull_sines(ctrl, key: str, v_prev, nv_prev, v_cur, nv_cur, eps: float):
     """The convex-hull sine bound shared by collinearity and coplanarity:
     the ``sine_{key}{k}_{tag}`` columns of three control vectors ``ctrl``
-    against ``v_prev`` and ``v_cur`` (None where a control vector is
-    numerically zero), their supremum, the mask of rows with no obtuse
-    angle, and the mask of rows with no zero control vector."""
+    against ``v_prev`` and ``v_cur`` and their masks (False where a control
+    vector is numerically zero), their supremum, the mask of rows with no
+    obtuse angle, and the mask of rows with no zero control vector."""
     norms = [norm_rows(g) for g in ctrl]
     scale = first_max(first_max(norms[0], norms[1]), norms[2])
-    columns = {}
+    columns, masks = {}, {}
     no_obtuse = np.ones(len(scale), dtype=bool)
     all_live = np.ones(len(scale), dtype=bool)
     sup = np.zeros(len(scale))
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, (g, ng) in enumerate(zip(ctrl, norms)):
-            live = (scale > 0.0) & ~(ng <= eps * scale)
+            # a NaN norm must stay live, so that its NaN sine is reported
+            live = ~(scale == 0.0) & ~(ng <= eps * scale)
             all_live &= live
             for tag, vec, nv in (("prev", v_prev, nv_prev), ("cur", v_cur, nv_cur)):
                 no_obtuse &= ~(live & (dot_rows(g, vec) < 0.0))
                 s = np.minimum(norm_rows(cross_rows(g, vec)) / (ng * nv), 1.0)
                 sup = np.where(live & (s > sup), s, sup)
-                columns[f"sine_{key}{k}_{tag}"] = [x if b else None for x, b in zip(s.tolist(), live.tolist())]
-    return columns, sup, no_obtuse, all_live
+                columns[f"sine_{key}{k}_{tag}"] = s
+                masks[f"sine_{key}{k}_{tag}"] = live
+    return columns, masks, sup, no_obtuse, all_live
 
 
 def collinearity_rows(m0, m1, chord, h, l_prev, l_cur, eps: float, eps_collinear: float) -> Rows:
@@ -331,11 +361,11 @@ def collinearity_rows(m0, m1, chord, h, l_prev, l_cur, eps: float, eps_collinear
     floor = np_l * nc_l
     applicable = (cr <= eps * floor) & (d > eps * floor)
     ctrl = (m0, (3.0 / h)[:, None] * chord - m0 - m1, m1)
-    sines, sup, no_obtuse, all_live = _hull_sines(ctrl, "p", l_prev, np_l, l_cur, nc_l, eps)
+    sines, masks, sup, no_obtuse, all_live = _hull_sines(ctrl, "p", l_prev, np_l, l_cur, nc_l, eps)
     columns = {"chord_cross_norm": cr, "chord_dot": d, **sines, "sup_sine": sup}
     columns["hypothesis_ok"] = no_obtuse & all_live
     passed = applicable & (sup < eps_collinear)
-    return Rows(Criterion.COLLINEARITY, applicable, passed, columns, head=2)
+    return Rows(Criterion.COLLINEARITY, applicable, passed, columns, head=2, masks=masks)
 
 
 def check_collinearity_cubic(
@@ -365,12 +395,12 @@ def coplanarity_rows(quad, n_prev, n_cur, delta, delta_floor, eps: float, eps_co
     ``(c0, c1, c2)``, normal pairs and span twists."""
     np_n, nc_n = norm_rows(n_prev), norm_rows(n_cur)
     applicable = (np.abs(delta) <= eps * delta_floor) & (np_n > 0.0) & (nc_n > 0.0)
-    sines, sup, hypothesis_ok, _ = _hull_sines(quad, "c", n_prev, np_n, n_cur, nc_n, eps)
+    sines, masks, sup, hypothesis_ok, _ = _hull_sines(quad, "c", n_prev, np_n, n_cur, nc_n, eps)
     columns = {"delta": delta, "normal_norm_product": np_n * nc_n, **sines}
     columns["sup_sine"] = sup
     columns["hypothesis_ok"] = hypothesis_ok
     passed = applicable & (sup < eps_coplanar)
-    return Rows(Criterion.COPLANARITY, applicable, passed, columns, head=2)
+    return Rows(Criterion.COPLANARITY, applicable, passed, columns, head=2, masks=masks)
 
 
 def check_coplanarity_cubic(

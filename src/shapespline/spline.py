@@ -18,12 +18,16 @@ and oracle reads slices of them; no per-segment object is built.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .criteria import (
+    Criterion,
     CriterionVerdict,
+    Rows,
     Tolerances,
     adjacency_rows,
     check_collinearity_extended,
@@ -35,6 +39,7 @@ from .criteria import (
     torsion_rows,
 )
 from .geometry import cross_rows, first_max
+from .jsonout import SLOT, Raw, dumps, entry_template, join_list, number, template
 from .polygon import DataPolygon, ShapeFlag, span_flags
 from .segment import (
     curvature_quad_rows,
@@ -208,11 +213,81 @@ class JointReport:
         }
 
 
-@dataclass(frozen=True)
 class SplineReport:
-    vertices: tuple
-    segments: tuple
-    joints: tuple
+    """The verdicts of ``analyze``, kept as the criteria kernels' columns
+    (:class:`criteria.Rows`) with the map from rows to report entries.
+
+    ``vertices``, ``segments`` and ``joints`` hold the report's entry
+    objects; they are built on first use and cached.  ``summary`` counts
+    from the kernels' masks, and ``json_sections`` writes the entries
+    straight from the columns, with the bytes ``json.dumps(to_dict(),
+    sort_keys=True, indent=1)`` gives them.
+    """
+
+    def __init__(self, binormals, collinear, extended, flags, deltas, segment_rows, joint_rows):
+        self._binormals = binormals  # (n-1, 3), row j-1 is vertex j
+        self._collinear = collinear  # per vertex
+        self._extended = extended  # vertex -> its collinearity_extended verdict
+        self._flags = flags  # per segment
+        self._deltas = deltas  # span twists of segments 2..n-1
+        # (Rows, reported rows, their 1-based segment or joint indices), in
+        # the order of the verdicts within a segment (battery, collinearity)
+        # and within a joint (adjacency, torsion_compat)
+        self._segment_rows = segment_rows
+        self._joint_rows = joint_rows
+
+    def _reported(self):
+        """Every (Rows, reported rows) pair of the segments and joints."""
+        return [(rows, reported) for rows, reported, _ in self._segment_rows + self._joint_rows]
+
+    def _per_segment(self, items) -> list:
+        """Per segment, in report order, the items ``items(rows, reported)``
+        gives for its reported rows, one per row."""
+        out = [[] for _ in self._flags]
+        for rows, reported, segment in self._segment_rows:
+            for i, item in zip(segment, items(rows, reported)):
+                out[i - 1].append(item)
+        return out
+
+    def _per_joint(self, items) -> list:
+        """Per joint, the (adjacency, torsion_compat) items, None where the
+        joint has no such verdict."""
+        out = [[None, None] for _ in self._flags[1:]]
+        for slot, (rows, reported, joint) in enumerate(self._joint_rows):
+            for j, item in zip(joint, items(rows, reported)):
+                out[j - 1][slot] = item
+        return out
+
+    @functools.cached_property
+    def vertices(self) -> tuple:
+        return tuple(
+            VertexReport(j, b, c, self._extended.get(j))
+            for j, (b, c) in enumerate(zip(self._binormals, self._collinear), start=1)
+        )
+
+    @functools.cached_property
+    def segments(self) -> tuple:
+        n = len(self._flags)
+        picks = self._per_segment(_row_refs)
+        # built segment by segment, so that the first non-finite diagnostic
+        # in report order is the one that raises
+        return tuple(
+            SegmentReport(
+                i,
+                flags,
+                self._deltas[i - 2] if 2 <= i <= n - 1 else None,
+                tuple(rows.verdict(r) for rows, r in pick),
+            )
+            for i, (flags, pick) in enumerate(zip(self._flags, picks), start=1)
+        )
+
+    @functools.cached_property
+    def joints(self) -> tuple:
+        picks = self._per_joint(_row_refs)
+        return tuple(
+            JointReport(j, *(None if p is None else p[0].verdict(p[1]) for p in pick))
+            for j, pick in enumerate(picks, start=1)
+        )
 
     def all_verdicts(self):
         for v in self.vertices:
@@ -229,15 +304,20 @@ class SplineReport:
     @property
     def summary(self) -> dict:
         per_criterion = {}
-        all_passed = True
-        for v in self.all_verdicts():
-            entry = per_criterion.setdefault(
-                v.criterion.value, {"applicable": 0, "passed": 0, "failed": 0}
-            )
-            if v.applicable:
-                entry["applicable"] += 1
-                entry["passed" if v.passed else "failed"] += 1
-                all_passed = all_passed and v.passed
+
+        def count(criterion, applicable, passed):
+            entry = per_criterion.setdefault(criterion.value, {"applicable": 0, "passed": 0, "failed": 0})
+            entry["applicable"] += applicable
+            entry["passed"] += passed
+            entry["failed"] += applicable - passed
+
+        for v in self._extended.values():
+            count(v.criterion, int(v.applicable), int(v.passed is True))
+        for rows, reported in self._reported():
+            if len(reported):
+                applicable = int(np.count_nonzero(rows.applicable[reported]))
+                count(rows.criterion, applicable, int(np.count_nonzero(rows.passed[reported])))
+        all_passed = all(e["failed"] == 0 for e in per_criterion.values())
         return {"criteria": per_criterion, "all_passed": all_passed}
 
     def to_dict(self) -> dict:
@@ -248,15 +328,92 @@ class SplineReport:
             "summary": self.summary,
         }
 
+    def json_sections(self) -> dict:
+        """``to_dict()`` with its three entry lists as :class:`jsonout.Raw`
+        text written from the columns, for the top level of a document."""
+        level = 1
+        return {
+            "vertices": Raw(join_list(self._vertex_texts(level + 1), level)),
+            "segments": Raw(join_list(self._segment_texts(level + 1), level)),
+            "joints": Raw(join_list(self._joint_texts(level + 1), level)),
+            "summary": self.summary,
+        }
+
+    def _vertex_texts(self, level: int) -> list:
+        entry = entry_template(("N", "collinear", "collinearity_extended", "index"), level)
+        vector = template([SLOT] * 3, level + 1)
+        vectors = self._binormals.tolist()
+        if not np.isfinite(self._binormals).all():
+            vectors = [list(map(number, b)) for b in vectors]
+        texts = []
+        for j, (b, c) in enumerate(zip(vectors, self._collinear), start=1):
+            v = self._extended.get(j)
+            extended = "null" if v is None else dumps(v.to_dict(), level + 1)
+            texts.append(entry % (vector % tuple(b), "true" if c else "false", extended, j))
+        return texts
+
+    def _segment_texts(self, level: int) -> list:
+        n = len(self._flags)
+        verdicts = self._per_segment(lambda rows, reported: _verdict_texts(rows, reported, level + 2))
+        entry = entry_template(("delta", "flags", "index", "verdicts"), level)
+        flag_texts = {}
+        texts = []
+        for i, (flags, v) in enumerate(zip(self._flags, verdicts), start=1):
+            if flags not in flag_texts:
+                flag_texts[flags] = dumps(sorted(f.value for f in flags), level + 1)
+            delta = number(self._deltas[i - 2]) if 2 <= i <= n - 1 else "null"
+            texts.append(entry % (delta, flag_texts[flags], i, join_list(v, level + 1)))
+        return texts
+
+    def _joint_texts(self, level: int) -> list:
+        verdicts = self._per_joint(lambda rows, reported: _verdict_texts(rows, reported, level + 1))
+        entry = entry_template(("adjacency", "index", "torsion_compat"), level)
+        return [entry % (a or "null", j, t or "null") for j, (a, t) in enumerate(verdicts, start=1)]
+
+
+def _row_refs(rows: Rows, reported: np.ndarray) -> list:
+    return [(rows, r) for r in reported.tolist()]
+
+
+@functools.lru_cache(maxsize=None)
+def _verdict_template(criterion: Criterion, applicable: bool, passed, keys: tuple, level: int) -> str:
+    """Template of a verdict at ``level`` whose diagnostics are ``keys``,
+    one field per key in sorted order."""
+    verdict = CriterionVerdict(criterion, applicable, passed).to_dict()
+    verdict["diagnostics"] = dict.fromkeys(keys, SLOT)
+    return template(verdict, level)
+
+
+def _verdict_texts(rows: Rows, reported: np.ndarray, level: int) -> list:
+    """The verdicts of ``rows[reported]`` as JSON text at ``level``: each
+    row fills the cached template of its (applicable, passed, key set)."""
+    if not len(reported):
+        return []
+    names = sorted(rows.columns)
+    values = np.column_stack([rows.columns[k][reported] for k in names]).tolist()
+    bits = np.column_stack(
+        [rows.present[k][reported] for k in names] + [rows.applicable[reported], rows.passed[reported]]
+    )
+    kinds, which = np.unique(bits @ (1 << np.arange(bits.shape[1])), return_inverse=True)
+    forms = []
+    for code in kinds.tolist():
+        keep = [k for k in range(len(names)) if code >> k & 1]
+        applicable = bool(code >> len(names) & 1)
+        passed = bool(code >> (len(names) + 1) & 1) if applicable else None
+        keys = tuple(names[k] for k in keep)
+        text = _verdict_template(rows.criterion, applicable, passed, keys, level)
+        forms.append((text, itemgetter(*keep) if keep else (lambda row: ())))
+    return [text % pick(row) for (text, pick), row in zip(map(forms.__getitem__, which.tolist()), values)]
+
 
 def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
     """Run every applicable criterion on every segment, vertex and joint.
 
-    Each closed-form criterion runs once over all rows; the verdicts are
-    then assembled in a fixed order (vertices, then each segment's verdicts
-    in criterion order, then joints), so the report is deterministic and
-    the first non-finite diagnostic is the one a segment-by-segment run
-    would meet first.
+    Each closed-form criterion runs once over all rows, and its verdicts
+    stay in its columns.  The report order is fixed (vertices, then each
+    segment's verdicts in criterion order, then joints), so the report is
+    deterministic; a non-finite reported diagnostic raises ValueError for
+    the first one in that order, as a segment-by-segment run would meet it.
     """
     poly = spline.polygon
     tol = cfg.tolerances
@@ -304,40 +461,31 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
         coll = collinearity_rows(
             m0[k], m1[k], chord[k], h[k], chord[vert_of - 1], chord[vert_of], eps, tol.eps_collinear
         )
-    has_adjacency = (norms > eps * floors).tolist()
-    collinear = collinear.tolist()
-    deltas = delta.tolist()
-    # rows of segment i are coll_start[i-1] .. coll_start[i]-1
-    coll_start = np.searchsorted(k, np.arange(n + 1)).tolist()
-    vert_of = vert_of.tolist()
+    coll.add_column("vertex", vert_of)
 
-    vertex_reports = []
-    for j in range(1, n):
-        extended = check_collinearity_extended(spline, j, tol) if collinear[j - 1] else None
-        vertex_reports.append(VertexReport(j, poly.binormal(j), collinear[j - 1], extended))
-
-    segment_reports = []
-    for i, flags in enumerate(span_flags(poly, np.arange(1, n + 1)), start=1):
-        verdicts = [rows.verdict(i - 2) for flag, rows in battery if flag in flags]
-        for r in range(coll_start[i - 1], coll_start[i]):
-            v = coll.verdict(r)
-            verdicts.append(
-                CriterionVerdict(
-                    v.criterion, v.applicable, v.passed, {**v.diagnostics, "vertex": float(vert_of[r])}
-                )
-            )
-        delta_i = deltas[i - 2] if 2 <= i <= n - 1 else None
-        segment_reports.append(SegmentReport(i, flags, delta_i, tuple(verdicts)))
-
-    joint_reports = [
-        JointReport(
-            j,
-            adjacency.verdict(j - 1) if has_adjacency[j - 1] else None,
-            compat.verdict(j - 2) if 2 <= j <= n - 2 else None,
-        )
-        for j in range(1, n)
+    extended = {
+        j: check_collinearity_extended(spline, j, tol)
+        for j in (np.flatnonzero(collinear) + 1).tolist()
+    }
+    flags = span_flags(poly, np.arange(1, n + 1))
+    segment_rows = []
+    for flag, rows in battery:
+        reported = np.array([r for r, f in enumerate(flags[inner]) if flag in f], dtype=int)
+        segment_rows.append((rows, reported, (reported + 2).tolist()))
+    segment_rows.append((coll, np.arange(len(k)), (k + 1).tolist()))
+    with_adjacency = np.flatnonzero(norms > eps * floors)
+    joint_rows = [
+        (adjacency, with_adjacency, (with_adjacency + 1).tolist()),
+        (compat, np.arange(max(n - 3, 0)), list(range(2, n - 1))),
     ]
-    return SplineReport(tuple(vertex_reports), tuple(segment_reports), tuple(joint_reports))
+    report = SplineReport(
+        poly.binormals, collinear.tolist(), extended, flags, delta.tolist(), segment_rows, joint_rows
+    )
+    if not all(rows.all_finite(reported) for rows, reported in report._reported()):
+        # the entry objects check their diagnostics in report order
+        report.segments
+        report.joints
+    return report
 
 
 SAMPLE_DTYPE = np.dtype(

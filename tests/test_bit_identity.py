@@ -147,7 +147,7 @@ def test_closed_form_rows(rng):
     n_prev, n_cur = scaled_rows(rng, len(segs)), scaled_rows(rng, len(segs))
     eps = 1e-9
     rows = convexity_rows(m0, m1, chord, h, n_prev, n_cur, eps)
-    columns = dict(zip(rows.names, rows.columns))
+    columns = {k: c.tolist() for k, c in rows.columns.items()}
     for tag, normals in (("prev", n_prev), ("cur", n_cur)):
         ref = [ref_convexity_scalars(s, nv) for s, nv in zip(segs, normals)]
         for key, values in zip("abc", zip(*ref)):
@@ -164,11 +164,11 @@ def test_closed_form_rows(rng):
 
     l_prev, l_cur = scaled_rows(rng, len(segs)), scaled_rows(rng, len(segs))
     rows = adjacency_rows(m1, n_prev, l_prev, l_cur, eps)
-    columns = dict(zip(rows.names, rows.columns))
+    columns = {k: c.tolist() for k, c in rows.columns.items()}
     ref = list(map(ref_adjacency_product, m1, n_prev, l_prev, l_cur))
     assert columns["product"] == [r[0] for r in ref]
     assert columns["projected_tangent_norm"] == [r[1] for r in ref]
-    assert rows.passed == [r[0] < -eps * r[2] for r in ref]
+    assert rows.passed.tolist() == [r[0] < -eps * r[2] for r in ref]
 
 
 def collinearity_cases(rng):

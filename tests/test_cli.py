@@ -128,6 +128,59 @@ class TestCheck:
         assert json.loads(target.read_text())["version"] == 1
 
 
+class TestNonFiniteDiagnostic:
+    """A diagnostic that overflows exits 2 before anything is written; the
+    message names the first non-finite key in report order, and within a
+    verdict the first in the order the criterion lists its keys."""
+
+    # knot widths of 1e-90 make h**4 underflow: every torsion numerator
+    # is inf or nan, so joint 2 holds tau_joint_prev = tau_joint_cur = inf
+    # and sorted keys would name tau_joint_cur
+    TINY_KNOTS = {
+        "version": 1,
+        "points": [[0, 0, 0], [1, 0.2, 0.1], [2, 1, -0.3], [3, 2.5, 0.4], [4, 2.7, 1.0], [5, 3, 0.2]],
+        "knots": [k * 1e-90 for k in range(6)],
+    }
+    # planar data whose 6/h**2 overflows: every curvature coefficient is
+    # nan, and coplanarity lists sine_c0_prev before sine_c0_cur
+    NAN_CURVATURE = {
+        "version": 1,
+        "points": [[0, 0, 0], [1, 0.2, 0], [2, 1, 0], [3, 2.5, 0]],
+        "knots": [0, 1e-160, 2e-160, 3e-160],
+    }
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (TINY_KNOTS, "non-finite diagnostic 'tau_joint_prev': inf"),
+            (NAN_CURVATURE, "non-finite diagnostic 'sine_c0_prev': nan"),
+        ],
+        ids=["tiny-knots", "nan-curvature"],
+    )
+    def test_exit_2_prints_nothing_but_the_message(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "check", path) == (2, "", f"error: {message}\n")
+        target = tmp_path / "report.json"
+        assert run(capsys, "check", path, "--out", target) == (2, "", f"error: {message}\n")
+        assert not target.exists()
+
+    def test_two_non_finite_keys_name_the_first_listed(self):
+        from shapespline.polygon import DataPolygon
+        from shapespline.segment import torsion_numerator_rows
+        from shapespline.spline import SplineConfig, analyze, build_spline
+
+        doc = self.TINY_KNOTS
+        spline = build_spline(DataPolygon(doc["points"]), SplineConfig(), knots=doc["knots"])
+        with np.errstate(all="ignore"):
+            tau = torsion_numerator_rows(*spline.rows())
+        # joint 2 reads the numerators of segments 2 and 3
+        assert tau[1] == tau[2] == np.inf
+        with pytest.raises(ValueError) as exc:
+            analyze(spline, SplineConfig())
+        assert str(exc.value) == "non-finite diagnostic 'tau_joint_prev': inf"
+
+
 class TestMeasures:
     def test_example1_values(self, capsys):
         code, out, _ = run(capsys, "measures", FIXTURES / "example1.json")

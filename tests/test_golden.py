@@ -3,7 +3,8 @@ of five CLI invocations on each of the 9 fixtures, plus ``inflection`` and
 ``inflection --verify`` at the default densities on two small seeded
 documents, and ``check`` and ``check --verify --samples 128`` on three
 larger ones (a 120-point helix, a 120-point S-curve and a 40-point
-polyline with collinear runs).
+polyline with collinear runs), and ``check`` on a 1 000-point helix and a
+1 000-point S-curve.
 
 A refactor that keeps verdicts but moves a printed digit fails here, with
 the fixture and the command in the test id.  Re-record after a deliberate
@@ -21,7 +22,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shapespline import cli
 from shapespline.cli import main
+from shapespline.spline import analyze
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DIGESTS = Path(__file__).parent / "golden_digests.json"
@@ -71,6 +74,8 @@ GENERATED = {
     "gen-helix-120": noisy_helix(np.random.default_rng(10), 120),
     "gen-scurve-120": planar_scurve(np.random.default_rng(10), 120),
     "gen-polyline-40": collinear_polyline(np.random.default_rng(10), corners=14, run=2),
+    "gen-helix-1000": noisy_helix(np.random.default_rng(11), 1000),
+    "gen-scurve-1000": planar_scurve(np.random.default_rng(11), 1000),
 }
 GENERATED_COMMANDS = {
     "inflection-default": ("inflection",),
@@ -81,6 +86,7 @@ GENERATED_COMMANDS = {
 GENERATED_CASES = [
     *((g, c) for g in ("gen-polyline", "gen-scurve") for c in ("inflection-default", "inflection-verify-default")),
     *((g, c) for g in ("gen-helix-120", "gen-scurve-120", "gen-polyline-40") for c in ("check", "check-verify")),
+    *((g, "check") for g in ("gen-helix-1000", "gen-scurve-1000")),
 ]
 
 
@@ -129,6 +135,35 @@ def test_generated_report_bytes(name, command, digests, tmp_path, monkeypatch):
     want = digests[f"{name} {command}"]
     sha, code = run_generated(name, command, tmp_path)
     assert (sha, code) == (want["sha256"], want["exit"]), f"{name}: `{command}` output changed"
+
+
+def _library_report_text(argv) -> str:
+    """The ``check`` report of ``argv`` from the library dicts, encoded by
+    ``json.dumps``: what the CLI's writer must reproduce byte for byte."""
+    args = cli._parser().parse_args(argv)
+    doc = cli.load_document(args.input)
+    settings = cli._resolve_settings(args, doc)
+    _, spline, cfg = cli._build(doc, settings)
+    report = analyze(spline, cfg)
+    payload = {"version": 1, "config": cli._config_echo(settings), **report.to_dict()}
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name", [f.stem for f in sorted(FIXTURES.glob("*.json"))] + sorted(GENERATED)
+)
+def test_check_stdout_is_the_library_dict_encoded(name, tmp_path):
+    path = FIXTURES / f"{name}.json"
+    if name in GENERATED:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"version": 1, "points": GENERATED[name].tolist()}))
+    argv = ["check", str(path)]
+    if "tangents" in json.loads(path.read_text()):
+        argv += ["--tangents", "provided"]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(argv)
+    assert buf.getvalue() == _library_report_text(argv)
 
 
 if __name__ == "__main__":

@@ -220,6 +220,25 @@ class TestAnalyze:
         for s in report.segments:
             assert s.flags == classify_vertex(poly, s.index)
 
+    def test_summary_counts_the_verdict_objects(self, rng):
+        collinear = DataPolygon([(0, 1, 0), (1, 0.5, 0), (2, 0, 0), (3, -0.5, 0), (4, -1.5, 0)])
+        polygons = [collinear, random_polygon(rng, 9), random_noncoplanar_polygon(rng, 8), random_polygon(rng, 2)]
+        for poly in polygons:
+            cfg = cfg_with()
+            report = analyze(build_spline(poly, cfg), cfg)
+            counts = {}
+            for v in report.all_verdicts():
+                entry = counts.setdefault(v.criterion.value, {"applicable": 0, "passed": 0, "failed": 0})
+                if v.applicable:
+                    entry["applicable"] += 1
+                    entry["passed" if v.passed else "failed"] += 1
+            all_passed = all(v.passed for v in report.all_verdicts() if v.applicable)
+            assert report.summary == {"criteria": counts, "all_passed": all_passed}
+            # the entry objects are built once
+            assert report.vertices is report.vertices
+            assert report.segments is report.segments
+            assert report.joints is report.joints
+
     def test_report_determinism(self, rng):
         poly = random_noncoplanar_polygon(rng, 7)
         cfg = cfg_with()
