@@ -8,26 +8,30 @@ measures    chords, turn binormals, span twists and classifications
 sample      CSV export of positions / curvature / torsion numerator
 inflection  inflection counts of the data polygon and of each built segment
 
-``--verify`` (check / inflection) re-derives every passing verdict with the
-sampling oracles and fails on any disagreement.  ``SHAPESPLINE_SEED`` pins
-the randomized mixed-normal probes used there.
+``--verify`` fails on any disagreement with the sampling oracles: under
+``check`` it re-derives every passing *segment* verdict (vertex and joint
+verdicts are not re-derived), under ``inflection`` every count at double
+the direction density.  ``SHAPESPLINE_SEED`` pins the randomized
+mixed-normal probes used there.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from . import jsonout, oracle
 from .criteria import Criterion, Tolerances
 from .geometry import cross_rows, dot_rows, norm, norm_rows, sine_rows
-from .polygon import DataPolygon, sign_changes, span_flags, spatial_arc_inflection_count
+from .polygon import FLAG_SETS, DataPolygon, _count_changes_rows, span_codes, spatial_arc_inflection_count
 from .segment import torsion_numerator_rows
 from .spline import (
     Parameterization,
@@ -209,49 +213,46 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
     seed = int(os.environ.get("SHAPESPLINE_SEED", "0"))
     rng = np.random.default_rng(seed)
     tol = cfg.tolerances
-    n_samples = settings["samples"]
+    us = np.linspace(0.0, 1.0, settings["samples"])
     poly = spline.polygon
     problems = []
     taus = torsion_numerator_rows(*spline.rows()).tolist()
-
     # widths as Python floats: numpy floats round the oracle's h**k differently
-    for seg_rep, ctrl, h, tau in zip(report.segments, spline.nets, spline.widths.tolist(), taus):
-        i = seg_rep.index
-        us = np.linspace(0.0, 1.0, n_samples)
+    widths = spline.widths.tolist()
+
+    for i, passing in itertools.groupby(report.passing_segment_rows(), key=itemgetter(0)):
+        ctrl, h, tau = spline.nets[i - 1], widths[i - 1], taus[i - 1]
         tangents, d2, _ = oracle.decasteljau_derivatives(ctrl, us, h)
         omegas = cross_rows(tangents, d2)
         sampled = oracle.SampledCurve(us, oracle.decasteljau(ctrl, us))
-        normals = (
-            (poly.binormal(i - 1), poly.binormal(i)) if 2 <= i <= poly.n_segments - 1 else None
-        )
+        # the binormals at the segment's end vertices, on interior segments
+        normals = poly.binormals[i - 2 : i]
 
-        for verdict in seg_rep.verdicts:
-            if not (verdict.applicable and verdict.passed):
-                continue
-            crit = verdict.criterion
-            if crit is Criterion.CONVEXITY and normals is not None:
+        for _, rows, r in passing:
+            crit = rows.criterion
+            if crit is Criterion.CONVEXITY:
                 for tag, nv in zip(("prev", "cur"), normals):
                     if not oracle.sampled_global_convexity(sampled, nv, tol.eps_zero):
                         problems.append(
                             f"segment {i}: convexity passed but sampled projection "
                             f"along the {tag} binormal is not convex"
                         )
-            elif crit is Criterion.INFLECTION and normals is not None:
+            elif crit is Criterion.INFLECTION:
                 b_prev, b_cur = normals
                 probes = [b_prev, b_cur]
                 for _ in range(8):
                     lam = rng.uniform(0.1, 1.0)
                     mu = -rng.uniform(0.1, 1.0)
                     probes.append(lam * b_prev + mu * b_cur)
-                for k, nv in enumerate(probes):
-                    vals = omegas @ nv
-                    band = tol.eps_zero * max(float(np.abs(vals).max()), 1e-300)
-                    vals = np.where(np.abs(vals) <= band, 0.0, vals)
-                    changes = sign_changes(vals)
-                    if changes != 1:
+                vals = np.stack([omegas @ nv for nv in probes])
+                bands = [tol.eps_zero * max(float(np.abs(v).max()), 1e-300) for v in vals]
+                # a NaN band leaves every non-zero value live
+                changes = _count_changes_rows(vals, np.fmax(bands, 0.0)[:, None]).tolist()
+                for k, count in enumerate(changes):
+                    if count != 1:
                         problems.append(
                             f"segment {i}: inflection passed but sampled bending "
-                            f"flips {changes} times along probe {k}"
+                            f"flips {count} times along probe {k}"
                         )
             elif crit is Criterion.TORSION:
                 probe_us = np.array([0.0, 0.37, 0.5, 1.0])
@@ -265,7 +266,7 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
                         f"segment {i}: torsion numerator {tau} disagrees with "
                         f"sampled determinant {det} at u={u}"
                     )
-            elif crit is Criterion.COPLANARITY and normals is not None:
+            elif crit is Criterion.COPLANARITY:
                 scale = float(np.linalg.norm(omegas, axis=1).max())
                 bent = omegas[norm_rows(omegas) > tol.eps_zero * max(scale, 1e-300)]
                 for tag, nv in zip(("prev", "cur"), normals):
@@ -275,10 +276,9 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
                             f"binormal tilts past eps1 from the {tag} normal"
                         )
             elif crit is Criterion.COLLINEARITY:
-                j = int(verdict.diagnostics["vertex"])
-                chords = [poly.chord(j), poly.chord(j + 1)]
+                j = int(rows.columns["vertex"][r])
                 moving = tangents[norm_rows(tangents) != 0.0]
-                if any(np.any(sine_rows(moving, l) >= tol.eps_collinear) for l in chords):
+                if any(np.any(sine_rows(moving, l) >= tol.eps_collinear) for l in poly.chords[j - 1 : j + 1]):
                     problems.append(
                         f"segment {i}: collinearity passed but a sampled tangent "
                         f"tilts past eps0 from the chords"
@@ -314,21 +314,14 @@ def cmd_measures(args) -> int:
     payload = {
         "version": 1,
         "config": _config_echo(settings),
-        "chords": [[float(x) for x in c] for c in polygon.chords],
-        "binormals": [
-            {"vertex": j, "v": [float(x) for x in polygon.binormal(j)]}
-            for j in range(1, n)
-        ],
-        "deltas": [
-            {"span": i, "value": float(polygon.span_torsion(i))} for i in range(2, n)
-        ],
+        "chords": polygon.chords.tolist(),
+        "binormals": [{"vertex": j, "v": b} for j, b in enumerate(polygon.binormals.tolist(), start=1)],
+        "deltas": [{"span": i, "value": d} for i, d in enumerate(polygon.torsions.tolist(), start=2)],
         "spans": [
-            {"index": i, "flags": sorted(f.value for f in flags)}
-            for i, flags in enumerate(span_flags(polygon, np.arange(1, n + 1)), start=1)
+            {"index": i, "flags": sorted(f.value for f in FLAG_SETS[code])}
+            for i, code in enumerate(span_codes(polygon, np.arange(1, n + 1)).tolist(), start=1)
         ],
-        "collinear_vertices": [
-            j for j in range(1, n) if polygon.vertex_is_collinear(j)
-        ],
+        "collinear_vertices": (np.flatnonzero(polygon.classes.collinear) + 1).tolist(),
     }
     _emit(payload, args.out)
     return 0

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EPS_ZERO, DegenerateInputError, cross3, cross_rows, dot, dot_rows, norm
-from .geometry import first_max, norm_rows, powers, sine_rows, triple_rows
+from .geometry import EPS_ZERO, DegenerateInputError, cross_rows, dot, dot_rows, norm
+from .geometry import first_max, norm_rows, powers, triple_rows
 from .oracle import DEFAULT_SAMPLES
-from .polygon import sign_changes
+from .polygon import _count_changes_rows
 from .segment import CubicSegment, curvature_quad_rows, derivative_rows, point_rows
 
 
@@ -251,8 +251,7 @@ def check_convexity_cubic(
     orientation and are surfaced via ``reversed_orientation`` only.
     The one-row case of ``convexity_rows``.
     """
-    rows = convexity_rows(*seg.rows(), _row(n_prev), _row(n_cur), tol.eps_zero)
-    return rows.verdict(0)
+    return convexity_rows(*seg.rows(), _row(n_prev), _row(n_cur), tol.eps_zero).verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +317,7 @@ def check_torsion_cubic(
     if delta_floor is None:
         delta_floor = norm(seg.chord) ** 3
     m0, m1, chord, _ = seg.rows()
-    rows = torsion_rows(m0, m1, chord, np.array([delta], dtype=float), delta_floor, tol.eps_zero)
-    return rows.verdict(0)
+    return torsion_rows(m0, m1, chord, np.array([delta], dtype=float), delta_floor, tol.eps_zero).verdict(0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +378,7 @@ def check_collinearity_cubic(
     are numerically zero are skipped in the supremum.  The one-row case of
     ``collinearity_rows``.
     """
-    rows = collinearity_rows(
-        *seg.rows(), _row(l_prev), _row(l_cur), tol.eps_zero, tol.eps_collinear
-    )
+    rows = collinearity_rows(*seg.rows(), _row(l_prev), _row(l_cur), tol.eps_zero, tol.eps_collinear)
     return rows.verdict(0)
 
 
@@ -418,15 +414,8 @@ def check_coplanarity_cubic(
     The one-row case of ``coplanarity_rows``."""
     if delta_floor is None:
         delta_floor = norm(seg.chord) ** 3
-    rows = coplanarity_rows(
-        curvature_quad_rows(*seg.rows()),
-        _row(n_prev),
-        _row(n_cur),
-        np.array([delta], dtype=float),
-        delta_floor,
-        tol.eps_zero,
-        tol.eps_coplanar,
-    )
+    quad, delta = curvature_quad_rows(*seg.rows()), np.array([delta], dtype=float)
+    rows = coplanarity_rows(quad, _row(n_prev), _row(n_cur), delta, delta_floor, tol.eps_zero, tol.eps_coplanar)
     return rows.verdict(0)
 
 
@@ -467,8 +456,7 @@ def check_adjacency_compat(
     scale = norm(prev_seg.m1) + norm(next_seg.m0)
     if gap > eps * max(scale, 1e-300):
         raise ValueError("segments do not share a tangent at the joint")
-    rows = adjacency_rows(prev_seg.m1[None], _row(n_vertex), _row(l_prev), _row(l_cur), eps)
-    return rows.verdict(0)
+    return adjacency_rows(prev_seg.m1[None], _row(n_vertex), _row(l_prev), _row(l_cur), eps).verdict(0)
 
 
 def torsion_compat_rows(delta_prev, delta_cur, tau_prev, tau_cur, eps: float, delta_floor, tau_floor) -> Rows:
@@ -539,7 +527,8 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
     n = poly.n_segments
     if not 1 <= vertex <= n - 1:
         raise IndexError(f"vertex index {vertex} out of range 1..{n - 1}")
-    if not poly.vertex_is_collinear(vertex):
+    lengths, norms, floors, zero, collinear, _ = poly.classes
+    if not collinear[vertex - 1]:
         return _not_applicable(Criterion.COLLINEARITY, {"vertex": float(vertex)})
     eps = tol.eps_zero
     i = vertex
@@ -547,92 +536,86 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
     pair = slice(i - 1, i + 1)
     nets = spline.nets[pair]
     m0, m1, chord, h = (a[pair] for a in spline.rows())
-    knots = spline.knots
-    t_prev, t_i, t_next = knots[i - 1], knots[i], knots[i + 1]
+    t_prev, t_i, t_next = spline.knots[i - 1 : i + 2]
     frac = tol.eta_fraction
     window = (t_i - frac * (t_i - t_prev), t_i + frac * (t_next - t_i))
     diag = {"vertex": float(i), "window_lo": window[0], "window_hi": window[1]}
     checks_passed = True
 
-    # (a) tangent sine bound over the window, against both chords
-    l_in, l_out = poly.chord(i), poly.chord(i + 1)
-    sup = 0.0
-    n_half = 33
-    for k, t0, t1 in ((0, t_prev, t_i), (1, t_i, t_next)):
-        lo = max(window[0], t0)
-        hi = min(window[1], t1)
-        if hi <= lo:
-            continue
-        us = (np.linspace(lo, hi, n_half) - t0) / (t1 - t0)
-        d1 = derivative_rows(*(a[k : k + 1] for a in (m0, m1, chord, h)), us)[0][0]
-        d1 = d1[norm_rows(d1) != 0.0]
-        sup = max(sup, sine_rows(d1, l_in).max(initial=0.0), sine_rows(d1, l_out).max(initial=0.0))
-    diag["sup_sine"] = sup
+    # (a) tangent sine bound over the window, against both chords: one row
+    # of parameters per segment, a row whose part of the window is empty
+    # masked out
+    halves = [(max(window[0], t0), min(window[1], t1), t0, t1) for t0, t1 in ((t_prev, t_i), (t_i, t_next))]
+    us = np.stack([(np.linspace(lo, hi, 33) - t0) / (t1 - t0) for lo, hi, t0, t1 in halves])
+    d1 = derivative_rows(m0, m1, chord, h, us)[0]
+    n1 = norm_rows(d1)
+    live = (n1 != 0.0) & np.array([[hi > lo] for lo, hi, _, _ in halves])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sines = [np.minimum(norm_rows(cross_rows(d1, c)) / (n1 * norm_rows(c)), 1.0) for c in chord]
+    # each half against the incoming, then the outgoing chord, taken as
+    # Python's max takes them
+    sups = np.column_stack([s.max(axis=1, where=live, initial=0.0) for s in sines])
+    diag["sup_sine"] = sup = max(0.0, *sups.ravel().tolist())
     checks_passed = checks_passed and sup < tol.eps_collinear
 
-    # first and second derivatives at the neighbouring vertices: the start
-    # of the incoming segment and the end of the outgoing one
-    d1_ends, d2_ends, _ = derivative_rows(m0, m1, chord, h, np.array([0.0, 1.0]))
-    ends = ((i - 1, d1_ends[0, 0], d2_ends[0, 0]), (i + 1, d1_ends[1, 1], d2_ends[1, 1]))
-
+    # the neighbouring vertices j = i-1, i+1 as rows: the first and second
+    # derivatives at the start of the incoming segment and at the end of
+    # the outgoing one
+    d1, d2, _ = derivative_rows(m0, m1, chord, h, np.array([0.0, 1.0]))
+    nbrs = np.array([i - 1, i + 1])
+    inside = (1 <= nbrs) & (nbrs <= n - 1)
+    d1, d2, rows = d1[[0, 1], [0, 1]][inside], d2[[0, 1], [0, 1]][inside], nbrs[inside] - 1
+    nb = norms[rows]
     # (b) curvature orientation at the neighbouring vertices
-    for j, d1, d2 in ends:
-        if not 1 <= j <= n - 1:
-            continue
-        b_j = poly.binormal(j)
-        if norm(b_j) <= eps * poly._binormal_floor(j):
-            continue
-        val = dot(cross3(d1, d2), b_j)
-        diag[f"curvature_sign_v{j}"] = val
-        checks_passed = checks_passed and val >= -eps * norm(d1) * norm(d2) * norm(b_j)
-
+    curvature = dot_rows(cross_rows(d1, d2), poly.binormals[rows])
+    curvature_ok = curvature >= -eps * norm_rows(d1) * norm_rows(d2) * nb
     # (c) tangent inside the data wedge at the neighbouring vertices
-    for j, d1, _ in ends:
-        if not (1 <= j <= n - 1) or poly.binormal_is_zero(j):
-            continue
-        ca = cross3(d1, poly.chord(j))
-        cb = cross3(d1, poly.chord(j + 1))
-        floor = norm(d1) ** 2 * poly.chord_length(j) * poly.chord_length(j + 1)
-        product = dot(ca, cb)
-        diag[f"wedge_product_v{j}"] = product
-        checks_passed = checks_passed and product < -eps * floor
+    wedge = dot_rows(cross_rows(d1, poly.chords[rows]), cross_rows(d1, poly.chords[rows + 1]))
+    wedge_ok = wedge < -eps * (powers(norm_rows(d1), 2) * lengths[rows] * lengths[rows + 1])
+    # each skips a zero binormal: (b) at the tolerances' eps_zero, (c) at
+    # the polygon's
+    for key, shown, vals, ok in (
+        ("curvature_sign", ~(nb <= eps * floors[rows]), curvature, curvature_ok),
+        ("wedge_product", ~zero[rows], wedge, wedge_ok),
+    ):
+        diag.update((f"{key}_v{j}", val) for j, val in zip(rows[shown] + 1, vals[shown].tolist()))
+        checks_passed = checks_passed and bool(ok[shown].all())
 
     # (d) neighbourhood-dependent behaviour across both segments; an
     # interpolating spline passes through the vertex by construction
     # (``nets[i-1, 3]`` is the vertex itself)
-    has_nbrs = 1 <= i - 1 and i + 1 <= n - 1
     diag["interpolates_vertex"] = 1.0
-    if has_nbrs:
-        b_prev, b_next = poly.binormal(i - 1), poly.binormal(i + 1)
-        nbr_dot = dot(b_prev, b_next)
-        diag["neighbourhood_dot"] = nbr_dot
-        floor = norm(b_prev) * norm(b_next)
-        ts = np.linspace(0.0, 1.0, 65)
-        if nbr_dot >= -eps * floor:
+    if 2 <= i <= n - 2:
+        b_nbrs, nb_nbrs = poly.binormals[[i - 2, i]], norms[[i - 2, i]].tolist()
+        diag["neighbourhood_dot"] = nbr_dot = dot(*b_nbrs)
+        if nbr_dot >= -eps * (nb_nbrs[0] * nb_nbrs[1]):
             # convex neighbourhood: sampled convexity across both segments
-            for tag, b_vec in (("prev", b_prev), ("next", b_next)):
-                if norm(b_vec) == 0.0:
+            for tag, b_vec, nb in zip(("prev", "next"), b_nbrs, nb_nbrs):
+                if nb == 0.0:
                     continue
                 ok = bool(convexity_sampled_rows(nets, m0, m1, chord, h, b_vec, 65, eps).all())
                 diag[f"neighbourhood_convex_{tag}"] = float(ok)
                 checks_passed = checks_passed and ok
         else:
-            # inflection neighbourhood: one bending flip inside the window
+            # inflection neighbourhood: one bending flip inside the window,
+            # the bending along each neighbour binormal as one row of both
+            # segments' samples
+            ts = np.linspace(0.0, 1.0, 65)
             d1, d2, _ = derivative_rows(m0, m1, chord, h, ts)
             omegas = cross_rows(d1, d2)
             locs = np.concatenate([t_prev + ts * (t_i - t_prev), t_i + ts * (t_next - t_i)])
-            for tag, b_vec in (("prev", b_prev), ("next", b_next)):
-                vals = dot_rows(omegas, b_vec).ravel()
-                tol_v = eps * max(np.abs(vals).max(), 1e-300)
-                vals[np.abs(vals) <= tol_v] = 0.0
-                count = sign_changes(vals)
+            vals = np.stack([dot_rows(omegas, b_vec).ravel() for b_vec in b_nbrs])
+            band = eps * first_max(np.abs(vals).max(axis=1), 1e-300)
+            # a NaN band leaves every non-zero value live
+            counts = _count_changes_rows(vals, np.fmax(band, 0.0)[:, None]).tolist()
+            for tag, row, count, tol_v in zip(("prev", "next"), vals, counts, band):
                 diag[f"flip_count_{tag}"] = float(count)
                 ok = count == 1
                 if ok:
-                    # the one sign change lies between two consecutive
-                    # non-zero samples; report their midpoint
-                    nz = vals != 0.0
-                    nz_locs, pos = locs[nz], vals[nz] > 0
+                    # the one sign change lies between two consecutive live
+                    # samples; report their midpoint
+                    nz = (row != 0.0) & ~(np.abs(row) <= tol_v)
+                    nz_locs, pos = locs[nz], row[nz] > 0
                     k = int(np.argmax(pos[1:] != pos[:-1]))
                     flip_at = 0.5 * (nz_locs[k] + nz_locs[k + 1])
                     diag[f"flip_location_{tag}"] = flip_at

@@ -4,7 +4,7 @@ Polygonal planar arcs (regularity, turn-sequence inflection counts), the
 ratio-four inflection rule for planar cubics, and the line-intersection
 construction for control-polygon convexity.  The test suite and acceptance
 criterion 06 exercise them; ``analyze`` and the CLI decide convexity with
-the triple-product branches of ``criteria.check_convexity_cubic``.
+the triple-product branches of ``criteria.convexity_rows``.
 """
 
 from __future__ import annotations

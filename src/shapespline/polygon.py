@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +87,21 @@ def _max_row_changes(dirs: np.ndarray, vecs: np.ndarray, tols) -> int:
     )
 
 
+class Classes(NamedTuple):
+    """The lengths ``|L_i|`` of the chords (row i-1 is chord i).  Per
+    interior vertex (row j-1 is vertex j): the binormal norm, its floor
+    ``|L_j| |L_{j+1}|``, and whether the binormal is zero and the vertex
+    collinear, both relative to that floor.  Per interior span (row i-2 is
+    span i): the twist floor ``|L_{i-1}| |L_i| |L_{i+1}|``."""
+
+    chord_lengths: np.ndarray
+    binormal_norms: np.ndarray
+    binormal_floors: np.ndarray
+    zero: np.ndarray
+    collinear: np.ndarray
+    torsion_floors: np.ndarray
+
+
 class DataPolygon:
     """Immutable ordered 3D data points with cached discrete measures.
 
@@ -144,6 +160,21 @@ class DataPolygon:
     def n_segments(self) -> int:
         return len(self._chords)
 
+    @cached_property
+    def classes(self) -> Classes:
+        """The magnitudes and sign classes of the chords, binormals and twists."""
+        lengths, eps = self._lengths, self.eps_zero
+        norms = norm_rows(self._binormals)
+        floors = lengths[:-1] * lengths[1:]
+        zero = norms <= eps * floors
+        collinear = zero & (dot_rows(self._chords[:-1], self._chords[1:]) > eps * floors)
+        classes = Classes(lengths, norms, floors, zero, collinear, lengths[:-2] * lengths[1:-1] * lengths[2:])
+        for row in classes:
+            row.flags.writeable = False
+        return classes
+
+    # one entry of the rows above, for library callers
+
     def chord(self, i: int) -> np.ndarray:
         """Chord ``L_i = x_i - x_{i-1}`` for 1 <= i <= n."""
         if not 1 <= i <= self.n_segments:
@@ -165,56 +196,30 @@ class DataPolygon:
             raise IndexError(f"span index {i} out of range 2..{self.n_segments - 1}")
         return float(self._torsions[i - 2])
 
-    # classification, one row per interior vertex or span
-
-    @cached_property
-    def _vertex_classes(self):
-        """Per interior vertex (row j-1 is vertex j): the binormal norm, its
-        classification floor, and whether the binormal is zero and whether
-        the vertex is collinear, both relative to that floor."""
-        lengths, eps = self._lengths, self.eps_zero
-        norms = norm_rows(self._binormals)
-        floors = lengths[:-1] * lengths[1:]
-        zero = norms <= eps * floors
-        collinear = zero & (dot_rows(self._chords[:-1], self._chords[1:]) > eps * floors)
-        return norms, floors, zero, collinear
-
-    @cached_property
-    def _torsion_floors(self) -> np.ndarray:
-        """Classification floor of each span twist (row i-2 is span i)."""
-        return self._lengths[:-2] * self._lengths[1:-1] * self._lengths[2:]
-
-    def _binormal_floor(self, j: int) -> float:
-        return float(self._vertex_classes[1][j - 1])
-
-    def binormal_is_zero(self, j: int) -> bool:
-        self.binormal(j)  # IndexError outside 1..n-1
-        return bool(self._vertex_classes[2][j - 1])
-
     def vertex_is_collinear(self, j: int) -> bool:
         """Chords around vertex j parallel and co-directed."""
         self.binormal(j)  # IndexError outside 1..n-1
-        return bool(self._vertex_classes[3][j - 1])
+        return bool(self.classes.collinear[j - 1])
 
 
-# flag sets by bit code, bit k standing for _FLAG_BITS[k]
-_FLAG_BITS = (
+# flag sets by bit code, bit k standing for FLAG_BITS[k]
+FLAG_BITS = (
     ShapeFlag.CONVEX,
     ShapeFlag.INFLECTION,
     ShapeFlag.TORSION,
     ShapeFlag.COPLANAR,
     ShapeFlag.COLLINEAR,
 )
-_FLAG_SETS = tuple(
-    frozenset(f for k, f in enumerate(_FLAG_BITS) if code >> k & 1) for code in range(32)
+FLAG_SETS = tuple(
+    frozenset(f for k, f in enumerate(FLAG_BITS) if code >> k & 1) for code in range(32)
 )
 
 
-def span_flags(poly: DataPolygon, spans) -> list:
-    """``classify_vertex`` of every span in the 1-based index array
-    ``spans``, computed over all of them at once."""
+def span_codes(poly: DataPolygon, spans) -> np.ndarray:
+    """The flags of every span in the 1-based index array ``spans`` as bit
+    codes (``FLAG_SETS[code]`` is the set), computed over all at once."""
     n, eps = poly.n_segments, poly.eps_zero
-    norms, floors, _, collinear = poly._vertex_classes
+    _, norms, floors, _, collinear, torsion_floors = poly.classes
     spans = np.asarray(spans, dtype=int)
     # either end vertex collinear; the padding stands for the end points
     padded = np.concatenate([[False], collinear, [False]])
@@ -226,10 +231,10 @@ def span_flags(poly: DataPolygon, spans) -> list:
     d = dot_rows(poly.binormals[prev], poly.binormals[cur])
     convex = well_defined & (d > eps * np_ * nc)
     inflection = well_defined & ~convex & (d < -eps * np_ * nc)
-    torsion = np.abs(poly.torsions[prev]) > eps * poly._torsion_floors[prev]
+    torsion = np.abs(poly.torsions[prev]) > eps * torsion_floors[prev]
     coplanar = well_defined & ~torsion
     codes[inner] |= convex | inflection << 1 | torsion << 2 | coplanar << 3
-    return [_FLAG_SETS[c] for c in codes.tolist()]
+    return codes
 
 
 def classify_vertex(poly: DataPolygon, i: int) -> frozenset:
@@ -238,12 +243,12 @@ def classify_vertex(poly: DataPolygon, i: int) -> frozenset:
     CONVEX / INFLECTION compare the turn binormals at the span's two end
     vertices (available on interior spans only); TORSION / COPLANAR classify
     the span twist; COLLINEAR is set when either end vertex has parallel,
-    co-directed chords.  The one-row case of ``span_flags``.
+    co-directed chords.  The one-row case of ``span_codes``.
     """
     n = poly.n_segments
     if not 1 <= i <= n:
         raise IndexError(f"span index {i} out of range 1..{n}")
-    return span_flags(poly, [i])[0]
+    return FLAG_SETS[span_codes(poly, [i])[0]]
 
 
 def spatial_arc_inflection_count(poly: DataPolygon, directions: int) -> int:
@@ -261,5 +266,5 @@ def spatial_arc_inflection_count(poly: DataPolygon, directions: int) -> int:
     # orthogonal to consecutive pairs (sign-region boundaries)
     extra = np.concatenate([turns, cross_rows(turns[:-1], turns[1:])])
     dirs = sphere_directions(directions, extra=extra)
-    tols = poly.eps_zero * (poly._lengths[:-1] * poly._lengths[1:])[None, :]
+    tols = poly.eps_zero * poly.classes.binormal_floors[None, :]
     return _max_row_changes(dirs, turns, tols)

@@ -68,8 +68,9 @@ def point_rows(nets, u) -> np.ndarray:
 
 def derivative_rows(m0, m1, chord, h, u):
     """First and second derivatives w.r.t. the global parameter as
-    ``(n, m, 3)`` grids, and the constant third derivative as ``(n, 3)``."""
-    u = u[:, None]
+    ``(n, m, 3)`` grids, and the constant third derivative as ``(n, 3)``;
+    ``u`` holds ``m`` parameters, or one row of ``m`` per segment."""
+    u = u[..., None]
     v = 1.0 - u
     a = (3.0 / h)[:, None] * chord
     e1 = (a - m0 - m1)[:, None]

@@ -40,7 +40,7 @@ from .criteria import (
 )
 from .geometry import cross_rows, first_max
 from .jsonout import SLOT, Raw, dumps, entry_template, join_list, number, template
-from .polygon import DataPolygon, ShapeFlag, span_flags
+from .polygon import FLAG_BITS, FLAG_SETS, DataPolygon, ShapeFlag, span_codes
 from .segment import (
     curvature_quad_rows,
     derivative_rows,
@@ -96,7 +96,7 @@ def _knot_vector(polygon: DataPolygon, parameterization: Parameterization) -> np
     if parameterization is Parameterization.UNIFORM:
         widths = np.ones(n)
     else:
-        lengths = np.linalg.norm(polygon.chords, axis=1)
+        lengths = polygon.classes.chord_lengths
         widths = lengths / lengths.mean()
     return np.concatenate([[0.0], np.cumsum(widths)])
 
@@ -105,8 +105,8 @@ def catmull_rom_tangents(polygon: DataPolygon, tension: float) -> np.ndarray:
     pts = polygon.points
     n = polygon.n_segments
     tangents = np.empty_like(pts)
-    tangents[0] = 2.0 * tension * polygon.chord(1)
-    tangents[n] = 2.0 * tension * polygon.chord(n)
+    tangents[0] = 2.0 * tension * polygon.chords[0]
+    tangents[n] = 2.0 * tension * polygon.chords[-1]
     tangents[1:n] = tension * (pts[2:] - pts[:-2])
     return tangents
 
@@ -173,11 +173,7 @@ class VertexReport:
             "index": self.index,
             "N": None if self.binormal is None else [float(x) for x in self.binormal],
             "collinear": self.collinear,
-            "collinearity_extended": (
-                None
-                if self.collinearity_extended is None
-                else self.collinearity_extended.to_dict()
-            ),
+            "collinearity_extended": self.collinearity_extended and self.collinearity_extended.to_dict(),
         }
 
 
@@ -206,10 +202,8 @@ class JointReport:
     def to_dict(self) -> dict:
         return {
             "index": self.index,
-            "adjacency": None if self.adjacency is None else self.adjacency.to_dict(),
-            "torsion_compat": (
-                None if self.torsion_compat is None else self.torsion_compat.to_dict()
-            ),
+            "adjacency": self.adjacency and self.adjacency.to_dict(),
+            "torsion_compat": self.torsion_compat and self.torsion_compat.to_dict(),
         }
 
 
@@ -224,11 +218,11 @@ class SplineReport:
     sort_keys=True, indent=1)`` gives them.
     """
 
-    def __init__(self, binormals, collinear, extended, flags, deltas, segment_rows, joint_rows):
+    def __init__(self, binormals, collinear, extended, codes, deltas, segment_rows, joint_rows):
         self._binormals = binormals  # (n-1, 3), row j-1 is vertex j
         self._collinear = collinear  # per vertex
         self._extended = extended  # vertex -> its collinearity_extended verdict
-        self._flags = flags  # per segment
+        self._codes = codes  # per segment, the bit code of its flags
         self._deltas = deltas  # span twists of segments 2..n-1
         # (Rows, reported rows, their 1-based segment or joint indices), in
         # the order of the verdicts within a segment (battery, collinearity)
@@ -243,7 +237,7 @@ class SplineReport:
     def _per_segment(self, items) -> list:
         """Per segment, in report order, the items ``items(rows, reported)``
         gives for its reported rows, one per row."""
-        out = [[] for _ in self._flags]
+        out = [[] for _ in self._codes]
         for rows, reported, segment in self._segment_rows:
             for i, item in zip(segment, items(rows, reported)):
                 out[i - 1].append(item)
@@ -252,7 +246,7 @@ class SplineReport:
     def _per_joint(self, items) -> list:
         """Per joint, the (adjacency, torsion_compat) items, None where the
         joint has no such verdict."""
-        out = [[None, None] for _ in self._flags[1:]]
+        out = [[None, None] for _ in self._codes[1:]]
         for slot, (rows, reported, joint) in enumerate(self._joint_rows):
             for j, item in zip(joint, items(rows, reported)):
                 out[j - 1][slot] = item
@@ -267,19 +261,26 @@ class SplineReport:
 
     @functools.cached_property
     def segments(self) -> tuple:
-        n = len(self._flags)
+        n = len(self._codes)
         picks = self._per_segment(_row_refs)
         # built segment by segment, so that the first non-finite diagnostic
         # in report order is the one that raises
         return tuple(
             SegmentReport(
                 i,
-                flags,
+                FLAG_SETS[code],
                 self._deltas[i - 2] if 2 <= i <= n - 1 else None,
                 tuple(rows.verdict(r) for rows, r in pick),
             )
-            for i, (flags, pick) in enumerate(zip(self._flags, picks), start=1)
+            for i, (code, pick) in enumerate(zip(self._codes, picks), start=1)
         )
+
+    def passing_segment_rows(self) -> list:
+        """``(segment, rows, row)`` of every passing segment verdict, in
+        report order: the verdict is row ``row`` of the :class:`Rows`
+        ``rows``."""
+        picks = self._per_segment(_row_refs)
+        return [(i, rows, r) for i, pick in enumerate(picks, start=1) for rows, r in pick if rows.passed[r]]
 
     @functools.cached_property
     def joints(self) -> tuple:
@@ -353,16 +354,16 @@ class SplineReport:
         return texts
 
     def _segment_texts(self, level: int) -> list:
-        n = len(self._flags)
+        n = len(self._codes)
         verdicts = self._per_segment(lambda rows, reported: _verdict_texts(rows, reported, level + 2))
         entry = entry_template(("delta", "flags", "index", "verdicts"), level)
         flag_texts = {}
         texts = []
-        for i, (flags, v) in enumerate(zip(self._flags, verdicts), start=1):
-            if flags not in flag_texts:
-                flag_texts[flags] = dumps(sorted(f.value for f in flags), level + 1)
+        for i, (code, v) in enumerate(zip(self._codes, verdicts), start=1):
+            if code not in flag_texts:
+                flag_texts[code] = dumps(sorted(f.value for f in FLAG_SETS[code]), level + 1)
             delta = number(self._deltas[i - 2]) if 2 <= i <= n - 1 else "null"
-            texts.append(entry % (delta, flag_texts[flags], i, join_list(v, level + 1)))
+            texts.append(entry % (delta, flag_texts[code], i, join_list(v, level + 1)))
         return texts
 
     def _joint_texts(self, level: int) -> list:
@@ -414,14 +415,18 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
     segment's verdicts in criterion order, then joints), so the report is
     deterministic; a non-finite reported diagnostic raises ValueError for
     the first one in that order, as a segment-by-segment run would meet it.
+    The polygon's ``eps_zero`` classifies spans and vertices, and the
+    tolerances' the criteria: a ValueError names both if they differ.
     """
     poly = spline.polygon
     tol = cfg.tolerances
     n = poly.n_segments
     eps = tol.eps_zero
+    if eps != poly.eps_zero:
+        raise ValueError(f"polygon eps_zero {poly.eps_zero!r} differs from tolerances eps_zero {eps!r}")
     m0, m1, chord, h = spline.rows()
-    delta, dfloor = poly.torsions, poly._torsion_floors
-    norms, floors, _, collinear = poly._vertex_classes
+    delta = poly.torsions
+    _, norms, floors, _, collinear, dfloor = poly.classes
     # rows that a criterion does not apply to are computed too, and may
     # divide by zero or overflow; their values are never reported
     with np.errstate(all="ignore"):
@@ -467,10 +472,10 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
         j: check_collinearity_extended(spline, j, tol)
         for j in (np.flatnonzero(collinear) + 1).tolist()
     }
-    flags = span_flags(poly, np.arange(1, n + 1))
+    codes = span_codes(poly, np.arange(1, n + 1))
     segment_rows = []
     for flag, rows in battery:
-        reported = np.array([r for r, f in enumerate(flags[inner]) if flag in f], dtype=int)
+        reported = np.flatnonzero(codes[inner] & 1 << FLAG_BITS.index(flag))
         segment_rows.append((rows, reported, (reported + 2).tolist()))
     segment_rows.append((coll, np.arange(len(k)), (k + 1).tolist()))
     with_adjacency = np.flatnonzero(norms > eps * floors)
@@ -479,7 +484,7 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
         (compat, np.arange(max(n - 3, 0)), list(range(2, n - 1))),
     ]
     report = SplineReport(
-        poly.binormals, collinear.tolist(), extended, flags, delta.tolist(), segment_rows, joint_rows
+        poly.binormals, collinear.tolist(), extended, codes.tolist(), delta.tolist(), segment_rows, joint_rows
     )
     if not all(rows.all_finite(reported) for rows, reported in report._reported()):
         # the entry objects check their diagnostics in report order

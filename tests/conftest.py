@@ -21,8 +21,9 @@ from shapespline import (
     sine_angle,
     triple,
 )
-from shapespline.geometry import dot, norm
-from shapespline.segment import point_rows
+from shapespline.criteria import convexity_sampled_rows
+from shapespline.geometry import cross_rows, dot, dot_rows, norm, norm_rows, sine_rows
+from shapespline.segment import derivative_rows, point_rows
 
 
 @pytest.fixture
@@ -278,3 +279,104 @@ def ref_adjacency_product(m, n_vertex, l_prev, l_cur):
     t_proj = m - (dot(m, n_vertex) / (nn * nn)) * n_vertex
     product = dot(cross3(t_proj, l_cur), cross3(t_proj, l_prev))
     return product, norm(t_proj), norm(t_proj) ** 2 * norm(l_cur) * norm(l_prev)
+
+
+def ref_collinearity_extended(spline, vertex: int, tol=Tolerances()):
+    """The neighbourhood collinearity check as it read before it ran on the
+    polygon's rows: one window half, one neighbouring vertex and one
+    neighbour binormal at a time, with the dead band of the flip counts
+    applied by zeroing the values before ``sign_changes``."""
+    poly = spline.polygon
+    n = poly.n_segments
+    if not 1 <= vertex <= n - 1:
+        raise IndexError(f"vertex index {vertex} out of range 1..{n - 1}")
+    if not poly.vertex_is_collinear(vertex):
+        return CriterionVerdict(Criterion.COLLINEARITY, False, None, {"vertex": float(vertex)})
+    eps = tol.eps_zero
+    i = vertex
+    pair = slice(i - 1, i + 1)
+    nets = spline.nets[pair]
+    m0, m1, chord, h = (a[pair] for a in spline.rows())
+    knots = spline.knots
+    t_prev, t_i, t_next = knots[i - 1], knots[i], knots[i + 1]
+    frac = tol.eta_fraction
+    window = (t_i - frac * (t_i - t_prev), t_i + frac * (t_next - t_i))
+    diag = {"vertex": float(i), "window_lo": window[0], "window_hi": window[1]}
+    checks_passed = True
+
+    def binormal_floor(j):
+        return poly.chord_length(j) * poly.chord_length(j + 1)
+
+    l_in, l_out = poly.chord(i), poly.chord(i + 1)
+    sup = 0.0
+    n_half = 33
+    for k, t0, t1 in ((0, t_prev, t_i), (1, t_i, t_next)):
+        lo = max(window[0], t0)
+        hi = min(window[1], t1)
+        if hi <= lo:
+            continue
+        us = (np.linspace(lo, hi, n_half) - t0) / (t1 - t0)
+        d1 = derivative_rows(*(a[k : k + 1] for a in (m0, m1, chord, h)), us)[0][0]
+        d1 = d1[norm_rows(d1) != 0.0]
+        sup = max(sup, sine_rows(d1, l_in).max(initial=0.0), sine_rows(d1, l_out).max(initial=0.0))
+    diag["sup_sine"] = sup
+    checks_passed = checks_passed and sup < tol.eps_collinear
+
+    d1_ends, d2_ends, _ = derivative_rows(m0, m1, chord, h, np.array([0.0, 1.0]))
+    ends = ((i - 1, d1_ends[0, 0], d2_ends[0, 0]), (i + 1, d1_ends[1, 1], d2_ends[1, 1]))
+
+    for j, d1, d2 in ends:
+        if not 1 <= j <= n - 1:
+            continue
+        b_j = poly.binormal(j)
+        if norm(b_j) <= eps * binormal_floor(j):
+            continue
+        val = dot(cross3(d1, d2), b_j)
+        diag[f"curvature_sign_v{j}"] = val
+        checks_passed = checks_passed and val >= -eps * norm(d1) * norm(d2) * norm(b_j)
+
+    for j, d1, _ in ends:
+        if not (1 <= j <= n - 1) or norm(poly.binormal(j)) <= poly.eps_zero * binormal_floor(j):
+            continue
+        ca = cross3(d1, poly.chord(j))
+        cb = cross3(d1, poly.chord(j + 1))
+        floor = norm(d1) ** 2 * poly.chord_length(j) * poly.chord_length(j + 1)
+        product = dot(ca, cb)
+        diag[f"wedge_product_v{j}"] = product
+        checks_passed = checks_passed and product < -eps * floor
+
+    has_nbrs = 1 <= i - 1 and i + 1 <= n - 1
+    diag["interpolates_vertex"] = 1.0
+    if has_nbrs:
+        b_prev, b_next = poly.binormal(i - 1), poly.binormal(i + 1)
+        nbr_dot = dot(b_prev, b_next)
+        diag["neighbourhood_dot"] = nbr_dot
+        floor = norm(b_prev) * norm(b_next)
+        ts = np.linspace(0.0, 1.0, 65)
+        if nbr_dot >= -eps * floor:
+            for tag, b_vec in (("prev", b_prev), ("next", b_next)):
+                if norm(b_vec) == 0.0:
+                    continue
+                ok = bool(convexity_sampled_rows(nets, m0, m1, chord, h, b_vec, 65, eps).all())
+                diag[f"neighbourhood_convex_{tag}"] = float(ok)
+                checks_passed = checks_passed and ok
+        else:
+            d1, d2, _ = derivative_rows(m0, m1, chord, h, ts)
+            omegas = cross_rows(d1, d2)
+            locs = np.concatenate([t_prev + ts * (t_i - t_prev), t_i + ts * (t_next - t_i)])
+            for tag, b_vec in (("prev", b_prev), ("next", b_next)):
+                vals = dot_rows(omegas, b_vec).ravel()
+                tol_v = eps * max(np.abs(vals).max(), 1e-300)
+                vals[np.abs(vals) <= tol_v] = 0.0
+                count = sign_changes(vals)
+                diag[f"flip_count_{tag}"] = float(count)
+                ok = count == 1
+                if ok:
+                    nz = vals != 0.0
+                    nz_locs, pos = locs[nz], vals[nz] > 0
+                    k = int(np.argmax(pos[1:] != pos[:-1]))
+                    flip_at = 0.5 * (nz_locs[k] + nz_locs[k + 1])
+                    diag[f"flip_location_{tag}"] = flip_at
+                    ok = window[0] <= flip_at <= window[1]
+                checks_passed = checks_passed and ok
+    return CriterionVerdict(Criterion.COLLINEARITY, True, checks_passed, diag)

@@ -14,12 +14,13 @@ import numpy as np
 from conftest import (
     ref_adjacency_product,
     ref_collinearity_cubic,
+    ref_collinearity_extended,
     ref_convexity_scalars,
     ref_curvature_quad,
     ref_tau_floor,
     ref_torsion_numerator,
 )
-from shapespline import CubicSegment, Tolerances
+from shapespline import CubicSegment, DataPolygon, Tolerances, build_spline, check_collinearity_extended
 from shapespline.criteria import adjacency_rows, collinearity_rows, convexity_rows
 from shapespline.geometry import (
     cross3,
@@ -232,3 +233,51 @@ def test_collinearity_rows(rng):
     # and failing, and with a zero middle hodograph point
     assert {(False, None, None, False), (True, True, 1.0, True), (True, False, 1.0, True)} <= kinds
     assert {(True, True, 0.0, False), (True, False, 0.0, True)} <= kinds
+
+
+def collinear_polyline(rng, corners: int, run: int, planar: bool) -> np.ndarray:
+    """Random corners, in the plane z = 0 or in space, joined by edges that
+    carry ``run`` points each: vertices 1 and n-1 and every point on an
+    edge are collinear, and with ``run`` of 2 or more a collinear vertex has
+    a collinear neighbour, whose binormal is zero."""
+    ends = rng.uniform(-2.0, 2.0, (corners, 3))
+    if planar:
+        ends[:, 2] = 0.0
+    pts = [ends[0]]
+    for a, b in zip(ends[:-1], ends[1:]):
+        pts.extend(a + (k / (run + 1)) * (b - a) for k in range(1, run + 2))
+    return np.array(pts)
+
+
+def test_collinearity_extended(rng):
+    kinds = set()
+    for k in range(12):
+        pts = collinear_polyline(rng, int(rng.integers(3, 7)), 1 + k % 3, planar=k % 2 == 0)
+        spline = build_spline(DataPolygon(pts))
+        n = spline.polygon.n_segments
+        for eta in (1.0, 0.5, 0.25):
+            tol = Tolerances(eta_fraction=eta)
+            for vertex in range(1, n):
+                got = check_collinearity_extended(spline, vertex, tol)
+                ref = ref_collinearity_extended(spline, vertex, tol)
+                assert (got.applicable, got.passed) == (ref.applicable, ref.passed)
+                assert list(got.diagnostics) == list(ref.diagnostics)
+                values = [np.array(list(v.diagnostics.values())).tobytes() for v in (got, ref)]
+                assert values[0] == values[1]
+                diag = got.diagnostics
+                if not got.applicable:
+                    continue
+                kinds.add(("passed", got.passed))
+                if vertex in (1, n - 1):
+                    kinds.add("boundary")
+                elif sum(key.startswith("wedge_product") for key in diag) < 2:
+                    kinds.add("zero-binormal neighbour")
+                kinds.update(key for key in ("neighbourhood_convex_prev", "flip_location_prev") if key in diag)
+    assert kinds == {
+        ("passed", True),
+        ("passed", False),
+        "boundary",
+        "zero-binormal neighbour",
+        "neighbourhood_convex_prev",
+        "flip_location_prev",
+    }

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapespline import CubicSegment, cli
+from shapespline import CubicSegment, DataPolygon, cli
 from shapespline.cli import SETTINGS, build_parser, main
+from shapespline.criteria import Rows
 from shapespline.geometry import norm_rows
 from shapespline.segment import derivative_rows
 
@@ -393,10 +394,17 @@ def test_no_command_builds_segment_objects(capsys, tmp_path, monkeypatch, rng):
     doc = tmp_path / "polyline.json"
     doc.write_text(json.dumps({"version": 1, "points": np.array(pts).tolist()}))
 
-    def forbidden(seg):
-        raise AssertionError("a CubicSegment was built")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
 
-    monkeypatch.setattr(CubicSegment, "__post_init__", forbidden)
+        return call
+
+    monkeypatch.setattr(CubicSegment, "__post_init__", forbidden("CubicSegment"))
+    # no closed-form verdict object, and no walk of the polygon by index
+    monkeypatch.setattr(Rows, "verdict", forbidden("Rows.verdict"))
+    for name in ("chord", "chord_length", "binormal", "span_torsion", "vertex_is_collinear"):
+        monkeypatch.setattr(DataPolygon, name, forbidden(f"DataPolygon.{name}"))
     code, out, _ = run(capsys, "check", doc)
     report = json.loads(out)
     assert code in (0, 1)
@@ -408,6 +416,8 @@ def test_no_command_builds_segment_objects(capsys, tmp_path, monkeypatch, rng):
     assert code in (0, 1) and len(json.loads(out)["per_segment_curve_counts"]) == len(pts) - 1
     code, out, _ = run(capsys, "sample", doc, "--per-segment", "5")
     assert code == 0 and len(out.splitlines()) == 1 + 5 * (len(pts) - 1)
+    code, out, _ = run(capsys, "measures", doc)
+    assert code == 0 and len(json.loads(out)["collinear_vertices"]) == 3 * 4
 
 
 def _parse_outcome(capsys, parse, argv):

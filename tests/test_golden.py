@@ -4,7 +4,9 @@ of five CLI invocations on each of the 9 fixtures, plus ``inflection`` and
 documents, and ``check`` and ``check --verify --samples 128`` on three
 larger ones (a 120-point helix, a 120-point S-curve and a 40-point
 polyline with collinear runs), and ``check`` on a 1 000-point helix and a
-1 000-point S-curve.
+1 000-point S-curve.  Two more commands narrow the collinearity window
+(``--eta 0.5`` and, under ``--verify``, ``--eta 0.25``) on the two collinear
+fixtures and the 40-point polyline.
 
 A refactor that keeps verdicts but moves a printed digit fails here, with
 the fixture and the command in the test id.  Re-record after a deliberate
@@ -35,7 +37,15 @@ COMMANDS = {
     "sample": ("sample", "--per-segment", "33"),
     "inflection": ("inflection", "--samples", "128", "--directions", "512"),
 }
-CASES = [(f.stem, c) for f in sorted(FIXTURES.glob("*.json")) for c in COMMANDS]
+# the collinearity window over part of each neighbouring knot interval
+ETA_COMMANDS = {
+    "check-eta-0.5": ("check", "--eta", "0.5"),
+    "check-verify-eta-0.25": ("check", "--verify", "--samples", "128", "--eta", "0.25"),
+}
+CASES = [
+    *((f.stem, c) for f in sorted(FIXTURES.glob("*.json")) for c in COMMANDS),
+    *((f, c) for f in ("collinear_in_convex", "collinear_line") for c in ETA_COMMANDS),
+]
 
 
 def collinear_polyline(rng, corners: int = 6, run: int = 2) -> np.ndarray:
@@ -82,11 +92,13 @@ GENERATED_COMMANDS = {
     "inflection-verify-default": ("inflection", "--verify"),
     "check": ("check",),
     "check-verify": ("check", "--verify", "--samples", "128"),
+    **ETA_COMMANDS,
 }
 GENERATED_CASES = [
     *((g, c) for g in ("gen-polyline", "gen-scurve") for c in ("inflection-default", "inflection-verify-default")),
     *((g, c) for g in ("gen-helix-120", "gen-scurve-120", "gen-polyline-40") for c in ("check", "check-verify")),
     *((g, "check") for g in ("gen-helix-1000", "gen-scurve-1000")),
+    *(("gen-polyline-40", c) for c in ETA_COMMANDS),
 ]
 
 
@@ -100,7 +112,7 @@ def invoke(argv):
 
 def run(fixture: str, command: str):
     path = FIXTURES / f"{fixture}.json"
-    sub, *flags = COMMANDS[command]
+    sub, *flags = {**COMMANDS, **ETA_COMMANDS}[command]
     argv = [sub, str(path), *flags]
     if "tangents" in json.loads(path.read_text()):
         argv += ["--tangents", "provided"]

@@ -9,6 +9,7 @@ from shapespline import (
     Parameterization,
     SplineConfig,
     TangentMode,
+    Tolerances,
     analyze,
     build_spline,
     sample_spline,
@@ -245,6 +246,17 @@ class TestAnalyze:
         a = json.dumps(analyze(build_spline(poly, cfg), cfg).to_dict(), sort_keys=True)
         b = json.dumps(analyze(build_spline(poly, cfg), cfg).to_dict(), sort_keys=True)
         assert a == b
+
+    def test_rejects_a_zero_threshold_other_than_the_polygons(self):
+        # vertex 1 turns by a sine of 1e-7: collinear at eps_zero 1e-6 but
+        # not at the polygon's default 1e-9, which would classify it
+        pts = [[0, 0, 0], [1, 0, 0], [2, 1e-7, 0], [3, 1, 0.2], [4, 1, 1]]
+        cfg = SplineConfig(tolerances=Tolerances(eps_zero=1e-6))
+        with pytest.raises(ValueError, match=r"eps_zero 1e-09 .*eps_zero 1e-06"):
+            analyze(build_spline(DataPolygon(pts)), cfg)
+        report = analyze(build_spline(DataPolygon(pts, eps_zero=1e-6)), cfg)
+        assert report.vertices[0].collinear
+        assert report.vertices[0].collinearity_extended.applicable
 
 
 class TestSampleSpline:
