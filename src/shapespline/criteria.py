@@ -22,7 +22,6 @@ relative margin.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -101,8 +100,12 @@ class CriterionVerdict:
         }
 
 
-def _not_applicable(criterion: Criterion, diagnostics=None) -> CriterionVerdict:
-    return CriterionVerdict(criterion, False, None, diagnostics or {})
+def zero_threshold(poly, tol: Tolerances) -> float:
+    """The ``eps_zero`` that the polygon classifies with and the tolerances
+    decide with; a ValueError names both when they differ."""
+    if tol.eps_zero != poly.eps_zero:
+        raise ValueError(f"polygon eps_zero {poly.eps_zero!r} differs from tolerances eps_zero {tol.eps_zero!r}")
+    return tol.eps_zero
 
 
 class Rows:
@@ -132,29 +135,25 @@ class Rows:
         says otherwise; bool columns report as 1.0 and 0.0."""
         self.columns[name] = np.asarray(values, dtype=float)
         self.present[name] = np.ones(len(self.applicable), dtype=bool) if present is None else present
-        self.__dict__.pop("_lists", None)
 
-    def all_finite(self, rows) -> bool:
-        """Whether every diagnostic reported on ``rows`` is finite."""
-        return all(
-            (np.isfinite(col[rows]) | ~self.present[name][rows]).all()
-            for name, col in self.columns.items()
-        )
-
-    @functools.cached_property
-    def _lists(self):
-        return (
-            self.applicable.tolist(),
-            self.passed.tolist(),
-            [(name, col.tolist(), self.present[name].tolist()) for name, col in self.columns.items()],
-        )
+    def first_non_finite(self, rows):
+        """``(k, name, value)`` of the first non-finite diagnostic reported
+        on the rows ``rows``: ``rows[k]`` is the first row holding one, and
+        ``name`` its first such column in column order.  None when every
+        reported diagnostic is finite."""
+        names = list(self.columns)
+        bad = np.column_stack([~np.isfinite(self.columns[k][rows]) & self.present[k][rows] for k in names])
+        if not bad.any():
+            return None
+        k, c = np.argwhere(bad)[0].tolist()  # row-major: first row, then first column
+        return k, names[c], float(self.columns[names[c]][rows[k]])
 
     def verdict(self, r: int) -> CriterionVerdict:
-        applicable, passed, columns = self._lists
-        diag = {name: col[r] for name, col, shown in columns if shown[r]}
-        if not applicable[r]:
+        """Row ``r`` as a verdict object, for the one-row ``check_*`` API."""
+        diag = {name: col[r] for name, col in self.columns.items() if self.present[name][r]}
+        if not self.applicable[r]:
             return CriterionVerdict(self.criterion, False, None, diag)
-        return CriterionVerdict(self.criterion, True, passed[r], diag)
+        return CriterionVerdict(self.criterion, True, self.passed[r], diag)
 
 
 def _row(v) -> np.ndarray:
@@ -527,10 +526,10 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
     n = poly.n_segments
     if not 1 <= vertex <= n - 1:
         raise IndexError(f"vertex index {vertex} out of range 1..{n - 1}")
-    lengths, norms, floors, zero, collinear, _ = poly.classes
+    eps = zero_threshold(poly, tol)
+    lengths, norms, _, zero, collinear, _ = poly.classes
     if not collinear[vertex - 1]:
-        return _not_applicable(Criterion.COLLINEARITY, {"vertex": float(vertex)})
-    eps = tol.eps_zero
+        return CriterionVerdict(Criterion.COLLINEARITY, False, None, {"vertex": float(vertex)})
     i = vertex
     # segments i and i+1 (rows i-1 and i) meet at the vertex
     pair = slice(i - 1, i + 1)
@@ -572,12 +571,9 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
     # (c) tangent inside the data wedge at the neighbouring vertices
     wedge = dot_rows(cross_rows(d1, poly.chords[rows]), cross_rows(d1, poly.chords[rows + 1]))
     wedge_ok = wedge < -eps * (powers(norm_rows(d1), 2) * lengths[rows] * lengths[rows + 1])
-    # each skips a zero binormal: (b) at the tolerances' eps_zero, (c) at
-    # the polygon's
-    for key, shown, vals, ok in (
-        ("curvature_sign", ~(nb <= eps * floors[rows]), curvature, curvature_ok),
-        ("wedge_product", ~zero[rows], wedge, wedge_ok),
-    ):
+    # each skips a zero binormal
+    shown = ~zero[rows]
+    for key, vals, ok in (("curvature_sign", curvature, curvature_ok), ("wedge_product", wedge, wedge_ok)):
         diag.update((f"{key}_v{j}", val) for j, val in zip(rows[shown] + 1, vals[shown].tolist()))
         checks_passed = checks_passed and bool(ok[shown].all())
 

@@ -119,8 +119,10 @@ class DataPolygon:
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite point coordinates")
         chords = np.diff(pts, axis=0)
-        lengths = np.linalg.norm(chords, axis=1)
-        bbox = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        # squares near the top of the float range overflow: the lengths read inf
+        with np.errstate(all="ignore"):
+            lengths = np.linalg.norm(chords, axis=1)
+            bbox = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
         tiny = eps_zero * bbox
         if np.any(lengths <= tiny):
             bad = int(np.argmax(lengths <= tiny))
@@ -164,11 +166,14 @@ class DataPolygon:
     def classes(self) -> Classes:
         """The magnitudes and sign classes of the chords, binormals and twists."""
         lengths, eps = self._lengths, self.eps_zero
-        norms = norm_rows(self._binormals)
-        floors = lengths[:-1] * lengths[1:]
-        zero = norms <= eps * floors
-        collinear = zero & (dot_rows(self._chords[:-1], self._chords[1:]) > eps * floors)
-        classes = Classes(lengths, norms, floors, zero, collinear, lengths[:-2] * lengths[1:-1] * lengths[2:])
+        # products of extreme-scale chords overflow to inf and classify as they read
+        with np.errstate(all="ignore"):
+            norms = norm_rows(self._binormals)
+            floors = lengths[:-1] * lengths[1:]
+            zero = norms <= eps * floors
+            collinear = zero & (dot_rows(self._chords[:-1], self._chords[1:]) > eps * floors)
+            torsion_floors = lengths[:-2] * lengths[1:-1] * lengths[2:]
+        classes = Classes(lengths, norms, floors, zero, collinear, torsion_floors)
         for row in classes:
             row.flags.writeable = False
         return classes
@@ -228,9 +233,11 @@ def span_codes(poly: DataPolygon, spans) -> np.ndarray:
     prev, cur = spans[inner] - 2, spans[inner] - 1
     np_, nc = norms[prev], norms[cur]
     well_defined = (np_ > eps * floors[prev]) & (nc > eps * floors[cur])
-    d = dot_rows(poly.binormals[prev], poly.binormals[cur])
-    convex = well_defined & (d > eps * np_ * nc)
-    inflection = well_defined & ~convex & (d < -eps * np_ * nc)
+    # as in ``DataPolygon.classes``, overflowed products classify as they read
+    with np.errstate(all="ignore"):
+        d = dot_rows(poly.binormals[prev], poly.binormals[cur])
+        convex = well_defined & (d > eps * np_ * nc)
+        inflection = well_defined & ~convex & (d < -eps * np_ * nc)
     torsion = np.abs(poly.torsions[prev]) > eps * torsion_floors[prev]
     coplanar = well_defined & ~torsion
     codes[inner] |= convex | inflection << 1 | torsion << 2 | coplanar << 3

@@ -12,13 +12,16 @@ rescales neither the knot vector nor any verdict.
 
 A spline is one set of rows, one per segment: the end tangents, the knot
 widths ``h`` and the ``(n, 4, 3)`` Bezier nets.  Every criterion, sampler
-and oracle reads slices of them; no per-segment object is built.
+and oracle reads slices of them; no per-segment object is built.  The
+report of ``analyze`` is likewise the criteria kernels' columns, and its
+JSON text is written straight from them.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import json
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -37,6 +40,7 @@ from .criteria import (
     inflection_rows,
     torsion_compat_rows,
     torsion_rows,
+    zero_threshold,
 )
 from .geometry import cross_rows, first_max
 from .jsonout import SLOT, Raw, dumps, entry_template, join_list, number, template
@@ -161,61 +165,15 @@ def build_spline(
 # analysis report
 
 
-@dataclass(frozen=True)
-class VertexReport:
-    index: int
-    binormal: np.ndarray | None
-    collinear: bool
-    collinearity_extended: CriterionVerdict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "N": None if self.binormal is None else [float(x) for x in self.binormal],
-            "collinear": self.collinear,
-            "collinearity_extended": self.collinearity_extended and self.collinearity_extended.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class SegmentReport:
-    index: int
-    flags: frozenset
-    delta: float | None
-    verdicts: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "flags": sorted(f.value for f in self.flags),
-            "delta": self.delta,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-        }
-
-
-@dataclass(frozen=True)
-class JointReport:
-    index: int
-    adjacency: CriterionVerdict | None
-    torsion_compat: CriterionVerdict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "adjacency": self.adjacency and self.adjacency.to_dict(),
-            "torsion_compat": self.torsion_compat and self.torsion_compat.to_dict(),
-        }
-
-
 class SplineReport:
     """The verdicts of ``analyze``, kept as the criteria kernels' columns
-    (:class:`criteria.Rows`) with the map from rows to report entries.
+    (:class:`criteria.Rows`) with the map from rows to report entries; only
+    the vertex ``collinearity_extended`` verdicts are objects.
 
-    ``vertices``, ``segments`` and ``joints`` hold the report's entry
-    objects; they are built on first use and cached.  ``summary`` counts
-    from the kernels' masks, and ``json_sections`` writes the entries
-    straight from the columns, with the bytes ``json.dumps(to_dict(),
-    sort_keys=True, indent=1)`` gives them.
+    ``json_sections`` is the one serialisation: it writes the entries
+    straight from the columns, and ``to_dict`` is the data that text holds.
+    ``summary`` counts from the kernels' masks, and ``passing_segment_rows``
+    walks the passing segment verdicts as rows.
     """
 
     def __init__(self, binormals, collinear, extended, codes, deltas, segment_rows, joint_rows):
@@ -229,10 +187,6 @@ class SplineReport:
         # and within a joint (adjacency, torsion_compat)
         self._segment_rows = segment_rows
         self._joint_rows = joint_rows
-
-    def _reported(self):
-        """Every (Rows, reported rows) pair of the segments and joints."""
-        return [(rows, reported) for rows, reported, _ in self._segment_rows + self._joint_rows]
 
     def _per_segment(self, items) -> list:
         """Per segment, in report order, the items ``items(rows, reported)``
@@ -252,55 +206,31 @@ class SplineReport:
                 out[j - 1][slot] = item
         return out
 
-    @functools.cached_property
-    def vertices(self) -> tuple:
-        return tuple(
-            VertexReport(j, b, c, self._extended.get(j))
-            for j, (b, c) in enumerate(zip(self._binormals, self._collinear), start=1)
-        )
-
-    @functools.cached_property
-    def segments(self) -> tuple:
-        n = len(self._codes)
-        picks = self._per_segment(_row_refs)
-        # built segment by segment, so that the first non-finite diagnostic
-        # in report order is the one that raises
-        return tuple(
-            SegmentReport(
-                i,
-                FLAG_SETS[code],
-                self._deltas[i - 2] if 2 <= i <= n - 1 else None,
-                tuple(rows.verdict(r) for rows, r in pick),
-            )
-            for i, (code, pick) in enumerate(zip(self._codes, picks), start=1)
-        )
-
     def passing_segment_rows(self) -> list:
         """``(segment, rows, row)`` of every passing segment verdict, in
         report order: the verdict is row ``row`` of the :class:`Rows`
         ``rows``."""
-        picks = self._per_segment(_row_refs)
+        picks = self._per_segment(lambda rows, reported: [(rows, r) for r in reported.tolist()])
         return [(i, rows, r) for i, pick in enumerate(picks, start=1) for rows, r in pick if rows.passed[r]]
 
-    @functools.cached_property
-    def joints(self) -> tuple:
-        picks = self._per_joint(_row_refs)
-        return tuple(
-            JointReport(j, *(None if p is None else p[0].verdict(p[1]) for p in pick))
-            for j, pick in enumerate(picks, start=1)
-        )
-
-    def all_verdicts(self):
-        for v in self.vertices:
-            if v.collinearity_extended is not None:
-                yield v.collinearity_extended
-        for s in self.segments:
-            yield from s.verdicts
-        for j in self.joints:
-            if j.adjacency is not None:
-                yield j.adjacency
-            if j.torsion_compat is not None:
-                yield j.torsion_compat
+    def check_finite(self) -> None:
+        """Raise ValueError naming the first non-finite reported diagnostic,
+        in report order: segment by segment (the battery in criterion order,
+        then collinearity), then joint by joint (adjacency, then
+        torsion_compat), and within a verdict in the order its criterion
+        lists its keys."""
+        found = []
+        for section, batches in enumerate((self._segment_rows, self._joint_rows)):
+            for slot, (rows, reported, entries) in enumerate(batches):
+                # a batch's entries ascend, so its first bad row is its first
+                # in report order
+                first = rows.first_non_finite(reported)
+                if first is not None:
+                    k, name, value = first
+                    found.append(((section, entries[k], slot), name, value))
+        if found:
+            _, name, value = min(found, key=itemgetter(0))
+            raise ValueError(f"non-finite diagnostic {name!r}: {value}")
 
     @property
     def summary(self) -> dict:
@@ -314,7 +244,7 @@ class SplineReport:
 
         for v in self._extended.values():
             count(v.criterion, int(v.applicable), int(v.passed is True))
-        for rows, reported in self._reported():
+        for rows, reported, _ in self._segment_rows + self._joint_rows:
             if len(reported):
                 applicable = int(np.count_nonzero(rows.applicable[reported]))
                 count(rows.criterion, applicable, int(np.count_nonzero(rows.passed[reported])))
@@ -322,16 +252,13 @@ class SplineReport:
         return {"criteria": per_criterion, "all_passed": all_passed}
 
     def to_dict(self) -> dict:
-        return {
-            "vertices": [v.to_dict() for v in self.vertices],
-            "segments": [s.to_dict() for s in self.segments],
-            "joints": [j.to_dict() for j in self.joints],
-            "summary": self.summary,
-        }
+        """The report as plain data: what the text of ``json_sections`` holds."""
+        return json.loads(dumps(self.json_sections()))
 
     def json_sections(self) -> dict:
-        """``to_dict()`` with its three entry lists as :class:`jsonout.Raw`
-        text written from the columns, for the top level of a document."""
+        """The report at the top level of a document: its vertex, segment
+        and joint lists as :class:`jsonout.Raw` text written from the
+        columns, and its summary."""
         level = 1
         return {
             "vertices": Raw(join_list(self._vertex_texts(level + 1), level)),
@@ -370,10 +297,6 @@ class SplineReport:
         verdicts = self._per_joint(lambda rows, reported: _verdict_texts(rows, reported, level + 1))
         entry = entry_template(("adjacency", "index", "torsion_compat"), level)
         return [entry % (a or "null", j, t or "null") for j, (a, t) in enumerate(verdicts, start=1)]
-
-
-def _row_refs(rows: Rows, reported: np.ndarray) -> list:
-    return [(rows, r) for r in reported.tolist()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -421,14 +344,12 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
     poly = spline.polygon
     tol = cfg.tolerances
     n = poly.n_segments
-    eps = tol.eps_zero
-    if eps != poly.eps_zero:
-        raise ValueError(f"polygon eps_zero {poly.eps_zero!r} differs from tolerances eps_zero {eps!r}")
+    eps = zero_threshold(poly, tol)
     m0, m1, chord, h = spline.rows()
     delta = poly.torsions
     _, norms, floors, _, collinear, dfloor = poly.classes
-    # rows that a criterion does not apply to are computed too, and may
-    # divide by zero or overflow; their values are never reported
+    # unreported rows may divide by zero or overflow, and a reported
+    # non-finite value raises ValueError: no numpy warning is needed
     with np.errstate(all="ignore"):
         # interior segments 2..n-1 are rows 0..n-3 of the span batches
         inner = slice(1, n - 1)
@@ -466,12 +387,11 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
         coll = collinearity_rows(
             m0[k], m1[k], chord[k], h[k], chord[vert_of - 1], chord[vert_of], eps, tol.eps_collinear
         )
+        extended = {
+            j: check_collinearity_extended(spline, j, tol)
+            for j in (np.flatnonzero(collinear) + 1).tolist()
+        }
     coll.add_column("vertex", vert_of)
-
-    extended = {
-        j: check_collinearity_extended(spline, j, tol)
-        for j in (np.flatnonzero(collinear) + 1).tolist()
-    }
     codes = span_codes(poly, np.arange(1, n + 1))
     segment_rows = []
     for flag, rows in battery:
@@ -486,10 +406,7 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
     report = SplineReport(
         poly.binormals, collinear.tolist(), extended, codes.tolist(), delta.tolist(), segment_rows, joint_rows
     )
-    if not all(rows.all_finite(reported) for rows, reported in report._reported()):
-        # the entry objects check their diagnostics in report order
-        report.segments
-        report.joints
+    report.check_finite()
     return report
 
 

@@ -23,6 +23,7 @@ from shapespline import (
 )
 from shapespline.criteria import convexity_sampled_rows
 from shapespline.geometry import cross_rows, dot, dot_rows, norm, norm_rows, sine_rows
+from shapespline.polygon import FLAG_SETS
 from shapespline.segment import derivative_rows, point_rows
 
 
@@ -105,6 +106,34 @@ def random_rotation(rng):
 
 def vec3(x, y, z):
     return np.array([x, y, z], dtype=float)
+
+
+def collinear_polyline(rng, corners: int = 6, run: int = 2) -> np.ndarray:
+    """3D polyline with ``run`` points placed on every edge between random
+    corners: each of them is a collinear vertex, whose turn vector is
+    dead band along every direction of the arc search, and the segments
+    between them are straight, so every direction sees only dead-band
+    bending on them."""
+    ends = rng.uniform(-2.0, 2.0, (corners, 3))
+    pts = [ends[0]]
+    for a, b in zip(ends[:-1], ends[1:]):
+        pts.extend(a + (k / (run + 1)) * (b - a) for k in range(1, run + 2))
+    return np.array(pts)
+
+
+def noisy_helix(rng, n: int) -> np.ndarray:
+    """Helix with a little positional noise: convex, twisted spans."""
+    t = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(n) / rng.uniform(10.0, 14.0)
+    pts = np.column_stack([np.cos(t), np.sin(t), rng.uniform(0.15, 0.35) * t])
+    return pts + rng.normal(0.0, 0.02, pts.shape)
+
+
+def planar_scurve(rng, n: int = 14) -> np.ndarray:
+    """Sine serpentine in a plane z = const: every segment is planar, so the
+    axis directions in that plane see only dead-band bending."""
+    s = np.arange(n, dtype=float)
+    y = rng.uniform(0.5, 1.5) * np.sin(2.0 * np.pi * s / 9.0 + rng.uniform(0.0, 2.0 * np.pi))
+    return np.column_stack([0.5 * s, y, np.full(n, 1.25)])
 
 
 def spline_segments(spline) -> tuple:
@@ -380,3 +409,45 @@ def ref_collinearity_extended(spline, vertex: int, tol=Tolerances()):
                     ok = window[0] <= flip_at <= window[1]
                 checks_passed = checks_passed and ok
     return CriterionVerdict(Criterion.COLLINEARITY, True, checks_passed, diag)
+
+
+def ref_report_dict(report) -> dict:
+    """``report.to_dict()`` as the report's entry objects built it before
+    the report kept only columns: one ``Rows.verdict`` object per reported
+    row, built segment by segment and then joint by joint, so that the
+    first non-finite diagnostic in that order raises its ValueError."""
+    codes = report._codes
+    n = len(codes)
+    per_segment = [[] for _ in codes]
+    for rows, reported, segments in report._segment_rows:
+        for i, r in zip(segments, reported.tolist()):
+            per_segment[i - 1].append((rows, r))
+    per_joint = [[None, None] for _ in codes[1:]]
+    for slot, (rows, reported, joints) in enumerate(report._joint_rows):
+        for j, r in zip(joints, reported.tolist()):
+            per_joint[j - 1][slot] = (rows, r)
+    vertices = []
+    for j, (b, c) in enumerate(zip(report._binormals, report._collinear), start=1):
+        v = report._extended.get(j)
+        entry = {"index": j, "N": [float(x) for x in b], "collinear": c}
+        vertices.append({**entry, "collinearity_extended": v and v.to_dict()})
+    segments = [
+        {
+            "index": i,
+            "flags": sorted(f.value for f in FLAG_SETS[code]),
+            "delta": report._deltas[i - 2] if 2 <= i <= n - 1 else None,
+            "verdicts": [rows.verdict(r).to_dict() for rows, r in pick],
+        }
+        for i, (code, pick) in enumerate(zip(codes, per_segment), start=1)
+    ]
+    joints = [
+        {
+            "index": j,
+            **{
+                key: None if p is None else p[0].verdict(p[1]).to_dict()
+                for key, p in zip(("adjacency", "torsion_compat"), pick)
+            },
+        }
+        for j, pick in enumerate(per_joint, start=1)
+    ]
+    return {"vertices": vertices, "segments": segments, "joints": joints, "summary": report.summary}

@@ -156,16 +156,16 @@ def test_criterion_05_catmull_rom_torsion(rng):
             cfg = SplineConfig(tension=tension)
             spline = build_spline(poly, cfg)
             rep = analyze(spline, cfg)
-            for seg_rep in rep.segments:
-                flags = seg_rep.flags
-                if ShapeFlag.TORSION not in flags:
+            for seg_rep in rep.to_dict()["segments"]:
+                flags = seg_rep["flags"]
+                if ShapeFlag.TORSION.value not in flags:
                     continue
                 verdicts = [
-                    v for v in seg_rep.verdicts if v.criterion is Criterion.TORSION
+                    v for v in seg_rep["verdicts"] if v["criterion"] == Criterion.TORSION.value
                 ]
                 any_torsion += len(verdicts)
-                all_pass = all_pass and all(v.applicable and v.passed for v in verdicts)
-                i = seg_rep.index
+                all_pass = all_pass and all(v["applicable"] and v["passed"] for v in verdicts)
+                i = seg_rep["index"]
                 if 2 <= i <= poly.n_segments - 1:
                     m0, m1, chord, _ = spline.rows()
                     t = triple(m0[i - 1], chord[i - 1], m1[i - 1])

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from shapespline.criteria import Rows
 from shapespline.geometry import norm_rows
 from shapespline.segment import derivative_rows
 
-from conftest import spline_point
+from conftest import collinear_polyline, spline_point
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -165,6 +166,26 @@ class TestNonFiniteDiagnostic:
         target = tmp_path / "report.json"
         assert run(capsys, "check", path, "--out", target) == (2, "", f"error: {message}\n")
         assert not target.exists()
+
+    # a 13-point polyline with collinear runs; at 1e100 the products of its
+    # chords overflow, and the collinearity check at vertex 1 reads inf
+    POLYLINE = collinear_polyline(np.random.default_rng(8), corners=4, run=3)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e160, 1e-160])
+    def test_extreme_scales_print_no_warnings(self, capsys, tmp_path, scale):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"version": 1, "points": (self.POLYLINE * scale).tolist()}))
+        for argv in (("check",), ("check", "--verify"), ("measures",)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, err = run(capsys, argv[0], path, *argv[1:])
+            assert [str(w.message) for w in caught] == []
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1
+            else:
+                assert err == ""
+            if scale == 1e100 and argv[0] == "check":
+                assert (code, err) == (2, "error: non-finite diagnostic 'curvature_sign_v2': inf\n")
 
     def test_two_non_finite_keys_name_the_first_listed(self):
         from shapespline.polygon import DataPolygon

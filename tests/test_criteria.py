@@ -8,6 +8,7 @@ from shapespline import (
     DataPolygon,
     SplineConfig,
     Tolerances,
+    analyze,
     build_spline,
     catmull_rom_tangents,
     check_adjacency_compat,
@@ -410,6 +411,20 @@ class TestCollinearityExtended:
         spline, cfg = self.build(CONVEX_PLANAR)
         verdict = check_collinearity_extended(spline, 1, cfg.tolerances)
         assert not verdict.applicable
+
+    def test_rejects_a_zero_threshold_other_than_the_polygons(self):
+        # vertex 1 turns by a sine of 1e-7: collinear at eps_zero 1e-6 but
+        # not at the polygon's default 1e-9; every vertex raises as analyze does
+        pts = [[0, 0, 0], [1, 0, 0], [2, 1e-7, 0], [3, 1, 0.2], [4, 1, 1]]
+        spline, _ = self.build(pts)
+        cfg = SplineConfig(tolerances=Tolerances(eps_zero=1e-6))
+        with pytest.raises(ValueError) as via_analyze:
+            analyze(spline, cfg)
+        assert "eps_zero 1e-09" in str(via_analyze.value)
+        for vertex in (1, 2, 3):
+            with pytest.raises(ValueError) as direct:
+                check_collinearity_extended(spline, vertex, cfg.tolerances)
+            assert str(direct.value) == str(via_analyze.value)
 
 
 class TestAdjacencyCompat:

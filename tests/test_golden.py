@@ -28,6 +28,8 @@ from shapespline import cli
 from shapespline.cli import main
 from shapespline.spline import analyze
 
+from conftest import collinear_polyline, noisy_helix, planar_scurve, ref_report_dict
+
 FIXTURES = Path(__file__).parent / "fixtures"
 DIGESTS = Path(__file__).parent / "golden_digests.json"
 COMMANDS = {
@@ -46,34 +48,6 @@ CASES = [
     *((f.stem, c) for f in sorted(FIXTURES.glob("*.json")) for c in COMMANDS),
     *((f, c) for f in ("collinear_in_convex", "collinear_line") for c in ETA_COMMANDS),
 ]
-
-
-def collinear_polyline(rng, corners: int = 6, run: int = 2) -> np.ndarray:
-    """3D polyline with ``run`` points placed on every edge between random
-    corners: each of them is a collinear vertex, whose turn vector is
-    dead band along every direction of the arc search, and the segments
-    between them are straight, so every direction sees only dead-band
-    bending on them."""
-    ends = rng.uniform(-2.0, 2.0, (corners, 3))
-    pts = [ends[0]]
-    for a, b in zip(ends[:-1], ends[1:]):
-        pts.extend(a + (k / (run + 1)) * (b - a) for k in range(1, run + 2))
-    return np.array(pts)
-
-
-def noisy_helix(rng, n: int) -> np.ndarray:
-    """Helix with a little positional noise: convex, twisted spans."""
-    t = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(n) / rng.uniform(10.0, 14.0)
-    pts = np.column_stack([np.cos(t), np.sin(t), rng.uniform(0.15, 0.35) * t])
-    return pts + rng.normal(0.0, 0.02, pts.shape)
-
-
-def planar_scurve(rng, n: int = 14) -> np.ndarray:
-    """Sine serpentine in a plane z = const: every segment is planar, so the
-    axis directions in that plane see only dead-band bending."""
-    s = np.arange(n, dtype=float)
-    y = rng.uniform(0.5, 1.5) * np.sin(2.0 * np.pi * s / 9.0 + rng.uniform(0.0, 2.0 * np.pi))
-    return np.column_stack([0.5 * s, y, np.full(n, 1.25)])
 
 
 # seeded documents for the default-density direction searches; they are
@@ -149,16 +123,17 @@ def test_generated_report_bytes(name, command, digests, tmp_path, monkeypatch):
     assert (sha, code) == (want["sha256"], want["exit"]), f"{name}: `{command}` output changed"
 
 
-def _library_report_text(argv) -> str:
-    """The ``check`` report of ``argv`` from the library dicts, encoded by
-    ``json.dumps``: what the CLI's writer must reproduce byte for byte."""
+def _library_report(argv):
+    """The ``check`` report of ``argv``, with the reference dict that the
+    verdict objects build from its rows, encoded by ``json.dumps``: the
+    text the CLI's writer must reproduce byte for byte."""
     args = cli._parser().parse_args(argv)
     doc = cli.load_document(args.input)
     settings = cli._resolve_settings(args, doc)
     _, spline, cfg = cli._build(doc, settings)
     report = analyze(spline, cfg)
-    payload = {"version": 1, "config": cli._config_echo(settings), **report.to_dict()}
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    payload = {"version": 1, "config": cli._config_echo(settings), **ref_report_dict(report)}
+    return report, json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -175,7 +150,9 @@ def test_check_stdout_is_the_library_dict_encoded(name, tmp_path):
     buf = io.StringIO()
     with redirect_stdout(buf):
         main(argv)
-    assert buf.getvalue() == _library_report_text(argv)
+    report, text = _library_report(argv)
+    assert buf.getvalue() == text
+    assert report.to_dict() == ref_report_dict(report)
 
 
 if __name__ == "__main__":

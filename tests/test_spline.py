@@ -16,10 +16,16 @@ from shapespline import (
     triple,
 )
 from shapespline.segment import net_fault
+from shapespline.criteria import Rows
+from shapespline.spline import SplineReport
 from conftest import (
+    collinear_polyline,
     finite_diff_derivatives,
+    noisy_helix,
+    planar_scurve,
     random_noncoplanar_polygon,
     random_polygon,
+    ref_report_dict,
     spline_segments,
 )
 
@@ -125,10 +131,10 @@ class TestCatmullRomIdentities:
             report = analyze(spline, cfg_with(tension=tension))
             verdicts.append(
                 [
-                    (v.applicable, v.passed)
-                    for s in report.segments
-                    for v in s.verdicts
-                    if v.criterion is Criterion.TORSION
+                    (v["applicable"], v["passed"])
+                    for s in report.to_dict()["segments"]
+                    for v in s["verdicts"]
+                    if v["criterion"] == Criterion.TORSION.value
                 ]
             )
         assert verdicts[0] == verdicts[1] == verdicts[2]
@@ -169,11 +175,11 @@ class TestAnalyze:
             report = analyze(build_spline(poly, cfg), cfg)
             torsion = [
                 v
-                for s in report.segments
-                for v in s.verdicts
-                if v.criterion is Criterion.TORSION
+                for s in report.to_dict()["segments"]
+                for v in s["verdicts"]
+                if v["criterion"] == Criterion.TORSION.value
             ]
-            assert torsion and all(v.passed for v in torsion)
+            assert torsion and all(v["passed"] for v in torsion)
 
     def test_planar_data_coplanarity_applicable_and_passing(self):
         pts = [(0, 0, 0), (1, 1, 0), (2, 1, 0), (3, 0, 0), (4, -2, 0)]
@@ -182,12 +188,12 @@ class TestAnalyze:
         report = analyze(build_spline(poly, cfg), cfg)
         coplanar = [
             v
-            for s in report.segments
-            for v in s.verdicts
-            if v.criterion is Criterion.COPLANARITY
+            for s in report.to_dict()["segments"]
+            for v in s["verdicts"]
+            if v["criterion"] == Criterion.COPLANARITY.value
         ]
-        assert coplanar and all(v.applicable and v.passed for v in coplanar)
-        assert all(v.diagnostics["sup_sine"] <= 1e-10 for v in coplanar)
+        assert coplanar and all(v["applicable"] and v["passed"] for v in coplanar)
+        assert all(v["diagnostics"]["sup_sine"] <= 1e-10 for v in coplanar)
 
     def test_collinear_vertex_collinearity_applicable_zero_sine(self):
         pts = [(0, 1, 0), (1, 0.5, 0), (2, 0, 0), (3, -0.5, 0), (4, -1.5, 0)]
@@ -196,30 +202,27 @@ class TestAnalyze:
         cfg = cfg_with()
         report = analyze(build_spline(poly, cfg), cfg)
         collinear = [
-            v
-            for s in report.segments
-            for v in s.verdicts
-            if v.criterion is Criterion.COLLINEARITY
+            (s["index"], v)
+            for s in report.to_dict()["segments"]
+            for v in s["verdicts"]
+            if v["criterion"] == Criterion.COLLINEARITY.value
         ]
         assert collinear
         # Catmull-Rom tangent at the flat vertex is exactly chordal: the
         # vertex-side derivative control points contribute zero sine
-        for v in collinear:
-            assert v.applicable
-            seg_index = [
-                s.index for s in report.segments for w in s.verdicts if w is v
-            ][0]
+        for seg_index, v in collinear:
+            assert v["applicable"]
             key = "sine_p0_prev" if seg_index == 3 else "sine_p2_prev"
-            assert v.diagnostics[key] <= 1e-12
+            assert v["diagnostics"][key] <= 1e-12
 
     def test_report_flags_match_classification(self, rng):
         poly = random_polygon(rng, 6)
         cfg = cfg_with()
         report = analyze(build_spline(poly, cfg), cfg)
-        from shapespline import classify_vertex
+        from shapespline import ShapeFlag, classify_vertex
 
-        for s in report.segments:
-            assert s.flags == classify_vertex(poly, s.index)
+        for s in report.to_dict()["segments"]:
+            assert frozenset(map(ShapeFlag, s["flags"])) == classify_vertex(poly, s["index"])
 
     def test_summary_counts_the_verdict_objects(self, rng):
         collinear = DataPolygon([(0, 1, 0), (1, 0.5, 0), (2, 0, 0), (3, -0.5, 0), (4, -1.5, 0)])
@@ -227,18 +230,18 @@ class TestAnalyze:
         for poly in polygons:
             cfg = cfg_with()
             report = analyze(build_spline(poly, cfg), cfg)
+            data = report.to_dict()
+            verdicts = [v["collinearity_extended"] for v in data["vertices"]]
+            verdicts += [v for s in data["segments"] for v in s["verdicts"]]
+            verdicts += [j[key] for j in data["joints"] for key in ("adjacency", "torsion_compat")]
             counts = {}
-            for v in report.all_verdicts():
-                entry = counts.setdefault(v.criterion.value, {"applicable": 0, "passed": 0, "failed": 0})
-                if v.applicable:
+            for v in filter(None, verdicts):
+                entry = counts.setdefault(v["criterion"], {"applicable": 0, "passed": 0, "failed": 0})
+                if v["applicable"]:
                     entry["applicable"] += 1
-                    entry["passed" if v.passed else "failed"] += 1
-            all_passed = all(v.passed for v in report.all_verdicts() if v.applicable)
+                    entry["passed" if v["passed"] else "failed"] += 1
+            all_passed = all(v["passed"] for v in filter(None, verdicts) if v["applicable"])
             assert report.summary == {"criteria": counts, "all_passed": all_passed}
-            # the entry objects are built once
-            assert report.vertices is report.vertices
-            assert report.segments is report.segments
-            assert report.joints is report.joints
 
     def test_report_determinism(self, rng):
         poly = random_noncoplanar_polygon(rng, 7)
@@ -255,8 +258,117 @@ class TestAnalyze:
         with pytest.raises(ValueError, match=r"eps_zero 1e-09 .*eps_zero 1e-06"):
             analyze(build_spline(DataPolygon(pts)), cfg)
         report = analyze(build_spline(DataPolygon(pts, eps_zero=1e-6)), cfg)
-        assert report.vertices[0].collinear
-        assert report.vertices[0].collinearity_extended.applicable
+        assert report.to_dict()["vertices"][0]["collinear"]
+        assert report.to_dict()["vertices"][0]["collinearity_extended"]["applicable"]
+
+
+def tiny_width_knots(rng, n: int, width: float) -> np.ndarray:
+    """Knots of ``n`` segments, of width 1 but for a run of one or two
+    random segments of ``width``; the run starts at knot 0, where such a
+    width is representable."""
+    widths = np.ones(n)
+    start = int(rng.integers(0, n))
+    widths[start : start + int(rng.integers(1, 3))] = width
+    knots = np.zeros(n + 1)
+    knots[:start] = -np.arange(start, 0, -1)
+    knots[start + 1 :] = np.cumsum(widths[start:])
+    return knots
+
+
+def _outcome(run) -> str | None:
+    try:
+        run()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestNonFiniteOrder:
+    """``analyze`` names the first non-finite diagnostic that the verdict
+    objects of ``ref_report_dict`` raise for, building them segment by
+    segment, then joint by joint."""
+
+    # criterion keys that name where the first non-finite cell lies
+    BATTERY = ("normal_dot", "a_", "b_", "c_", "c0_dot", "c2_dot", "tangent_triple", "sine_c", "normal_norm")
+    JOINT = ("tau_joint", "delta_prev", "delta_cur", "vertex_normal_norm", "projected_tangent_norm")
+    VERTEX = ("curvature_sign", "wedge_product", "flip_", "neighbourhood")
+
+    def where(self, message) -> str:
+        if message is None:
+            return "finite"
+        key = message.split("'")[1]
+        for place, keys in (("battery", self.BATTERY), ("joint", self.JOINT), ("vertex", self.VERTEX)):
+            if key.startswith(keys):
+                return place
+        return "collinearity" if key.startswith("sine_p") else key
+
+    def check(self, monkeypatch, points, knots) -> str:
+        spline = build_spline(DataPolygon(points), cfg_with(), knots=knots)
+        with monkeypatch.context() as m:
+            # the report unchecked, as the reference walk reads it; a vertex
+            # verdict raises while it is built, in both
+            m.setattr(SplineReport, "check_finite", lambda self: None)
+            want = _outcome(lambda: ref_report_dict(analyze(spline, cfg_with())))
+        got = _outcome(lambda: analyze(spline, cfg_with()))
+        assert got == want
+        return self.where(want)
+
+    def test_seeded_tiny_widths(self, rng, monkeypatch):
+        places = set()
+        with np.errstate(all="ignore"):
+            for k in range(45):
+                n = int(rng.integers(6, 14))
+                points = (noisy_helix(rng, n), planar_scurve(rng, n), collinear_polyline(rng, 4, 2))[k % 3]
+                knots = tiny_width_knots(rng, len(points) - 1, (1e-90, 1e-160)[k // 3 % 2])
+                places.add(self.check(monkeypatch, points, knots))
+        assert places == {"finite", "battery", "joint", "vertex"}
+
+    def test_random_cells_of_hand_built_columns(self, rng):
+        # every batch of a 9-segment report with random reported rows and a
+        # few non-finite cells; the column names tell the batches apart
+        n = 9
+
+        def batch(criterion, tag, size, reported, entries):
+            applicable = rng.random(size) < 0.7
+            names = [f"{tag}{k}" for k in range(3)]
+            columns = {name: rng.normal(size=size) for name in names}
+            for col in columns.values():
+                col[rng.random(size) < 0.04] = rng.choice([np.nan, np.inf, -np.inf])
+            rows = Rows(criterion, applicable, applicable & (rng.random(size) < 0.5), columns, head=1)
+            return rows, reported, entries
+
+        def subset(size):
+            return np.flatnonzero(rng.random(size) < 0.6)
+
+        places = set()
+        for _ in range(300):
+            segment_rows = []
+            for tag, criterion in enumerate((Criterion.CONVEXITY, Criterion.INFLECTION, Criterion.TORSION)):
+                reported = subset(n - 2)
+                segment_rows.append(batch(criterion, f"s{tag}_", n - 2, reported, (reported + 2).tolist()))
+            segments = np.sort(rng.integers(1, n + 1, 6))
+            segment_rows.append(batch(Criterion.COLLINEARITY, "c_", 6, np.arange(6), segments.tolist()))
+            with_adjacency = subset(n - 1)
+            joint_rows = [
+                batch(Criterion.ADJACENCY_COMPAT, "a_", n - 1, with_adjacency, (with_adjacency + 1).tolist()),
+                batch(Criterion.TORSION_COMPAT, "t_", n - 3, np.arange(n - 3), list(range(2, n - 1))),
+            ]
+            vertices = (np.ones((n - 1, 3)), [False] * (n - 1), {})
+            report = SplineReport(*vertices, [0] * n, [1.0] * (n - 2), segment_rows, joint_rows)
+            want = _outcome(lambda: ref_report_dict(report))
+            assert _outcome(report.check_finite) == want
+            places.add(want and want.split("'")[1][0])
+        assert places == {None, "s", "c", "a", "t"}
+
+    def test_collinearity_row(self, monkeypatch):
+        # a width whose 3/h overflows: the middle hodograph point of segment
+        # 1 is inf times the chord's zero components, a NaN that its
+        # collinearity bound at vertex 1 reports.  Widths of 1e-90 and
+        # 1e-160 never get there: a control vector whose norm overflows is
+        # masked out of the bound.
+        points = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 1, 0], [4, 3, 1]]
+        with np.errstate(all="ignore"):
+            assert self.check(monkeypatch, points, [0, 1e-310, 1, 2, 3]) == "collinearity"
 
 
 class TestSampleSpline:

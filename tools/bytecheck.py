@@ -19,7 +19,11 @@ The set, with its documents generated by ``perfbench/gen.py``:
   ``check_small`` documents;
 * the collinearity window over part of the knot intervals, ``check --eta
   0.5`` and ``check --verify --samples 128 --eta 0.25``, on the two
-  collinear fixtures and on every polyline document of those seeds.
+  collinear fixtures and on every polyline document of those seeds;
+* documents whose diagnostics overflow, under ``check``, ``check
+  --verify`` and ``measures``: the tiny-knot and NaN-curvature documents
+  and the 13-point polyline of ``tests/test_cli.py``'s
+  ``TestNonFiniteDiagnostic``, the polyline scaled by 1e±100 and 1e±160.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
+import numpy as np  # noqa: E402
 
 FIXTURE_COMMANDS = (
     ("check",),
@@ -54,6 +59,33 @@ ETA_COMMANDS = (
     ("check", "--verify", "--samples", "128", "--eta", "0.25"),
 )
 ETA_FIXTURES = ("collinear_in_convex", "collinear_line")
+OVERFLOW_COMMANDS = (("check",), ("check", "--verify"), ("measures",))
+
+
+def overflow_documents() -> dict:
+    """The documents of ``tests/test_cli.py``'s ``TestNonFiniteDiagnostic``
+    by name: knot widths of 1e-90, knot widths of 1e-160 on planar data, and
+    its polyline, built as ``tests/conftest.py``'s ``collinear_polyline``
+    builds it, at four scales."""
+    docs = {
+        "tiny-knots": {
+            "version": 1,
+            "points": [[0, 0, 0], [1, 0.2, 0.1], [2, 1, -0.3], [3, 2.5, 0.4], [4, 2.7, 1.0], [5, 3, 0.2]],
+            "knots": [k * 1e-90 for k in range(6)],
+        },
+        "nan-curvature": {
+            "version": 1,
+            "points": [[0, 0, 0], [1, 0.2, 0], [2, 1, 0], [3, 2.5, 0]],
+            "knots": [0, 1e-160, 2e-160, 3e-160],
+        },
+    }
+    ends = np.random.default_rng(8).uniform(-2.0, 2.0, (4, 3))
+    pts = [ends[0]]
+    for a, b in zip(ends[:-1], ends[1:]):
+        pts.extend(a + (k / 4) * (b - a) for k in range(1, 5))
+    for scale in (1e100, 1e-100, 1e160, 1e-160):
+        docs[f"polyline-x{scale:g}"] = {"version": 1, "points": (np.array(pts) * scale).tolist()}
+    return docs
 
 
 def plan(seeds, workdir: Path) -> list:
@@ -78,6 +110,10 @@ def plan(seeds, workdir: Path) -> list:
                 if name.startswith("polyline-"):
                     commands += [(sub, str(path), *flags) for sub, *flags in ETA_COMMANDS]
                 invocations += [list(argv) for argv in dict.fromkeys(commands)]
+    for name, doc in overflow_documents().items():
+        path = workdir / f"overflow-{name}.json"
+        path.write_text(json.dumps(doc))
+        invocations += [[sub, str(path), *flags] for sub, *flags in OVERFLOW_COMMANDS]
     return invocations
 
 
