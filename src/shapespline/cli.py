@@ -31,7 +31,14 @@ import numpy as np
 from . import jsonout, oracle
 from .criteria import Criterion, Tolerances
 from .geometry import cross_rows, dot_rows, norm, norm_rows, sine_rows
-from .polygon import FLAG_SETS, DataPolygon, _count_changes_rows, span_codes, spatial_arc_inflection_count
+from .polygon import (
+    _BLOCK_ENTRIES,
+    FLAG_SETS,
+    DataPolygon,
+    _count_changes_rows,
+    span_codes,
+    spatial_arc_inflection_count,
+)
 from .segment import torsion_numerator_rows
 from .spline import (
     Parameterization,
@@ -50,6 +57,21 @@ class InputError(ValueError):
 def _finite(x) -> bool:
     """A JSON number (not a bool) that converts to a finite float."""
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _all_finite(entries: list, numbers) -> bool:
+    """Whether every one of ``numbers`` (the scalars of ``entries``) passes
+    ``_finite``, checked in one pass over the types and one over the parsed
+    ``entries``.  False when the caller's per-entry loop must decide, as it
+    does for a float of magnitude ``sys.float_info.max`` or an int that
+    rounds to it."""
+    if not set(map(type, numbers)) <= {int, float}:
+        return False
+    try:
+        values = np.array(entries, dtype=float)
+    except OverflowError:
+        return False
+    return bool(np.all(np.abs(values) < sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -132,6 +154,13 @@ def load_document(path: str) -> dict:
             raise InputError(f"'{key}' must be a list")
         if len(entries) != len(pts):
             raise InputError(f"'{key}' must have {len(pts)} entries")
+        if key == "knots":
+            if _all_finite(entries, entries):
+                continue
+        elif set(map(type, entries)) == {list} and set(map(len, entries)) == {3}:
+            if _all_finite(entries, itertools.chain.from_iterable(entries)):
+                continue
+        # the first bad entry, named as it is met
         for k, e in enumerate(entries):
             if key == "knots":
                 if not _finite(e):
@@ -209,81 +238,112 @@ def _config_echo(settings: dict) -> dict:
 
 def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
     """Re-derive every passing segment verdict by sampling; return a list
-    of human-readable disagreement strings (empty = clean)."""
-    seed = int(os.environ.get("SHAPESPLINE_SEED", "0"))
-    rng = np.random.default_rng(seed)
-    tol = cfg.tolerances
-    us = np.linspace(0.0, 1.0, settings["samples"])
-    poly = spline.polygon
+    of human-readable disagreement strings (empty = clean), segment by
+    segment in report order.
+
+    The segments are sampled a run at a time, so that the sampled arrays
+    stay near ``_BLOCK_ENTRIES`` values whatever the document's size."""
+    rng = np.random.default_rng(int(os.environ.get("SHAPESPLINE_SEED", "0")))
+    taus = torsion_numerator_rows(*spline.rows())
+    passing = report.passing_segment_rows()
     problems = []
-    taus = torsion_numerator_rows(*spline.rows()).tolist()
-    # widths as Python floats: numpy floats round the oracle's h**k differently
-    widths = spline.widths.tolist()
-
-    for i, passing in itertools.groupby(report.passing_segment_rows(), key=itemgetter(0)):
-        ctrl, h, tau = spline.nets[i - 1], widths[i - 1], taus[i - 1]
-        tangents, d2, _ = oracle.decasteljau_derivatives(ctrl, us, h)
-        omegas = cross_rows(tangents, d2)
-        sampled = oracle.SampledCurve(us, oracle.decasteljau(ctrl, us))
-        # the binormals at the segment's end vertices, on interior segments
-        normals = poly.binormals[i - 2 : i]
-
-        for _, rows, r in passing:
-            crit = rows.criterion
-            if crit is Criterion.CONVEXITY:
-                for tag, nv in zip(("prev", "cur"), normals):
-                    if not oracle.sampled_global_convexity(sampled, nv, tol.eps_zero):
-                        problems.append(
-                            f"segment {i}: convexity passed but sampled projection "
-                            f"along the {tag} binormal is not convex"
-                        )
-            elif crit is Criterion.INFLECTION:
-                b_prev, b_cur = normals
-                probes = [b_prev, b_cur]
-                for _ in range(8):
-                    lam = rng.uniform(0.1, 1.0)
-                    mu = -rng.uniform(0.1, 1.0)
-                    probes.append(lam * b_prev + mu * b_cur)
-                vals = np.stack([omegas @ nv for nv in probes])
-                bands = [tol.eps_zero * max(float(np.abs(v).max()), 1e-300) for v in vals]
-                # a NaN band leaves every non-zero value live
-                changes = _count_changes_rows(vals, np.fmax(bands, 0.0)[:, None]).tolist()
-                for k, count in enumerate(changes):
-                    if count != 1:
-                        problems.append(
-                            f"segment {i}: inflection passed but sampled bending "
-                            f"flips {count} times along probe {k}"
-                        )
-            elif crit is Criterion.TORSION:
-                probe_us = np.array([0.0, 0.37, 0.5, 1.0])
-                d1, d2, d3 = oracle.decasteljau_derivatives(ctrl, probe_us, h)
-                dets = dot_rows(cross_rows(d1, d2), d3)
-                # rounding in det and tau scales with |d1||d2||d3|, which
-                # on a nearly coplanar span is far above |tau|
-                bad = np.abs(dets - tau) > 1e-9 * norm_rows(d1) * norm_rows(d2) * norm(d3)
-                for u, det in zip(probe_us[bad].tolist(), dets[bad].tolist()):
-                    problems.append(
-                        f"segment {i}: torsion numerator {tau} disagrees with "
-                        f"sampled determinant {det} at u={u}"
-                    )
-            elif crit is Criterion.COPLANARITY:
-                scale = float(np.linalg.norm(omegas, axis=1).max())
-                bent = omegas[norm_rows(omegas) > tol.eps_zero * max(scale, 1e-300)]
-                for tag, nv in zip(("prev", "cur"), normals):
-                    if np.any(sine_rows(bent, nv) >= tol.eps_coplanar):
-                        problems.append(
-                            f"segment {i}: coplanarity passed but a sampled "
-                            f"binormal tilts past eps1 from the {tag} normal"
-                        )
-            elif crit is Criterion.COLLINEARITY:
-                j = int(rows.columns["vertex"][r])
-                moving = tangents[norm_rows(tangents) != 0.0]
-                if any(np.any(sine_rows(moving, l) >= tol.eps_collinear) for l in poly.chords[j - 1 : j + 1]):
-                    problems.append(
-                        f"segment {i}: collinearity passed but a sampled tangent "
-                        f"tilts past eps0 from the chords"
-                    )
+    for s, t in oracle.segment_runs(spline.polygon.n_segments, settings["samples"]):
+        run = [e for e in passing if s < e[0] <= t]
+        if run:
+            problems += _verify_segments(spline, run, taus, rng, cfg.tolerances, settings["samples"])
     return problems
+
+
+def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples: int) -> list:
+    """The disagreements of the passing verdicts ``passing``, given as
+    ``(segment, rows, row)`` in report order, in that order.  Each criterion
+    samples all its segments at once, drawing the inflection probes' mixing
+    weights in verdict order, and a message is formatted only for a probe
+    that fails."""
+    us = np.linspace(0.0, 1.0, samples)
+    poly = spline.polygon
+    # one evaluation of every segment that holds a passing verdict
+    segs = np.unique([i for i, _, _ in passing])
+    tangents, d2, _ = oracle.decasteljau_derivatives(spline.nets[segs - 1], us, spline.widths[segs - 1])
+    omegas = cross_rows(tangents, d2)
+    by_criterion = {}
+    for p, (i, rows, r) in enumerate(passing):
+        by_criterion.setdefault(rows.criterion, []).append((p, i, rows, r))
+    problems = []  # (passing entry, probe within it, text)
+
+    for crit, entries in by_criterion.items():
+        at, seg = np.array([p for p, *_ in entries]), np.array([i for _, i, _, _ in entries])
+        at_list, seg_list = at.tolist(), seg.tolist()
+        k = np.searchsorted(segs, seg)
+        if crit is not Criterion.COLLINEARITY:
+            # the binormals at the end vertices of the interior segments
+            normals = np.stack([poly.binormals[seg - 2], poly.binormals[seg - 1]], axis=1)
+        if crit is Criterion.CONVEXITY:
+            points = oracle.decasteljau(spline.nets[seg - 1], us)
+            convex = oracle.sampled_convexity(
+                np.repeat(points, 2, axis=0), normals.reshape(-1, 3), tol.eps_zero
+            ).reshape(-1, 2)
+            for e, t in np.argwhere(~convex).tolist():
+                problems.append((at_list[e], t, (
+                    f"segment {seg_list[e]}: convexity passed but sampled projection "
+                    f"along the {('prev', 'cur')[t]} binormal is not convex"
+                )))
+        elif crit is Criterion.INFLECTION:
+            # eight mixed probes per verdict, drawn in verdict order as (lam, mu) pairs
+            lam, mu = np.moveaxis(rng.uniform(0.1, 1.0, (len(entries), 8, 2)), -1, 0)
+            mixed = lam[..., None] * normals[:, :1] + -mu[..., None] * normals[:, 1:]
+            probes = np.concatenate([normals, mixed], axis=1)
+            # one matrix-vector product per probe, as for a single probe
+            vals = np.matmul(omegas[k][:, None], probes[..., None])[..., 0]
+            bands = tol.eps_zero * np.maximum(np.abs(vals).max(axis=-1), 1e-300)
+            # a NaN band leaves every non-zero value live
+            changes = _count_changes_rows(vals, np.fmax(bands, 0.0)[..., None])
+            for e, probe in np.argwhere(changes != 1).tolist():
+                problems.append((at_list[e], probe, (
+                    f"segment {seg_list[e]}: inflection passed but sampled bending "
+                    f"flips {changes[e, probe]} times along probe {probe}"
+                )))
+        elif crit is Criterion.TORSION:
+            probe_us = np.array([0.0, 0.37, 0.5, 1.0])
+            d1, d2_, d3 = oracle.decasteljau_derivatives(spline.nets[seg - 1], probe_us, spline.widths[seg - 1])
+            dets = dot_rows(cross_rows(d1, d2_), d3[:, None])
+            tau = taus[seg - 1]
+            # rounding in det and tau scales with |d1||d2||d3|, which
+            # on a nearly coplanar span is far above |tau|
+            bound = 1e-9 * norm_rows(d1) * norm_rows(d2_) * norm_rows(d3)[:, None]
+            bad = np.argwhere(np.abs(dets - tau[:, None]) > bound).tolist()
+            # the numbers print as Python floats
+            tau, dets, probe_us = tau.tolist(), dets.tolist(), probe_us.tolist()
+            for e, j in bad:
+                problems.append((at_list[e], j, (
+                    f"segment {seg_list[e]}: torsion numerator {tau[e]} disagrees with "
+                    f"sampled determinant {dets[e][j]} at u={probe_us[j]}"
+                )))
+        elif crit is Criterion.COPLANARITY:
+            scale = np.linalg.norm(omegas[k], axis=-1).max(axis=1)
+            e, j = np.nonzero(norm_rows(omegas[k]) > tol.eps_zero * np.maximum(scale, 1e-300)[:, None])
+            bent = omegas[k[e], j]
+            for t, tag in enumerate(("prev", "cur")):
+                tilted = np.unique(e[sine_rows(bent, normals[e, t]) >= tol.eps_coplanar]).tolist()
+                for e_ in tilted:
+                    problems.append((at_list[e_], t, (
+                        f"segment {seg_list[e_]}: coplanarity passed but a sampled "
+                        f"binormal tilts past eps1 from the {tag} normal"
+                    )))
+        elif crit is Criterion.COLLINEARITY:
+            j = np.array([rows.columns["vertex"][r] for *_, rows, r in entries], dtype=int)
+            e, s = np.nonzero(norm_rows(tangents[k]) != 0.0)
+            moving = tangents[k[e], s]
+            tilted = (sine_rows(moving, poly.chords[j[e] - 1]) >= tol.eps_collinear) | (
+                sine_rows(moving, poly.chords[j[e]]) >= tol.eps_collinear
+            )
+            for e_ in np.unique(e[tilted]).tolist():
+                problems.append((at_list[e_], 0, (
+                    f"segment {seg_list[e_]}: collinearity passed but a sampled tangent "
+                    f"tilts past eps0 from the chords"
+                )))
+    problems.sort(key=itemgetter(0, 1))
+    return [text for _, _, text in problems]
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +408,14 @@ def cmd_inflection(args) -> int:
     polygon, spline, cfg = _build(doc, settings)
     directions = settings["directions"]
     arc_count = spatial_arc_inflection_count(polygon, directions)
-    # widths as Python floats: numpy floats round the oracle's h**k differently
-    nets = list(zip(spline.nets, spline.widths.tolist()))
-    seg_counts = [
-        oracle.projected_inflection_count(
-            ctrl, h, directions, settings["samples"], cfg.tolerances.eps_zero
-        )
-        for ctrl, h in nets
-    ]
+    counts = functools.partial(
+        oracle.projected_inflection_counts,
+        spline.nets,
+        spline.widths,
+        samples=settings["samples"],
+        eps_zero=cfg.tolerances.eps_zero,
+    )
+    seg_counts = counts(directions).tolist()
     payload = {
         "version": 1,
         "config": _config_echo(settings),
@@ -370,15 +430,9 @@ def cmd_inflection(args) -> int:
             problems.append(
                 f"arc count {arc_count} undercounts: {dense} at double density"
             )
-        for k, (ctrl, h) in enumerate(nets):
-            dense = oracle.projected_inflection_count(
-                ctrl, h, 2 * directions, settings["samples"], cfg.tolerances.eps_zero
-            )
-            if dense > seg_counts[k]:
-                problems.append(
-                    f"segment {k + 1} count {seg_counts[k]} undercounts: {dense} "
-                    f"at double density"
-                )
+        for k, (count, dense) in enumerate(zip(seg_counts, counts(2 * directions).tolist()), start=1):
+            if dense > count:
+                problems.append(f"segment {k} count {count} undercounts: {dense} at double density")
         payload["verify"] = {"disagreements": problems}
         if problems:
             exit_code = 1

@@ -4,7 +4,9 @@ All randomness is seeded per test via the ``rng`` fixture so the suite is
 fully reproducible.
 """
 
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from shapespline import (
     triple,
 )
 from shapespline.criteria import convexity_sampled_rows
-from shapespline.geometry import cross_rows, dot, dot_rows, norm, norm_rows, sine_rows
-from shapespline.polygon import FLAG_SETS
+from shapespline.geometry import cross_rows, dot, dot_rows, norm, norm_rows, sine_rows, sphere_directions
+from shapespline.oracle import _DIP_RHS, decasteljau, decasteljau_derivatives
+from shapespline.polygon import _BLOCK_ENTRIES, FLAG_SETS
 from shapespline.segment import derivative_rows, point_rows
 
 
@@ -451,3 +454,124 @@ def ref_report_dict(report) -> dict:
         for j, pick in enumerate(per_joint, start=1)
     ]
     return {"vertices": vertices, "segments": segments, "joints": joints, "summary": report.summary}
+
+
+# the sampling oracles one segment at a time, as the command line ran them
+# before they took a stack of nets
+
+
+def _ref_dips(picks) -> np.ndarray:
+    try:
+        return np.linalg.solve(np.broadcast_to(picks, (3, 3, 3)), _DIP_RHS)[:, :, 0]
+    except np.linalg.LinAlgError:
+        return np.empty((0, 3))
+
+
+def ref_projected_inflection_count(ctrl, h, directions, samples, eps_zero=EPS_ZERO) -> int:
+    """Largest strict sign-change count of ``omega . w`` over the lattice and
+    the segment's own witnesses, one block of directions at a time."""
+    d1, d2, _ = decasteljau_derivatives(ctrl, np.linspace(0.0, 1.0, samples), h)
+    omegas, floors = cross_rows(d1, d2), norm_rows(d1) * norm_rows(d2)
+    p0, p1, p2 = picks = omegas[[0, len(omegas) // 2, -1]]
+    dips = _ref_dips(picks)
+    finite = dips[np.isfinite(dips).all(axis=1)]
+    extra = np.vstack([picks, cross3(p0, p2), cross3(p0, p1), cross3(p1, p2), finite])
+    dirs = sphere_directions(directions, extra=extra)
+    tols = np.broadcast_to(eps_zero * np.maximum(floors, 1e-300), (1, samples))
+    step = max(2, _BLOCK_ENTRIES // samples)
+    ends = [*range(step, len(dirs) - 1, step), len(dirs)]
+    return max(
+        int(forward_fill_changes_rows(dirs[a:b] @ omegas.T, tols).max()) for a, b in zip([0, *ends], ends)
+    )
+
+
+def ref_sampled_global_convexity(pts, n_vec, eps_zero) -> bool:
+    nn = norm(n_vec)
+    tang = np.diff(pts, axis=0)
+    tl = np.linalg.norm(tang, axis=1)
+    turns = cross_rows(tang[:-1], tang[1:]) @ n_vec
+    if np.any(turns < -eps_zero * tl[:-1] * tl[1:] * nn):
+        return False
+    rel = pts[1:] - pts[0]
+    rl = np.linalg.norm(rel, axis=1)
+    sweep = cross_rows(rel[:-1], tang[1:]) @ n_vec
+    if np.any(sweep < -eps_zero * rl[:-1] * tl[1:] * nn):
+        return False
+    start = cross_rows(tang[0], rel) @ n_vec
+    return not np.any(start < -eps_zero * tl[0] * rl * nn)
+
+
+def ref_verify_report(spline, report, cfg, settings: dict) -> list:
+    """``cli._verify_report`` walking the passing verdicts one at a time and
+    drawing each inflection probe's mixing weights as it meets them.  The
+    torsion numerators come through ``cli``, so a test that patches them
+    there patches both."""
+    from shapespline import cli
+
+    rng = np.random.default_rng(int(os.environ.get("SHAPESPLINE_SEED", "0")))
+    tol = cfg.tolerances
+    us = np.linspace(0.0, 1.0, settings["samples"])
+    poly = spline.polygon
+    problems = []
+    taus = cli.torsion_numerator_rows(*spline.rows()).tolist()
+    widths = spline.widths.tolist()
+    for i, passing in itertools.groupby(report.passing_segment_rows(), key=lambda p: p[0]):
+        ctrl, h, tau = spline.nets[i - 1], widths[i - 1], taus[i - 1]
+        tangents, d2, _ = decasteljau_derivatives(ctrl, us, h)
+        omegas = cross_rows(tangents, d2)
+        points = decasteljau(ctrl, us)
+        normals = poly.binormals[i - 2 : i]
+        for _, rows, r in passing:
+            crit = rows.criterion
+            if crit is Criterion.CONVEXITY:
+                for tag, nv in zip(("prev", "cur"), normals):
+                    if not ref_sampled_global_convexity(points, nv, tol.eps_zero):
+                        problems.append(
+                            f"segment {i}: convexity passed but sampled projection "
+                            f"along the {tag} binormal is not convex"
+                        )
+            elif crit is Criterion.INFLECTION:
+                b_prev, b_cur = normals
+                probes = [b_prev, b_cur]
+                for _ in range(8):
+                    lam = rng.uniform(0.1, 1.0)
+                    mu = -rng.uniform(0.1, 1.0)
+                    probes.append(lam * b_prev + mu * b_cur)
+                for k, nv in enumerate(probes):
+                    vals = omegas @ nv
+                    # a NaN band leaves every non-zero value live
+                    band = np.fmax(tol.eps_zero * max(float(np.abs(vals).max()), 1e-300), 0.0)
+                    count = int(forward_fill_changes_rows(vals[None, :], band)[0])
+                    if count != 1:
+                        problems.append(
+                            f"segment {i}: inflection passed but sampled bending "
+                            f"flips {count} times along probe {k}"
+                        )
+            elif crit is Criterion.TORSION:
+                probe_us = np.array([0.0, 0.37, 0.5, 1.0])
+                d1, dd2, d3 = decasteljau_derivatives(ctrl, probe_us, h)
+                dets = dot_rows(cross_rows(d1, dd2), d3)
+                bad = np.abs(dets - tau) > 1e-9 * norm_rows(d1) * norm_rows(dd2) * norm(d3)
+                for u, det in zip(probe_us[bad].tolist(), dets[bad].tolist()):
+                    problems.append(
+                        f"segment {i}: torsion numerator {tau} disagrees with "
+                        f"sampled determinant {det} at u={u}"
+                    )
+            elif crit is Criterion.COPLANARITY:
+                scale = float(np.linalg.norm(omegas, axis=1).max())
+                bent = omegas[norm_rows(omegas) > tol.eps_zero * max(scale, 1e-300)]
+                for tag, nv in zip(("prev", "cur"), normals):
+                    if np.any(sine_rows(bent, nv) >= tol.eps_coplanar):
+                        problems.append(
+                            f"segment {i}: coplanarity passed but a sampled "
+                            f"binormal tilts past eps1 from the {tag} normal"
+                        )
+            elif crit is Criterion.COLLINEARITY:
+                j = int(rows.columns["vertex"][r])
+                moving = tangents[norm_rows(tangents) != 0.0]
+                if any(np.any(sine_rows(moving, l) >= tol.eps_collinear) for l in poly.chords[j - 1 : j + 1]):
+                    problems.append(
+                        f"segment {i}: collinearity passed but a sampled tangent "
+                        f"tilts past eps0 from the chords"
+                    )
+    return problems

@@ -1,18 +1,20 @@
+import importlib.util
 import json
 import re
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shapespline import CubicSegment, DataPolygon, cli
+from shapespline import CubicSegment, DataPolygon, SplineConfig, analyze, build_spline, cli
 from shapespline.cli import SETTINGS, build_parser, main
-from shapespline.criteria import Rows
+from shapespline.criteria import Criterion, Rows
 from shapespline.geometry import norm_rows
 from shapespline.segment import derivative_rows
 
-from conftest import collinear_polyline, spline_point
+from conftest import collinear_polyline, ref_verify_report, spline_point
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -549,3 +551,107 @@ def test_documented_defaults_match_settings_table(capsys):
     for s in SETTINGS:
         shown = re.search(re.escape(s.flag) + r"\s[^(]*\(default ([^)]+)\)", options).group(1)
         assert _value(s, shown) == s.default, s.flag
+
+
+def verify_documents():
+    """The seed-0 ``verify`` documents of the benchmark and the fixtures."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    docs = [doc["points"] for _, doc in gen.documents("verify", 0)]
+    return docs + [json.loads(p.read_text())["points"] for p in sorted(FIXTURES.glob("*.json"))]
+
+
+class TestVerifyReportMessages:
+    """The batched ``_verify_report`` against the verdict-by-verdict
+    reference, on reports whose applicable segment verdicts are all forced
+    to pass, so that every kind of disagreement fires: as reported, and
+    with each battery criterion's rows relabelled as another's (the
+    inflection probes then run on convex spans, the coplanarity probes on
+    twisted ones)."""
+
+    RELABEL = {
+        Criterion.CONVEXITY: Criterion.INFLECTION,
+        Criterion.INFLECTION: Criterion.CONVEXITY,
+        Criterion.TORSION: Criterion.COPLANARITY,
+        Criterion.COPLANARITY: Criterion.TORSION,
+    }
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_same_messages_in_the_same_order(self, monkeypatch, seed):
+        monkeypatch.setenv("SHAPESPLINE_SEED", seed)
+        exact = cli.torsion_numerator_rows
+
+        def perturbed(m0, m1, chord, h):
+            # off by a relative 1e-6 on every other segment
+            return exact(m0, m1, chord, h) * (1.0 + 1e-6 * (np.arange(len(h)) % 2))
+
+        monkeypatch.setattr(cli, "torsion_numerator_rows", perturbed)
+        cfg, settings = SplineConfig(), {"samples": 128}
+        seen = set()
+        for points in verify_documents():
+            spline = build_spline(DataPolygon(points), cfg)
+            for relabel in ({}, self.RELABEL):
+                report = analyze(spline, cfg)
+                for rows, _, _ in report._segment_rows:
+                    rows.passed = rows.applicable.copy()
+                    rows.criterion = relabel.get(rows.criterion, rows.criterion)
+                problems = cli._verify_report(spline, report, cfg, settings)
+                assert problems == ref_verify_report(spline, report, cfg, settings)
+                seen.update(re.sub(r"^segment \d+: (\w+) .*", r"\1", p) for p in problems)
+        assert seen == {"convexity", "inflection", "torsion", "coplanarity", "collinearity"}
+
+
+class TestLoadDocument:
+    """Every malformed coordinate is named as the per-entry check names it,
+    wherever it sits in the list."""
+
+    POINTS = [[0, 0, 0], [1, 0.5, 0], [2, 0, 1], [3, 1, 1], [4, 0, 2]]
+    BAD = {
+        "bool": True,
+        "string": "1",
+        "huge int": 10**309,
+        "NaN": float("nan"),
+    }
+
+    def load(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return cli.load_document(str(path))
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize("kind", [*BAD, "wrong length"])
+    @pytest.mark.parametrize("key", ["points", "tangents"])
+    def test_triples(self, tmp_path, key, kind, k):
+        entries = [list(p) for p in self.POINTS]
+        if kind == "wrong length":
+            entries[k] = entries[k][:2]
+        else:
+            entries[k][1] = self.BAD[kind]
+        doc = {"version": 1, "points": [list(p) for p in self.POINTS], key: entries}
+        message = f"'{key}' entry {k} must be an [x, y, z] triple of finite numbers"
+        with pytest.raises(cli.InputError) as exc:
+            self.load(tmp_path, doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize("kind", [*BAD, "wrong length"])
+    def test_knots(self, tmp_path, kind, k):
+        knots = [0, 1, 2.5, 3, 4.25]
+        knots[k] = [1, 2] if kind == "wrong length" else self.BAD[kind]
+        with pytest.raises(cli.InputError) as exc:
+            self.load(tmp_path, {"version": 1, "points": self.POINTS, "knots": knots})
+        assert str(exc.value) == f"'knots' entry {k} must be a finite number, got {knots[k]!r}"
+
+    def test_extreme_finite_values_load(self, tmp_path):
+        # the largest float is finite; ints load as the numbers they are
+        top = sys.float_info.max
+        doc = {"version": 1, "points": [[top, 0, 0], [0, -top, 1], [2, 10**300, 3]], "knots": [0, 1, 10**20]}
+        assert self.load(tmp_path, doc) == doc
+
+    def test_int_rounding_to_the_largest_float_is_rejected(self, tmp_path):
+        near = int(sys.float_info.max) + 2**960
+        assert float(near) == sys.float_info.max
+        doc = {"version": 1, "points": [[0, 0, 0], [1, near, 0]]}
+        with pytest.raises(cli.InputError, match="'points' entry 1 must be"):
+            self.load(tmp_path, doc)

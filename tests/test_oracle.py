@@ -1,24 +1,39 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shapespline import CubicSegment, DataPolygon, Plane
+from shapespline import CubicSegment, DataPolygon, Plane, SplineConfig, build_spline
+from shapespline.geometry import lattice_directions
 from shapespline.oracle import (
+    _DIP_RHS,
     SampledCurve,
+    curvature_samples,
     decasteljau,
     decasteljau_derivatives,
     projected_inflection_count,
+    projected_inflection_counts,
+    sampled_convexity,
     sampled_global_convexity,
 )
 from shapespline.planar import PolyArc2, planar_inflection_count
+from shapespline.polygon import _BLOCK_ENTRIES, _blocks
 from conftest import (
     finite_diff_derivatives,
     random_nonplanar_segment,
     random_segment,
+    ref_projected_inflection_count,
+    ref_sampled_global_convexity,
     sampled_sign_changes,
     vec3,
 )
+
+# the seeded document families of the benchmark
+_spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 
 class TestSampledSignChanges:
@@ -93,6 +108,116 @@ class TestProjectedInflectionCount:
             from shapespline import sign_changes
 
             assert sign_changes(vals) == direct
+
+
+def family_spline(family: str, n: int):
+    points = gen.FAMILIES[family](np.random.default_rng([n, len(family)]), n)
+    return build_spline(DataPolygon(points), SplineConfig())
+
+
+def singular_witness_systems(spline, samples: int) -> list:
+    """The segments whose dip systems ``np.linalg.solve`` rejects."""
+    omegas, _ = curvature_samples(spline.nets, samples, spline.widths)
+    singular = []
+    for k, picks in enumerate(omegas[:, [0, samples // 2, -1]]):
+        try:
+            np.linalg.solve(np.broadcast_to(picks, (3, 3, 3)), _DIP_RHS)
+        except np.linalg.LinAlgError:
+            singular.append(k)
+    return singular
+
+
+class TestProjectedInflectionCounts:
+    """The batched search against the one-segment reference: the lattice
+    and the segment's own witnesses, one block of directions at a time."""
+
+    @pytest.mark.parametrize("samples", [8, 128])
+    @pytest.mark.parametrize("directions", [16, 512, 2048])
+    @pytest.mark.parametrize("n", [12, 60])
+    @pytest.mark.parametrize("family", ["helix", "scurve", "polyline"])
+    def test_matches_the_per_segment_search(self, family, n, directions, samples):
+        spline = family_spline(family, n)
+        counts = projected_inflection_counts(spline.nets, spline.widths, directions, samples)
+        ref = [
+            ref_projected_inflection_count(ctrl, h, directions, samples)
+            for ctrl, h in zip(spline.nets, spline.widths.tolist())
+        ]
+        assert counts.tolist() == ref
+
+    def test_inputs_hold_singular_witness_systems(self):
+        # a planar S-curve makes every dip system singular; the polylines
+        # mix singular systems into a batch of regular ones, which a
+        # batched solve rejects as a whole
+        for n in (12, 60):
+            scurve = family_spline("scurve", n)
+            assert singular_witness_systems(scurve, 128) == list(range(len(scurve.nets)))
+            polyline = family_spline("polyline", n)
+            singular = singular_witness_systems(polyline, 128)
+            assert 0 < len(singular) < len(polyline.nets)
+
+    def test_a_one_row_tail_joins_the_block_before_it(self):
+        # 507 directions make a 513-row lattice: blocks of 128 rows leave a
+        # one-row tail, whose product would go through a matrix-vector kernel
+        lattice, samples = lattice_directions(507), 128
+        rows = max(2, _BLOCK_ENTRIES // samples)
+        assert len(lattice) % rows == 1
+        assert min(b - a for a, b in _blocks(len(lattice), rows)) >= 2
+        for family in ("helix", "scurve", "polyline"):
+            spline = family_spline(family, 12)
+            counts = projected_inflection_counts(spline.nets, spline.widths, 507, samples)
+            ref = [
+                ref_projected_inflection_count(ctrl, h, 507, samples)
+                for ctrl, h in zip(spline.nets, spline.widths.tolist())
+            ]
+            assert counts.tolist() == ref
+
+    def test_one_net_is_the_batch_row(self):
+        spline = family_spline("helix", 12)
+        counts = projected_inflection_counts(spline.nets, spline.widths, 512, 64).tolist()
+        assert counts == [
+            projected_inflection_count(ctrl, h, 512, 64) for ctrl, h in zip(spline.nets, spline.widths.tolist())
+        ]
+
+    def test_rejects_too_few_directions(self):
+        spline = family_spline("helix", 12)
+        with pytest.raises(ValueError, match="at least 16 directions"):
+            projected_inflection_counts(spline.nets, spline.widths, 15, 64)
+
+
+class TestStackedNets:
+    """A stack of nets evaluates each net as the one-net call does, bit for bit."""
+
+    def test_decasteljau_and_derivatives(self, rng):
+        nets = rng.normal(size=(7, 4, 3)) * 10.0 ** rng.uniform(-6, 6, (7, 1, 1))
+        widths = 10.0 ** rng.uniform(-3, 3, 7)
+        us = np.sort(rng.uniform(0.0, 1.0, 37))
+        d1, d2, d3 = decasteljau_derivatives(nets, us, widths)
+        p1, p2, p3 = decasteljau_derivatives(nets, 0.3, widths)
+        points, point = decasteljau(nets, us), decasteljau(nets, 0.3)
+        for k, (ctrl, h) in enumerate(zip(nets, widths.tolist())):
+            one = decasteljau_derivatives(ctrl, us, h)
+            assert np.array_equal(d1[k], one[0]) and np.array_equal(d2[k], one[1])
+            assert np.array_equal(d3[k], one[2])
+            at = decasteljau_derivatives(ctrl, 0.3, h)
+            assert np.array_equal(p1[k], at[0]) and np.array_equal(p2[k], at[1]) and np.array_equal(p3[k], at[2])
+            assert np.array_equal(points[k], decasteljau(ctrl, us))
+            assert np.array_equal(point[k], decasteljau(ctrl, 0.3))
+        omegas, floors = curvature_samples(nets, 37, widths)
+        for k, (ctrl, h) in enumerate(zip(nets, widths.tolist())):
+            one = curvature_samples(ctrl, 37, h)
+            assert np.array_equal(omegas[k], one[0]) and np.array_equal(floors[k], one[1])
+
+    def test_sampled_convexity_matches_the_one_curve_reference(self, rng):
+        spline = family_spline("helix", 20)
+        us = np.linspace(0.0, 1.0, 64)
+        points = decasteljau(spline.nets, us)
+        normals = rng.normal(size=(len(points), 3))
+        normals[::3] = spline.polygon.binormals[0]
+        convex = sampled_convexity(points, normals, 1e-9)
+        assert convex.any() and not convex.all()
+        for pts, nv, got in zip(points, normals, convex.tolist()):
+            assert got == ref_sampled_global_convexity(pts, nv, 1e-9)
+            assert sampled_global_convexity(SampledCurve(us, pts), nv) == got
 
 
 class TestBezierCorollary:

@@ -15,8 +15,10 @@ The set, with its documents generated by ``perfbench/gen.py``:
   --verify`` at the default settings (``--tangents provided`` where the
   fixture lists tangents);
 * the documents of each seed of every workload under the workload's own
-  commands plus ``check`` and ``measures``, and ``check --verify`` on the
-  ``check_small`` documents;
+  commands plus ``check`` and ``measures``, ``check --verify`` on the
+  ``check_small`` documents, and ``inflection --verify`` at the default
+  settings on the ``verify`` documents (some of them report undercounts
+  there, so the disagreement text is compared too);
 * the collinearity window over part of the knot intervals, ``check --eta
   0.5`` and ``check --verify --samples 128 --eta 0.25``, on the two
   collinear fixtures and on every polyline document of those seeds;
@@ -24,6 +26,10 @@ The set, with its documents generated by ``perfbench/gen.py``:
   --verify`` and ``measures``: the tiny-knot and NaN-curvature documents
   and the 13-point polyline of ``tests/test_cli.py``'s
   ``TestNonFiniteDiagnostic``, the polyline scaled by 1e±100 and 1e±160.
+
+Python prints a warning once per source line and registry; each
+invocation starts with a fresh registry, so its stderr holds every warning
+it raises, whatever ran before it.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +114,8 @@ def plan(seeds, workdir: Path) -> list:
                 commands += [(sub, str(path), *flags) for sub, *flags in EXTRA_COMMANDS]
                 if workload == "check_small":
                     commands.append(("check", str(path), "--verify"))
+                if workload == "verify":
+                    commands.append(("inflection", str(path), "--verify"))
                 if name.startswith("polyline-"):
                     commands += [(sub, str(path), *flags) for sub, *flags in ETA_COMMANDS]
                 invocations += [list(argv) for argv in dict.fromkeys(commands)]
@@ -126,7 +135,8 @@ def run_tree(src: str, plan_path: str, out_path: str) -> None:
     results = []
     for argv in json.loads(Path(plan_path).read_text()):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # entering catch_warnings invalidates every module's warning registry
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
