@@ -13,6 +13,12 @@ inflection  inflection counts of the data polygon and of each built segment
 verdicts are not re-derived), under ``inflection`` every count at double
 the direction density.  ``SHAPESPLINE_SEED`` pins the randomized
 mixed-normal probes used there.
+
+The oracles run over a document's segments at once: ``inflection`` makes
+one ``oracle.projected_inflection_counts`` call per direction density,
+and ``check --verify`` samples each criterion's passing segments of a run
+together (``oracle.segment_run``), drawing the probes in verdict order
+and formatting a message only for a probe that fails.
 """
 
 from __future__ import annotations
@@ -30,15 +36,8 @@ import numpy as np
 
 from . import jsonout, oracle
 from .criteria import Criterion, Tolerances
-from .geometry import cross_rows, dot_rows, norm, norm_rows, sine_rows
-from .polygon import (
-    _BLOCK_ENTRIES,
-    FLAG_SETS,
-    DataPolygon,
-    _count_changes_rows,
-    span_codes,
-    spatial_arc_inflection_count,
-)
+from .geometry import cross_rows, dot_rows, norm_rows, sine_rows
+from .polygon import FLAG_SETS, DataPolygon, _count_changes_rows, span_codes, spatial_arc_inflection_count
 from .segment import torsion_numerator_rows
 from .spline import (
     Parameterization,
@@ -241,16 +240,14 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
     of human-readable disagreement strings (empty = clean), segment by
     segment in report order.
 
-    The segments are sampled a run at a time, so that the sampled arrays
-    stay near ``_BLOCK_ENTRIES`` values whatever the document's size."""
+    The segments are sampled a run at a time (``oracle.segment_run``), so
+    that the sampled arrays stay small whatever the document's size."""
     rng = np.random.default_rng(int(os.environ.get("SHAPESPLINE_SEED", "0")))
     taus = torsion_numerator_rows(*spline.rows())
-    passing = report.passing_segment_rows()
+    run = oracle.segment_run(settings["samples"])
     problems = []
-    for s, t in oracle.segment_runs(spline.polygon.n_segments, settings["samples"]):
-        run = [e for e in passing if s < e[0] <= t]
-        if run:
-            problems += _verify_segments(spline, run, taus, rng, cfg.tolerances, settings["samples"])
+    for _, passing in itertools.groupby(report.passing_segment_rows(), key=lambda e: (e[0] - 1) // run):
+        problems += _verify_segments(spline, list(passing), taus, rng, cfg.tolerances, settings["samples"])
     return problems
 
 
@@ -264,8 +261,8 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
     poly = spline.polygon
     # one evaluation of every segment that holds a passing verdict
     segs = np.unique([i for i, _, _ in passing])
-    tangents, d2, _ = oracle.decasteljau_derivatives(spline.nets[segs - 1], us, spline.widths[segs - 1])
-    omegas = cross_rows(tangents, d2)
+    tangents, second, _ = oracle.decasteljau_derivatives(spline.nets[segs - 1], us, spline.widths[segs - 1])
+    omegas = cross_rows(tangents, second)
     by_criterion = {}
     for p, (i, rows, r) in enumerate(passing):
         by_criterion.setdefault(rows.criterion, []).append((p, i, rows, r))
@@ -289,7 +286,8 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
                     f"along the {('prev', 'cur')[t]} binormal is not convex"
                 )))
         elif crit is Criterion.INFLECTION:
-            # eight mixed probes per verdict, drawn in verdict order as (lam, mu) pairs
+            # eight mixed probes per verdict, lam * b_prev - mu * b_cur, their
+            # weights drawn in verdict order as (lam, mu) pairs
             lam, mu = np.moveaxis(rng.uniform(0.1, 1.0, (len(entries), 8, 2)), -1, 0)
             mixed = lam[..., None] * normals[:, :1] + -mu[..., None] * normals[:, 1:]
             probes = np.concatenate([normals, mixed], axis=1)
@@ -305,12 +303,12 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
                 )))
         elif crit is Criterion.TORSION:
             probe_us = np.array([0.0, 0.37, 0.5, 1.0])
-            d1, d2_, d3 = oracle.decasteljau_derivatives(spline.nets[seg - 1], probe_us, spline.widths[seg - 1])
-            dets = dot_rows(cross_rows(d1, d2_), d3[:, None])
+            d1, d2, d3 = oracle.decasteljau_derivatives(spline.nets[seg - 1], probe_us, spline.widths[seg - 1])
+            dets = dot_rows(cross_rows(d1, d2), d3[:, None])
             tau = taus[seg - 1]
             # rounding in det and tau scales with |d1||d2||d3|, which
             # on a nearly coplanar span is far above |tau|
-            bound = 1e-9 * norm_rows(d1) * norm_rows(d2_) * norm_rows(d3)[:, None]
+            bound = 1e-9 * norm_rows(d1) * norm_rows(d2) * norm_rows(d3)[:, None]
             bad = np.argwhere(np.abs(dets - tau[:, None]) > bound).tolist()
             # the numbers print as Python floats
             tau, dets, probe_us = tau.tolist(), dets.tolist(), probe_us.tolist()

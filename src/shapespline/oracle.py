@@ -174,11 +174,11 @@ def _runs(n: int, step: int) -> list:
     return [(s, min(s + step, n)) for s in range(0, n, step)]
 
 
-def segment_runs(n_segments: int, samples: int) -> list:
-    """``(start, stop)`` runs of segments to sample together: the de
-    Casteljau values of a run at ``samples`` parameters stay near
-    ``_BLOCK_ENTRIES``, whatever the number of segments."""
-    return _runs(n_segments, max(1, _BLOCK_ENTRIES // (9 * samples)))
+def segment_run(samples: int) -> int:
+    """How many segments to sample together: the de Casteljau values of a
+    run at ``samples`` parameters stay near ``_BLOCK_ENTRIES``, whatever the
+    number of segments."""
+    return max(1, _BLOCK_ENTRIES // (9 * samples))
 
 
 def projected_inflection_counts(
@@ -202,9 +202,8 @@ def projected_inflection_counts(
         raise ValueError("need at least 16 directions")
     nets, widths = np.asarray(nets, dtype=float), np.asarray(widths, dtype=float)
     lattice = lattice_directions(directions)
-    return np.concatenate(
-        [_run_counts(nets[s:t], widths[s:t], lattice, samples, eps_zero) for s, t in segment_runs(len(nets), samples)]
-    )
+    runs = _runs(len(nets), segment_run(samples))
+    return np.concatenate([_run_counts(nets[s:t], widths[s:t], lattice, samples, eps_zero) for s, t in runs])
 
 
 def _run_counts(nets, widths, lattice, samples: int, eps_zero: float) -> np.ndarray:

@@ -64,15 +64,14 @@ def _count_changes_rows(vals: np.ndarray, tols) -> np.ndarray:
     counts = np.add.reduce(pos[..., 1:] != pos[..., :-1], axis=-1, dtype=np.int32)
     if live.all():
         return counts
+    # compare adjacent surviving entries of the other rows, counting a flip
+    # only where both lie in the same row
     dead = np.flatnonzero(~live.all(axis=-1))
-    if len(dead):
-        # compare adjacent surviving entries of the other rows, counting a
-        # flip only where both lie in the same row
-        m = vals.shape[-1]
-        idx = np.flatnonzero(live.reshape(-1, m)[dead])
-        row, sign = idx // m, pos.reshape(-1, m)[dead].ravel()[idx]
-        flip = (row[1:] == row[:-1]) & (sign[1:] != sign[:-1])
-        counts.reshape(-1)[dead] = np.bincount(row[1:][flip], minlength=len(dead))
+    m = vals.shape[-1]
+    idx = np.flatnonzero(live.reshape(-1, m)[dead])
+    row, sign = idx // m, pos.reshape(-1, m)[dead].ravel()[idx]
+    flip = (row[1:] == row[:-1]) & (sign[1:] != sign[:-1])
+    counts.reshape(-1)[dead] = np.bincount(row[1:][flip], minlength=len(dead))
     return counts
 
 

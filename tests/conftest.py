@@ -4,9 +4,11 @@ All randomness is seeded per test via the ``rng`` fixture so the suite is
 fully reproducible.
 """
 
+import importlib.util
 import itertools
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,12 @@ from shapespline.geometry import cross_rows, dot, dot_rows, norm, norm_rows, sin
 from shapespline.oracle import _DIP_RHS, decasteljau, decasteljau_derivatives
 from shapespline.polygon import _BLOCK_ENTRIES, FLAG_SETS
 from shapespline.segment import derivative_rows, point_rows
+
+
+# the seeded document generators of the benchmark (perfbench/gen.py)
+_spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
+bench_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_gen)
 
 
 @pytest.fixture
@@ -467,16 +475,21 @@ def _ref_dips(picks) -> np.ndarray:
         return np.empty((0, 3))
 
 
+def ref_witness_candidates(omegas) -> np.ndarray:
+    """One segment's witness candidates from its ``(m, 3)`` curvature
+    samples: three samples, their crosses and the finite dip solutions."""
+    p0, p1, p2 = picks = omegas[[0, len(omegas) // 2, -1]]
+    dips = _ref_dips(picks)
+    finite = dips[np.isfinite(dips).all(axis=1)]
+    return np.vstack([picks, cross3(p0, p2), cross3(p0, p1), cross3(p1, p2), finite])
+
+
 def ref_projected_inflection_count(ctrl, h, directions, samples, eps_zero=EPS_ZERO) -> int:
     """Largest strict sign-change count of ``omega . w`` over the lattice and
     the segment's own witnesses, one block of directions at a time."""
     d1, d2, _ = decasteljau_derivatives(ctrl, np.linspace(0.0, 1.0, samples), h)
     omegas, floors = cross_rows(d1, d2), norm_rows(d1) * norm_rows(d2)
-    p0, p1, p2 = picks = omegas[[0, len(omegas) // 2, -1]]
-    dips = _ref_dips(picks)
-    finite = dips[np.isfinite(dips).all(axis=1)]
-    extra = np.vstack([picks, cross3(p0, p2), cross3(p0, p1), cross3(p1, p2), finite])
-    dirs = sphere_directions(directions, extra=extra)
+    dirs = sphere_directions(directions, extra=ref_witness_candidates(omegas))
     tols = np.broadcast_to(eps_zero * np.maximum(floors, 1e-300), (1, samples))
     step = max(2, _BLOCK_ENTRIES // samples)
     ends = [*range(step, len(dirs) - 1, step), len(dirs)]

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import re
 import sys
@@ -14,7 +13,7 @@ from shapespline.criteria import Criterion, Rows
 from shapespline.geometry import norm_rows
 from shapespline.segment import derivative_rows
 
-from conftest import collinear_polyline, ref_verify_report, spline_point
+from conftest import bench_gen, collinear_polyline, ref_verify_report, spline_point
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -555,10 +554,7 @@ def test_documented_defaults_match_settings_table(capsys):
 
 def verify_documents():
     """The seed-0 ``verify`` documents of the benchmark and the fixtures."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    docs = [doc["points"] for _, doc in gen.documents("verify", 0)]
+    docs = [doc["points"] for _, doc in bench_gen.documents("verify", 0)]
     return docs + [json.loads(p.read_text())["points"] for p in sorted(FIXTURES.glob("*.json"))]
 
 

@@ -1,15 +1,14 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shapespline import CubicSegment, DataPolygon, Plane, SplineConfig, build_spline
-from shapespline.geometry import lattice_directions
+from shapespline.geometry import lattice_directions, sphere_directions
 from shapespline.oracle import (
     _DIP_RHS,
     SampledCurve,
+    _witness_directions,
     curvature_samples,
     decasteljau,
     decasteljau_derivatives,
@@ -21,19 +20,16 @@ from shapespline.oracle import (
 from shapespline.planar import PolyArc2, planar_inflection_count
 from shapespline.polygon import _BLOCK_ENTRIES, _blocks
 from conftest import (
+    bench_gen,
     finite_diff_derivatives,
     random_nonplanar_segment,
     random_segment,
     ref_projected_inflection_count,
     ref_sampled_global_convexity,
+    ref_witness_candidates,
     sampled_sign_changes,
     vec3,
 )
-
-# the seeded document families of the benchmark
-_spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
 
 
 class TestSampledSignChanges:
@@ -111,7 +107,7 @@ class TestProjectedInflectionCount:
 
 
 def family_spline(family: str, n: int):
-    points = gen.FAMILIES[family](np.random.default_rng([n, len(family)]), n)
+    points = bench_gen.FAMILIES[family](np.random.default_rng([n, len(family)]), n)
     return build_spline(DataPolygon(points), SplineConfig())
 
 
@@ -154,6 +150,17 @@ class TestProjectedInflectionCounts:
             polyline = family_spline("polyline", n)
             singular = singular_witness_systems(polyline, 128)
             assert 0 < len(singular) < len(polyline.nets)
+
+    @pytest.mark.parametrize("family", ["helix", "scurve", "polyline"])
+    def test_a_singular_system_drops_only_its_own_dips(self, family):
+        # the batch's nonzero witness rows are, segment by segment, the
+        # unit candidates of the one-segment search
+        spline = family_spline(family, 60)
+        omegas, _ = curvature_samples(spline.nets, 128, spline.widths)
+        rows = _witness_directions(omegas)
+        for k, om in enumerate(omegas):
+            ref = sphere_directions(16, extra=ref_witness_candidates(om))[22:]
+            assert np.array_equal(rows[k][rows[k].any(axis=1)], ref[ref.any(axis=1)])
 
     def test_a_one_row_tail_joins_the_block_before_it(self):
         # 507 directions make a 513-row lattice: blocks of 128 rows leave a
@@ -211,10 +218,16 @@ class TestStackedNets:
         spline = family_spline("helix", 20)
         us = np.linspace(0.0, 1.0, 64)
         points = decasteljau(spline.nets, us)
+        # with a spiral of 1.5 turns, which turns one way but crosses its
+        # starting tangent line, and a half circle
+        ts = np.linspace(0.0, 3.0 * math.pi, 64)
+        spiral = (1.0 + 0.15 * ts)[:, None] * np.column_stack([np.cos(ts), np.sin(ts), np.zeros_like(ts)])
+        points = np.concatenate([points, [spiral, arc_samples(1.0, math.pi, 64).points]])
         normals = rng.normal(size=(len(points), 3))
         normals[::3] = spline.polygon.binormals[0]
+        normals[-2:] = [0.0, 0.0, 1.0]
         convex = sampled_convexity(points, normals, 1e-9)
-        assert convex.any() and not convex.all()
+        assert convex.any() and not convex.all() and convex[-2:].tolist() == [False, True]
         for pts, nv, got in zip(points, normals, convex.tolist()):
             assert got == ref_sampled_global_convexity(pts, nv, 1e-9)
             assert sampled_global_convexity(SampledCurve(us, pts), nv) == got
