@@ -78,8 +78,8 @@ def decasteljau_derivatives(ctrl, u, h=1.0):
     ``u`` is one parameter or a 1-D array of them; d1 and d2 are then
     ``(m, 3)`` rows, and the constant d3 stays one vector.  ``ctrl`` may be
     an ``(S, 4, 3)`` stack of nets, with ``h`` one width per net: every
-    result then gains a leading axis of ``S``, and the widths are raised to
-    powers through Python floats, as a Python-float ``h`` is."""
+    result then gains a leading axis of ``S``.  Widths are raised to powers
+    through Python floats (``geometry.powers``)."""
     b0 = np.array(ctrl, dtype=float)
     if b0.ndim < 2 or b0.shape[-2] != 4:
         raise ValueError("cubic control net expected")
@@ -88,11 +88,8 @@ def decasteljau_derivatives(ctrl, u, h=1.0):
     b2 = (1.0 - w) * b1[:-1] + w * b1[1:]
     c = np.moveaxis(b0, -2, 0)
     d3 = 6.0 * (c[3] - 3.0 * c[2] + 3.0 * c[1] - c[0])
-    if np.ndim(h) == 0:
-        h1, h2, h3 = h, h**2, h**3
-    else:
-        h = np.asarray(h, dtype=float)
-        h1, h2, h3 = _per_net(h, b2[0]), _per_net(powers(h, 2), b2[0]), _per_net(powers(h, 3), d3)
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    h1, h2, h3 = _per_net(h, b2[0]), _per_net(powers(h, 2), b2[0]), _per_net(powers(h, 3), d3)
     d1 = 3.0 * (b2[1] - b2[0]) / h1
     d2 = 6.0 * (b1[2] - 2.0 * b1[1] + b1[0]) / h2
     return _rows(d1, u), _rows(d2, u), d3 / h3
@@ -140,9 +137,9 @@ def _witness_directions(omegas: np.ndarray) -> np.ndarray:
     picks = omegas[:, [0, omegas.shape[1] // 2, -1]]
     p0, p1, p2 = picks[:, 0], picks[:, 1], picks[:, 2]
     dips = np.full(picks.shape, np.nan)
-    # a zero column stays zero through elimination: the system is singular
-    # (as on a segment in a coordinate plane, whose curvature vectors are
-    # parallel to an axis)
+    # a zero column stays zero through elimination, so the system is
+    # singular: on a segment in a coordinate plane, whose curvature vectors
+    # are parallel to an axis, this spares the solve its failing batches
     solvable = np.flatnonzero(picks.any(axis=1).all(axis=1))
     if len(solvable):
         dips[solvable] = _dips(picks[solvable])
