@@ -244,7 +244,9 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
     that the sampled arrays stay small whatever the document's size."""
     rng = np.random.default_rng(int(os.environ.get("SHAPESPLINE_SEED", "0")))
     taus = torsion_numerator_rows(*spline.rows())
-    run = oracle.segment_run(settings["samples"])
+    # half the search's run: a verdict samples up to ten probes or two
+    # convexity orientations per segment
+    run = max(1, oracle.segment_run(settings["samples"]) // 2)
     problems = []
     for _, passing in itertools.groupby(report.passing_segment_rows(), key=lambda e: (e[0] - 1) // run):
         problems += _verify_segments(spline, list(passing), taus, rng, cfg.tolerances, settings["samples"])
@@ -277,9 +279,7 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
             normals = np.stack([poly.binormals[seg - 2], poly.binormals[seg - 1]], axis=1)
         if crit is Criterion.CONVEXITY:
             points = oracle.decasteljau(spline.nets[seg - 1], us)
-            convex = oracle.sampled_convexity(
-                np.repeat(points, 2, axis=0), normals.reshape(-1, 3), tol.eps_zero
-            ).reshape(-1, 2)
+            convex = oracle.sampled_convexity(points, normals, tol.eps_zero)
             for e, t in np.argwhere(~convex).tolist():
                 problems.append((at_list[e], t, (
                     f"segment {seg_list[e]}: convexity passed but sampled projection "

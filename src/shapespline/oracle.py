@@ -244,35 +244,37 @@ def projected_inflection_count(
 
 
 def sampled_convexity(points: np.ndarray, n_vecs: np.ndarray, eps_zero: float = EPS_ZERO) -> np.ndarray:
-    """Per curve of the ``(K, m, 3)`` sampled positions ``points``, whether
-    it is discretely support-line convex with respect to the orientation
-    induced by its row of the ``(K, 3)`` ``n_vecs``.
+    """Per curve of the ``(K, m, 3)`` sampled positions ``points`` and per
+    orientation of its ``(J, 3)`` rows in the ``(K, J, 3)`` ``n_vecs``,
+    whether the curve is discretely support-line convex with respect to the
+    orientation that row induces; ``(K, J)`` bools.
 
     Checks the three discrete conditions with forward-difference tangents:
     all turns non-negative along ``n_vec``, the curve never crosses the
     moving tangent line backwards, and never crosses the starting tangent
     line.  Small negative values within the noise floor are tolerated.
     """
-    nn = norm_rows(n_vecs)[:, None]
+    nn = norm_rows(n_vecs)[..., None]
     if not np.all(nn != 0.0):
         raise ValueError("orientation vector must be non-zero")
     if points.shape[1] < 8:
         raise ValueError("need at least 8 samples")
-    n_col = n_vecs[:, :, None]
     tang = np.diff(points, axis=1)
-    tl = np.linalg.norm(tang, axis=-1)
-
-    turns = np.matmul(cross_rows(tang[:, :-1], tang[:, 1:]), n_col)[..., 0]
-    convex = ~np.any(turns < -eps_zero * tl[:, :-1] * tl[:, 1:] * nn, axis=1)
-
+    tl = np.linalg.norm(tang, axis=-1)[:, None]
     rel = points[:, 1:] - points[:, :1]
-    rl = np.linalg.norm(rel, axis=-1)
-    # tangent support at each sample: ((p_k - p_0) x t_k) . n >= 0
-    sweep = np.matmul(cross_rows(rel[:, :-1], tang[:, 1:]), n_col)[..., 0]
-    convex &= ~np.any(sweep < -eps_zero * rl[:, :-1] * tl[:, 1:] * nn, axis=1)
+    rl = np.linalg.norm(rel, axis=-1)[:, None]
 
-    start = np.matmul(cross_rows(tang[:, :1], rel), n_col)[..., 0]
-    convex &= ~np.any(start < -eps_zero * tl[:, :1] * rl * nn, axis=1)
+    def along(crosses):
+        # one matrix-vector product per orientation, as for a single one
+        return np.matmul(crosses[:, None], n_vecs[..., None])[..., 0]
+
+    turns = along(cross_rows(tang[:, :-1], tang[:, 1:]))
+    convex = ~np.any(turns < -eps_zero * tl[..., :-1] * tl[..., 1:] * nn, axis=-1)
+    # tangent support at each sample: ((p_k - p_0) x t_k) . n >= 0
+    sweep = along(cross_rows(rel[:, :-1], tang[:, 1:]))
+    convex &= ~np.any(sweep < -eps_zero * rl[..., :-1] * tl[..., 1:] * nn, axis=-1)
+    start = along(cross_rows(tang[:, :1], rel))
+    convex &= ~np.any(start < -eps_zero * tl[..., :1] * rl * nn, axis=-1)
     return convex
 
 
@@ -280,4 +282,4 @@ def sampled_global_convexity(curve: SampledCurve, n_vec, eps_zero: float = EPS_Z
     """``sampled_convexity`` of the one sampled curve ``curve`` along
     ``n_vec``."""
     n_vec = np.asarray(n_vec, dtype=float)
-    return bool(sampled_convexity(curve.points[None], n_vec[None], eps_zero)[0])
+    return bool(sampled_convexity(curve.points[None], n_vec[None, None], eps_zero)[0, 0])

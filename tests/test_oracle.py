@@ -223,14 +223,15 @@ class TestStackedNets:
         ts = np.linspace(0.0, 3.0 * math.pi, 64)
         spiral = (1.0 + 0.15 * ts)[:, None] * np.column_stack([np.cos(ts), np.sin(ts), np.zeros_like(ts)])
         points = np.concatenate([points, [spiral, arc_samples(1.0, math.pi, 64).points]])
-        normals = rng.normal(size=(len(points), 3))
-        normals[::3] = spline.polygon.binormals[0]
-        normals[-2:] = [0.0, 0.0, 1.0]
+        normals = rng.normal(size=(len(points), 2, 3))
+        normals[::3, 0] = spline.polygon.binormals[0]
+        normals[-2:, 1] = [0.0, 0.0, 1.0]
         convex = sampled_convexity(points, normals, 1e-9)
-        assert convex.any() and not convex.all() and convex[-2:].tolist() == [False, True]
-        for pts, nv, got in zip(points, normals, convex.tolist()):
-            assert got == ref_sampled_global_convexity(pts, nv, 1e-9)
-            assert sampled_global_convexity(SampledCurve(us, pts), nv) == got
+        assert convex.any() and not convex.all() and convex[-2:, 1].tolist() == [False, True]
+        for pts, nvs, got in zip(points, normals, convex.tolist()):
+            for nv, g in zip(nvs, got):
+                assert g == ref_sampled_global_convexity(pts, nv, 1e-9)
+                assert sampled_global_convexity(SampledCurve(us, pts), nv) == g
 
 
 class TestBezierCorollary:
