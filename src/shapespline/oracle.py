@@ -208,11 +208,19 @@ def _run_counts(nets, widths, lattice, samples: int, eps_zero: float) -> np.ndar
     evaluated in blocks of whole segments of about ``_BLOCK_ENTRIES`` values,
     with at least two directions each."""
     omegas, floors = curvature_samples(nets, samples, widths)
-    vecs = omegas.transpose(0, 2, 1)
     # magnitude floor per sample, independent of the view direction: along
     # directions nearly orthogonal to a planar segment's binormal the whole
     # row is rounding noise and must classify as zero
     tols = eps_zero * np.maximum(floors, 1e-300)[:, None, :]
+    counts = np.zeros(len(omegas), dtype=np.int32)
+    # a segment whose curvature samples all lie within half their band (a
+    # straight one) sees only dead entries along any unit direction,
+    # rounding included: it counts 0 without a search
+    bent = ~np.all(norm_rows(omegas) <= 0.5 * tols[:, 0], axis=1)
+    if not bent.any():
+        return counts
+    omegas, tols = omegas[bent], tols[bent]
+    vecs = omegas.transpose(0, 2, 1)
     witnesses = _witness_directions(omegas)
     best = np.zeros(len(omegas), dtype=np.int32)
     # blocks of whole segments: each matmul runs one product per segment, of
@@ -227,7 +235,8 @@ def _run_counts(nets, widths, lattice, samples: int, eps_zero: float) -> np.ndar
     for s, t in _runs(len(omegas), per_block):
         for a, b in _blocks(len(lattice), rows):
             _raise_counts(best[s:t], np.matmul(lattice[a:b], vecs[s:t]), tols[s:t])
-    return best
+    counts[bent] = best
+    return counts
 
 
 def projected_inflection_count(

@@ -162,6 +162,20 @@ class TestProjectedInflectionCounts:
             ref = sphere_directions(16, extra=ref_witness_candidates(om))[22:]
             assert np.array_equal(rows[k][rows[k].any(axis=1)], ref[ref.any(axis=1)])
 
+    def test_nearly_straight_segments(self):
+        # planar S-bends of lateral size a: below half the dead band a
+        # segment is not searched, just above the band it counts its flip
+        ratios, counts, refs = [], [], []
+        for a in [0.0, *np.logspace(-11, -7, 17)]:
+            net = np.array([[0, 0, 0], [0.1, a, 0], [0.5, -a, 0], [1, 0, 0]], dtype=float)
+            omegas, floors = curvature_samples(net[None], 128, [1.0])
+            ratios.append(float((np.linalg.norm(omegas[0], axis=1) / (1e-9 * floors[0])).max()))
+            counts.append(int(projected_inflection_counts(net[None], [1.0], 512, 128)[0]))
+            refs.append(ref_projected_inflection_count(net, 1.0, 512, 128))
+        assert counts == refs
+        assert any(1.0 < r < 2.0 and c == 1 for r, c in zip(ratios, counts))
+        assert counts[0] == 0 and max(counts) == 1
+
     def test_a_one_row_tail_joins_the_block_before_it(self):
         # 507 directions make a 513-row lattice: blocks of 128 rows leave a
         # one-row tail, whose product would go through a matrix-vector kernel
