@@ -271,8 +271,8 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
     problems = []  # (passing entry, probe within it, text)
 
     for crit, entries in by_criterion.items():
-        at, seg = np.array([p for p, *_ in entries]), np.array([i for _, i, _, _ in entries])
-        at_list, seg_list = at.tolist(), seg.tolist()
+        at, seg = [p for p, *_ in entries], np.array([i for _, i, _, _ in entries])
+        seg_list = seg.tolist()
         k = np.searchsorted(segs, seg)
         if crit is not Criterion.COLLINEARITY:
             # the binormals at the end vertices of the interior segments
@@ -281,7 +281,7 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
             points = oracle.decasteljau(spline.nets[seg - 1], us)
             convex = oracle.sampled_convexity(points, normals, tol.eps_zero)
             for e, t in np.argwhere(~convex).tolist():
-                problems.append((at_list[e], t, (
+                problems.append((at[e], t, (
                     f"segment {seg_list[e]}: convexity passed but sampled projection "
                     f"along the {('prev', 'cur')[t]} binormal is not convex"
                 )))
@@ -297,7 +297,7 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
             # a NaN band leaves every non-zero value live
             changes = _count_changes_rows(vals, np.fmax(bands, 0.0)[..., None])
             for e, probe in np.argwhere(changes != 1).tolist():
-                problems.append((at_list[e], probe, (
+                problems.append((at[e], probe, (
                     f"segment {seg_list[e]}: inflection passed but sampled bending "
                     f"flips {changes[e, probe]} times along probe {probe}"
                 )))
@@ -313,7 +313,7 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
             # the numbers print as Python floats
             tau, dets, probe_us = tau.tolist(), dets.tolist(), probe_us.tolist()
             for e, j in bad:
-                problems.append((at_list[e], j, (
+                problems.append((at[e], j, (
                     f"segment {seg_list[e]}: torsion numerator {tau[e]} disagrees with "
                     f"sampled determinant {dets[e][j]} at u={probe_us[j]}"
                 )))
@@ -324,7 +324,7 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
             for t, tag in enumerate(("prev", "cur")):
                 tilted = np.unique(e[sine_rows(bent, normals[e, t]) >= tol.eps_coplanar]).tolist()
                 for e_ in tilted:
-                    problems.append((at_list[e_], t, (
+                    problems.append((at[e_], t, (
                         f"segment {seg_list[e_]}: coplanarity passed but a sampled "
                         f"binormal tilts past eps1 from the {tag} normal"
                     )))
@@ -336,7 +336,7 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
                 sine_rows(moving, poly.chords[j[e]]) >= tol.eps_collinear
             )
             for e_ in np.unique(e[tilted]).tolist():
-                problems.append((at_list[e_], 0, (
+                problems.append((at[e_], 0, (
                     f"segment {seg_list[e_]}: collinearity passed but a sampled tangent "
                     f"tilts past eps0 from the chords"
                 )))
