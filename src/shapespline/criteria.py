@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EPS_ZERO, DegenerateInputError, cross_rows, dot, dot_rows, norm
+from .geometry import EPS_ZERO, DegenerateInputError, cross_rows, dot_rows, norm
 from .geometry import first_max, norm_rows, powers, triple_rows
 from .oracle import DEFAULT_SAMPLES
-from .polygon import _count_changes_rows
+from .polygon import _BLOCK_ENTRIES, _count_changes_rows
 from .segment import CubicSegment, curvature_quad_rows, derivative_rows, point_rows
 
 
@@ -171,10 +171,11 @@ def convexity_sampled_rows(
     """Sampled global-convexity test of each segment's projection along
     ``n_vec``, over rows of Bezier nets and their ``(m0, m1, chord, h)``:
     per row, whether the curvature, swept-area and start-tangent conditions
-    are all non-negative (within noise) at every sample."""
-    n_vec = np.asarray(n_vec, dtype=float)
-    nn = norm(n_vec)
-    if nn == 0.0:
+    are all non-negative (within noise) at every sample.  ``n_vec`` is one
+    vector for every net, or one row per net."""
+    n_vec = np.asarray(n_vec, dtype=float).reshape(-1, 1, 3)
+    nn = norm_rows(n_vec)
+    if not nn.all():
         raise DegenerateInputError("orientation vector must be non-zero")
     us = np.linspace(0.0, 1.0, samples)
     d1, d2, _ = derivative_rows(m0, m1, chord, h, us)
@@ -507,8 +508,17 @@ def check_torsion_compat(
 # collinearity, extended neighbourhood form
 
 
-def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerances()) -> CriterionVerdict:
-    """Neighbourhood collinearity check at a vertex with parallel,
+# collinear vertices evaluated together: the convex-neighbourhood scan
+# samples four rows of 65 points per vertex, and its (rows, 65, 3) arrays
+# stay within half of ``_BLOCK_ENTRIES`` (64 KB), below glibc's 128 KB mmap
+# threshold, so that each block's temporaries are reused from the heap
+_VERTEX_BLOCK = _BLOCK_ENTRIES // (2 * 4 * 65 * 3)
+
+
+def check_collinearity_extended(
+    spline, vertices, tol: Tolerances = Tolerances()
+) -> CriterionVerdict | list[CriterionVerdict]:
+    """Neighbourhood collinearity check at vertices with parallel,
     co-directed chords, evaluated on the built spline.
 
     Checks, over a window around the vertex spanning into both adjacent
@@ -520,101 +530,182 @@ def check_collinearity_extended(spline, vertex: int, tol: Tolerances = Tolerance
     not failed -- interpolating splines always do); in an inflection
     neighbourhood, exactly one bending flip located inside the window.
     Conditions whose ingredients do not exist (boundary vertices, degenerate
-    wedges) are skipped.
+    wedges) are skipped.  A vertex whose chords are not collinear gets a
+    non-applicable verdict.
+
+    ``vertices`` is one vertex index, which returns its verdict, or a
+    sequence of them, which returns their verdicts in that order.  The
+    collinear vertices are evaluated together, a block of them at a time,
+    through the row kernels; each verdict has the bits it has when its
+    vertex is checked alone.
     """
     poly = spline.polygon
     n = poly.n_segments
-    if not 1 <= vertex <= n - 1:
-        raise IndexError(f"vertex index {vertex} out of range 1..{n - 1}")
+    order = np.atleast_1d(np.asarray(vertices, dtype=int)).tolist()
+    for vertex in order:
+        if not 1 <= vertex <= n - 1:
+            raise IndexError(f"vertex index {vertex} out of range 1..{n - 1}")
     eps = zero_threshold(poly, tol)
-    lengths, norms, _, zero, collinear, _ = poly.classes
-    if not collinear[vertex - 1]:
-        return CriterionVerdict(Criterion.COLLINEARITY, False, None, {"vertex": float(vertex)})
-    i = vertex
-    # segments i and i+1 (rows i-1 and i) meet at the vertex
-    pair = slice(i - 1, i + 1)
-    nets = spline.nets[pair]
-    m0, m1, chord, h = (a[pair] for a in spline.rows())
-    t_prev, t_i, t_next = spline.knots[i - 1 : i + 2]
-    frac = tol.eta_fraction
-    window = (t_i - frac * (t_i - t_prev), t_i + frac * (t_next - t_i))
-    diag = {"vertex": float(i), "window_lo": window[0], "window_hi": window[1]}
-    checks_passed = True
+    collinear = poly.classes.collinear
+    live = sorted({vertex for vertex in order if collinear[vertex - 1]})
+    found = {}
+    for a in range(0, len(live), _VERTEX_BLOCK):
+        block = live[a : a + _VERTEX_BLOCK]
+        found.update(zip(block, _extended_block(spline, np.array(block), tol, eps)))
+    verdicts = [
+        CriterionVerdict(Criterion.COLLINEARITY, True, *found[vertex])
+        if vertex in found
+        else CriterionVerdict(Criterion.COLLINEARITY, False, None, {"vertex": float(vertex)})
+        for vertex in order
+    ]
+    return verdicts[0] if np.ndim(vertices) == 0 else verdicts
 
-    # (a) tangent sine bound over the window, against both chords: one row
-    # of parameters per segment, a row whose part of the window is empty
-    # masked out
-    halves = [(max(window[0], t0), min(window[1], t1), t0, t1) for t0, t1 in ((t_prev, t_i), (t_i, t_next))]
-    us = np.stack([(np.linspace(lo, hi, 33) - t0) / (t1 - t0) for lo, hi, t0, t1 in halves])
+
+def _linspace_rows(lo, hi, num: int) -> np.ndarray:
+    """``np.linspace(lo[r], hi[r], num)`` for each row ``r``, as numpy
+    computes it for scalar ends: a row whose step is zero multiplies by its
+    width after dividing, every other row by its step.  (With array ends,
+    np.linspace takes the divide-first formula for every row as soon as
+    one row's step is zero.)"""
+    ks = np.arange(num, dtype=float)
+    width = (hi - lo)[:, None]
+    step = width / (num - 1)
+    y = np.where(step == 0.0, (ks / (num - 1)) * width, ks * step) + lo[:, None]
+    y[:, -1] = hi
+    return y
+
+
+def _extended_block(spline, i, tol: Tolerances, eps: float) -> list:
+    """``(passed, diagnostics)`` of the extended check at each collinear
+    vertex of the index array ``i``, in its order."""
+    poly = spline.polygon
+    n = poly.n_segments
+    lengths, norms, _, zero, _, _ = poly.classes
+    v = len(i)
+    # segments i and i+1 (rows i-1 and i) meet at vertex i; they are rows
+    # 2k and 2k+1 of the block
+    seg = ((i - 1)[:, None] + np.array([0, 1])).ravel()
+    nets = spline.nets[seg]
+    m0, m1, chord, h = (a[seg] for a in spline.rows())
+    t_prev, t_i, t_next = (spline.knots[i + d] for d in (-1, 0, 1))
+    frac = tol.eta_fraction
+    w_lo, w_hi = t_i - frac * (t_i - t_prev), t_i + frac * (t_next - t_i)
+    passed = np.ones(v, dtype=bool)
+    extra = [[] for _ in range(v)]  # per vertex, the (d) diagnostics
+
+    # (a) tangent sine bound over the window, against both chords: row 2k
+    # samples the window's part of segment i, row 2k+1 its part of segment
+    # i+1, a row whose part is empty masked out.  The part's ends are picked
+    # as Python's max and min pick them
+    t0 = np.column_stack([t_prev, t_i]).ravel()
+    t1 = np.column_stack([t_i, t_next]).ravel()
+    lo = first_max(np.repeat(w_lo, 2), t0)
+    hi = np.where(t1 < np.repeat(w_hi, 2), t1, np.repeat(w_hi, 2))
+    us = (_linspace_rows(lo, hi, 33) - t0[:, None]) / (t1 - t0)[:, None]
     d1 = derivative_rows(m0, m1, chord, h, us)[0]
     n1 = norm_rows(d1)
-    live = (n1 != 0.0) & np.array([[hi > lo] for lo, hi, _, _ in halves])
+    live = (n1 != 0.0) & (hi > lo)[:, None]
+    sups = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        sines = [np.minimum(norm_rows(cross_rows(d1, c)) / (n1 * norm_rows(c)), 1.0) for c in chord]
-    # each half against the incoming, then the outgoing chord, taken as
-    # Python's max takes them
-    sups = np.column_stack([s.max(axis=1, where=live, initial=0.0) for s in sines])
-    diag["sup_sine"] = sup = max(0.0, *sups.ravel().tolist())
-    checks_passed = checks_passed and sup < tol.eps_collinear
+        # each part against its vertex's incoming, then outgoing chord
+        for c in (np.repeat(chord[0::2], 2, axis=0), np.repeat(chord[1::2], 2, axis=0)):
+            s = np.minimum(norm_rows(cross_rows(d1, c[:, None])) / (n1 * norm_rows(c)[:, None]), 1.0)
+            sups.append(s.max(axis=1, where=live, initial=0.0))
+    # the four sups of a vertex taken as Python's max takes them
+    sup = [max(0.0, *row) for row in np.column_stack(sups).reshape(v, 4).tolist()]
 
-    # the neighbouring vertices j = i-1, i+1 as rows: the first and second
-    # derivatives at the start of the incoming segment and at the end of
-    # the outgoing one
-    d1, d2, _ = derivative_rows(m0, m1, chord, h, np.array([0.0, 1.0]))
-    nbrs = np.array([i - 1, i + 1])
-    inside = (1 <= nbrs) & (nbrs <= n - 1)
-    d1, d2, rows = d1[[0, 1], [0, 1]][inside], d2[[0, 1], [0, 1]][inside], nbrs[inside] - 1
-    nb = norms[rows]
+    # the neighbouring vertices i-1 and i+1: the first and second
+    # derivatives at the start of segment i and at the end of segment i+1
+    d1, d2, _ = derivative_rows(m0, m1, chord, h, np.tile([[0.0], [1.0]], (v, 1)))
+    d1, d2 = d1.reshape(v, 2, 3), d2.reshape(v, 2, 3)
+    nbrs = i[:, None] + np.array([-1, 1])
+    rows = np.clip(nbrs - 1, 0, n - 2)
+    # each skips a neighbour outside the polygon and a zero binormal
+    shown = (1 <= nbrs) & (nbrs <= n - 1) & ~zero[rows]
     # (b) curvature orientation at the neighbouring vertices
     curvature = dot_rows(cross_rows(d1, d2), poly.binormals[rows])
-    curvature_ok = curvature >= -eps * norm_rows(d1) * norm_rows(d2) * nb
+    curvature_ok = curvature >= -eps * norm_rows(d1) * norm_rows(d2) * norms[rows]
     # (c) tangent inside the data wedge at the neighbouring vertices
-    wedge = dot_rows(cross_rows(d1, poly.chords[rows]), cross_rows(d1, poly.chords[rows + 1]))
-    wedge_ok = wedge < -eps * (powers(norm_rows(d1), 2) * lengths[rows] * lengths[rows + 1])
-    # each skips a zero binormal
-    shown = ~zero[rows]
-    for key, vals, ok in (("curvature_sign", curvature, curvature_ok), ("wedge_product", wedge, wedge_ok)):
-        diag.update((f"{key}_v{j}", val) for j, val in zip(rows[shown] + 1, vals[shown].tolist()))
-        checks_passed = checks_passed and bool(ok[shown].all())
+    chords = poly.chords
+    wedge = dot_rows(cross_rows(d1, chords[rows]), cross_rows(d1, chords[rows + 1]))
+    squares = powers(norm_rows(d1).ravel(), 2).reshape(v, 2)
+    wedge_ok = wedge < -eps * (squares * lengths[rows] * lengths[rows + 1])
+    passed &= ((curvature_ok & wedge_ok) | ~shown).all(axis=1)
 
-    # (d) neighbourhood-dependent behaviour across both segments; an
-    # interpolating spline passes through the vertex by construction
-    # (``nets[i-1, 3]`` is the vertex itself)
-    diag["interpolates_vertex"] = 1.0
-    if 2 <= i <= n - 2:
-        b_nbrs, nb_nbrs = poly.binormals[[i - 2, i]], norms[[i - 2, i]].tolist()
-        diag["neighbourhood_dot"] = nbr_dot = dot(*b_nbrs)
-        if nbr_dot >= -eps * (nb_nbrs[0] * nb_nbrs[1]):
-            # convex neighbourhood: sampled convexity across both segments
-            for tag, b_vec, nb in zip(("prev", "next"), b_nbrs, nb_nbrs):
-                if nb == 0.0:
-                    continue
-                ok = bool(convexity_sampled_rows(nets, m0, m1, chord, h, b_vec, 65, eps).all())
-                diag[f"neighbourhood_convex_{tag}"] = float(ok)
-                checks_passed = checks_passed and ok
-        else:
-            # inflection neighbourhood: one bending flip inside the window,
-            # the bending along each neighbour binormal as one row of both
-            # segments' samples
-            ts = np.linspace(0.0, 1.0, 65)
-            d1, d2, _ = derivative_rows(m0, m1, chord, h, ts)
-            omegas = cross_rows(d1, d2)
-            locs = np.concatenate([t_prev + ts * (t_i - t_prev), t_i + ts * (t_next - t_i)])
-            vals = np.stack([dot_rows(omegas, b_vec).ravel() for b_vec in b_nbrs])
-            band = eps * first_max(np.abs(vals).max(axis=1), 1e-300)
-            # a NaN band leaves every non-zero value live
-            counts = _count_changes_rows(vals, np.fmax(band, 0.0)[:, None]).tolist()
-            for tag, row, count, tol_v in zip(("prev", "next"), vals, counts, band):
-                diag[f"flip_count_{tag}"] = float(count)
-                ok = count == 1
-                if ok:
-                    # the one sign change lies between two consecutive live
-                    # samples; report their midpoint
-                    nz = (row != 0.0) & ~(np.abs(row) <= tol_v)
-                    nz_locs, pos = locs[nz], row[nz] > 0
-                    k = int(np.argmax(pos[1:] != pos[:-1]))
-                    flip_at = 0.5 * (nz_locs[k] + nz_locs[k + 1])
-                    diag[f"flip_location_{tag}"] = flip_at
-                    ok = window[0] <= flip_at <= window[1]
-                checks_passed = checks_passed and ok
-    return CriterionVerdict(Criterion.COLLINEARITY, True, checks_passed, diag)
+    # (d) neighbourhood-dependent behaviour across both segments, at the
+    # vertices whose neighbours are interior
+    mid = np.flatnonzero((2 <= i) & (i <= n - 2))
+    b_nbrs = poly.binormals[i[mid, None] + np.array([-2, 0])]
+    nb_nbrs = norms[i[mid, None] + np.array([-2, 0])]
+    nbr_dot = dot_rows(b_nbrs[:, 0], b_nbrs[:, 1])
+    convex = nbr_dot >= -eps * (nb_nbrs[:, 0] * nb_nbrs[:, 1])
+    for k, dot_k in zip(mid.tolist(), nbr_dot.tolist()):
+        extra[k].append(("neighbourhood_dot", dot_k))
+    tags = ("prev", "next")
+
+    # convex neighbourhood: sampled convexity of both segments along each
+    # non-zero neighbour binormal, one row per (vertex, binormal, segment)
+    at, tag = np.nonzero(nb_nbrs[convex] != 0.0)
+    if len(at):
+        cv = mid[convex][at]
+        pair = (2 * cv[:, None] + np.array([0, 1])).ravel()
+        n_vecs = np.repeat(b_nbrs[convex][at, tag], 2, axis=0)
+        ok = convexity_sampled_rows(nets[pair], m0[pair], m1[pair], chord[pair], h[pair], n_vecs, 65, eps)
+        ok = ok.reshape(-1, 2).all(axis=1)
+        for k, t, ok_k in zip(cv.tolist(), tag.tolist(), ok.tolist()):
+            extra[k].append((f"neighbourhood_convex_{tags[t]}", float(ok_k)))
+            passed[k] &= ok_k
+
+    # inflection neighbourhood: one bending flip inside the window, the
+    # bending along each neighbour binormal as one row of both segments'
+    # samples (row 2k along the binormal of vertex i-1, 2k+1 of i+1)
+    fv = mid[~convex]
+    if len(fv):
+        ts = np.linspace(0.0, 1.0, 65)
+        pair = (2 * fv[:, None] + np.array([0, 1])).ravel()
+        d1, d2, _ = derivative_rows(m0[pair], m1[pair], chord[pair], h[pair], ts)
+        omegas = cross_rows(d1, d2).reshape(len(fv), 1, 130, 3)
+        vals = dot_rows(omegas, b_nbrs[~convex][:, :, None]).reshape(-1, 130)
+        tp, ti, tn = (t[fv][:, None] for t in (t_prev, t_i, t_next))
+        locs = np.concatenate([tp + ts * (ti - tp), ti + ts * (tn - ti)], axis=1)
+        band = eps * first_max(np.abs(vals).max(axis=1), 1e-300)
+        # a NaN band leaves every non-zero value live
+        counts = _count_changes_rows(vals, np.fmax(band, 0.0)[:, None])
+        # where a row changes sign once, the change lies between two
+        # consecutive live samples: report their midpoint
+        one = np.flatnonzero(counts == 1)
+        sub = vals[one]
+        r, c = np.nonzero((sub != 0.0) & ~(np.abs(sub) <= band[one, None]))
+        pos = sub[r, c] > 0
+        flips = np.flatnonzero((r[1:] == r[:-1]) & (pos[1:] != pos[:-1]))
+        # each row's first flip; a row with none takes its first pair
+        first = np.searchsorted(r, np.arange(len(one)))
+        with_flip, first_flip = np.unique(r[flips], return_index=True)
+        first[with_flip] = flips[first_flip]
+        owner = one // 2
+        flip_at = 0.5 * (locs[owner, c[first]] + locs[owner, c[first + 1]])
+        inside = (w_lo[fv][owner] <= flip_at) & (flip_at <= w_hi[fv][owner])
+        where = dict(zip(one.tolist(), zip(flip_at.tolist(), inside.tolist())))
+        for row, (k, count) in enumerate(zip(np.repeat(fv, 2).tolist(), counts.tolist())):
+            extra[k].append((f"flip_count_{tags[row % 2]}", float(count)))
+            ok_k = False
+            if row in where:
+                flip_k, ok_k = where[row]
+                extra[k].append((f"flip_location_{tags[row % 2]}", flip_k))
+            passed[k] &= ok_k
+
+    out = []
+    columns = zip(
+        i.tolist(), w_lo.tolist(), w_hi.tolist(), sup, passed.tolist(),
+        nbrs.tolist(), shown.tolist(), curvature.tolist(), wedge.tolist(), extra,
+    )
+    for vertex, lo_k, hi_k, sup_k, ok_k, nbrs_k, shown_k, curv_k, wedge_k, extra_k in columns:
+        diag = {"vertex": float(vertex), "window_lo": lo_k, "window_hi": hi_k, "sup_sine": sup_k}
+        for key, vals_k in (("curvature_sign", curv_k), ("wedge_product", wedge_k)):
+            diag.update((f"{key}_v{j}", x) for j, x, s in zip(nbrs_k, vals_k, shown_k) if s)
+        # an interpolating spline passes through the vertex by construction
+        # (``nets[i-1, 3]`` is the vertex itself)
+        diag["interpolates_vertex"] = 1.0
+        diag.update(extra_k)
+        out.append((ok_k and sup_k < tol.eps_collinear, diag))
+    return out

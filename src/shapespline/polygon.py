@@ -134,6 +134,15 @@ class DataPolygon:
         with np.errstate(all="ignore"):
             lengths = np.linalg.norm(chords, axis=1)
             bbox = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        # a length that overflowed, or underflowed to zero, would read as a
+        # duplicate below
+        overflow, underflow = np.isinf(lengths), (lengths == 0.0) & chords.any(axis=1)
+        for out_of_range, how in ((overflow, "overflows"), (underflow, "underflows")):
+            if out_of_range.any():
+                bad = int(np.argmax(out_of_range))
+                raise ValueError(f"length of the chord from point {bad} to point {bad + 1} {how} float64")
+        if np.isinf(bbox):
+            raise ValueError("extent of the points overflows float64")
         tiny = eps_zero * bbox
         if np.any(lengths <= tiny):
             bad = int(np.argmax(lengths <= tiny))

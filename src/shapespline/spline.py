@@ -387,10 +387,9 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
         coll = collinearity_rows(
             m0[k], m1[k], chord[k], h[k], chord[vert_of - 1], chord[vert_of], eps, tol.eps_collinear
         )
-        extended = {
-            j: check_collinearity_extended(spline, j, tol)
-            for j in (np.flatnonzero(collinear) + 1).tolist()
-        }
+        # the neighbourhood check at every collinear vertex, in one call
+        verts = (np.flatnonzero(collinear) + 1).tolist()
+        extended = dict(zip(verts, check_collinearity_extended(spline, verts, tol))) if verts else {}
     coll.add_column("vertex", vert_of)
     codes = span_codes(poly, np.arange(1, n + 1))
     segment_rows = []

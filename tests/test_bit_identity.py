@@ -10,6 +10,7 @@ printed digits.
 """
 
 import numpy as np
+import pytest
 
 from conftest import (
     ref_adjacency_product,
@@ -21,7 +22,9 @@ from conftest import (
     ref_torsion_numerator,
 )
 from shapespline import CubicSegment, DataPolygon, Tolerances, build_spline, check_collinearity_extended
-from shapespline.criteria import adjacency_rows, collinearity_rows, convexity_rows
+from shapespline.spline import SplineConfig, TangentMode
+from shapespline import criteria
+from shapespline.criteria import adjacency_rows, collinearity_rows, convexity_rows, convexity_sampled_rows
 from shapespline.geometry import (
     cross3,
     cross_rows,
@@ -281,3 +284,163 @@ def test_collinearity_extended(rng):
         "neighbourhood_convex_prev",
         "flip_location_prev",
     }
+
+
+def extended_kind(diag: dict, n: int) -> set:
+    """What an applicable extended verdict exercised: a boundary vertex, a
+    neighbour with a zero binormal, a convex or an inflection
+    neighbourhood."""
+    kinds = set()
+    if diag["vertex"] in (1, n - 1):
+        kinds.add("boundary")
+    elif sum(key.startswith("wedge_product") for key in diag) < 2:
+        kinds.add("zero-binormal neighbour")
+    if any(key.startswith("neighbourhood_convex") for key in diag):
+        kinds.add("convex")
+    if "flip_count_prev" in diag:
+        kinds.add("inflection")
+    return kinds
+
+
+def assert_sequence_matches_reference(spline, rng, etas=(1.0, 0.5, 0.25)) -> list:
+    """Run the sequence form over every vertex, in a shuffled order, and
+    compare each verdict with the per-vertex reference, bytes of every
+    value; return the applicable reference verdicts."""
+    n = spline.polygon.n_segments
+    applicable = []
+    for eta in etas:
+        tol = Tolerances(eta_fraction=eta)
+        order = rng.permutation(np.arange(1, n)).tolist()
+        got = check_collinearity_extended(spline, order, tol)
+        assert len(got) == len(order)
+        for vertex, verdict in zip(order, got):
+            ref = ref_collinearity_extended(spline, vertex, tol)
+            assert (verdict.applicable, verdict.passed) == (ref.applicable, ref.passed)
+            assert list(verdict.diagnostics) == list(ref.diagnostics)
+            values = [np.array(list(v.diagnostics.values())).tobytes() for v in (verdict, ref)]
+            assert values[0] == values[1]
+            if ref.applicable:
+                applicable.append(ref)
+    return applicable
+
+
+def test_collinearity_extended_sequence_spans_blocks(rng):
+    # more collinear vertices than one block holds, some of them at the
+    # block edges
+    for planar in (True, False):
+        spline = build_spline(DataPolygon(collinear_polyline(rng, 9, 3, planar=planar)))
+        assert np.count_nonzero(spline.polygon.classes.collinear) > 2 * criteria._VERTEX_BLOCK
+        assert assert_sequence_matches_reference(spline, rng)
+
+
+def test_collinearity_extended_sequence_mixed_block(rng):
+    # one block whose vertices are of every kind: vertices 1 and 8 are
+    # boundary vertices, 2 has a collinear neighbour (zero binormal), 4 lies
+    # between a left and a right turn (inflection neighbourhood) and 6
+    # between two right turns (convex neighbourhood)
+    pts = [
+        (0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (3.5, 1, 0),
+        (4, 2, 0), (5, 2.25, 0), (6, 2.5, 0), (6.5, 1.5, 0), (7, 0.5, 0),
+    ]
+    spline = build_spline(DataPolygon(pts))
+    assert np.flatnonzero(spline.polygon.classes.collinear).tolist() == [0, 1, 3, 5, 7]
+    assert 5 <= criteria._VERTEX_BLOCK
+    n = spline.polygon.n_segments
+    for eta in (1.0, 0.5, 0.25):
+        verdicts = assert_sequence_matches_reference(spline, rng, (eta,))
+        kinds = set().union(*(extended_kind(v.diagnostics, n) for v in verdicts))
+        assert kinds == {"boundary", "zero-binormal neighbour", "convex", "inflection"}
+
+
+def test_collinearity_extended_sequence_collapsed_window_half(rng):
+    # at 1e16 the knots are 2 apart: a quarter of a width of 2 rounds away,
+    # so a vertex after a width of 2 has an empty window part in its
+    # incoming segment while its neighbours, after widths of 1e3, do not.
+    # np.linspace over all the parts would divide first on every part then.
+    pts = collinear_polyline(rng, 4, 3, planar=False)
+    widths = [2.0 if k % 2 == 0 else 1e3 for k in range(len(pts) - 1)]
+    knots = 1e16 + np.concatenate([[0.0], np.cumsum(widths)])
+    spline = build_spline(DataPolygon(pts), knots=knots)
+    t = spline.knots
+    collapsed = [i for i in range(1, len(t) - 1) if t[i] - 0.25 * (t[i] - t[i - 1]) == t[i]]
+    kept = [i for i in range(1, len(t) - 1) if t[i] - 0.25 * (t[i] - t[i - 1]) < t[i]]
+    assert collapsed and kept
+    collinear = set((np.flatnonzero(spline.polygon.classes.collinear) + 1).tolist())
+    assert collinear & set(collapsed) and collinear & set(kept)
+    assert assert_sequence_matches_reference(spline, rng)
+
+
+def test_collinearity_extended_sequence_convex_rows_keep_their_binormals(rng):
+    # two convex neighbourhoods in different planes, z = 0 (vertex 2, turns
+    # about +z) and x = 4 (vertex 6, turns about -x).  Provided tangents
+    # bend the segments at each collinear vertex out of its plane, so each
+    # passes sampled convexity along its own binormals and fails along the
+    # other's: a row tested against the wrong binormal shows.
+    pts = [(0, 1, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 1, 0), (4, 1, 1), (4, 2, 1), (4, 3, 1), (4, 4, 0)]
+    a = 0.2
+    tangents = [
+        (1, -1, 0), (1, 0, a), (1, 0, -a), (1, 0, a), (0.5, 0.5, 0.5),
+        (-a, 1, 0), (a, 1, 0), (-a, 1, 0), (0, 1, -1),
+    ]
+    cfg = SplineConfig(tangent_mode=TangentMode.PROVIDED)
+    spline = build_spline(DataPolygon(pts), cfg, provided_tangents=tangents, knots=range(len(pts)))
+    verdicts = assert_sequence_matches_reference(spline, rng)
+    assert sorted(v.diagnostics["vertex"] for v in verdicts) == [2.0] * 3 + [6.0] * 3
+    for v in verdicts:
+        diag = v.diagnostics
+        assert (diag["neighbourhood_convex_prev"], diag["neighbourhood_convex_next"]) == (1.0, 1.0)
+
+
+def test_linspace_rows(rng):
+    # rows of every kind side by side: ordinary, empty (zero width) and
+    # narrower than the smallest step (a width of a few subnormals, whose
+    # step rounds to zero); np.linspace over array ends would space every
+    # row by dividing first
+    lo = np.concatenate([rng.normal(size=20) * 10.0 ** rng.uniform(-12, 12, 20), [1.5, 0.0, 2e-308, -7e-310]])
+    width = np.concatenate([rng.uniform(0.0, 1.0, 20) * np.abs(lo[:20]), [0.0, 3e-323, 5e-323, 1e-322]])
+    hi = lo + width
+    for num in (33, 10, 2):
+        got = criteria._linspace_rows(lo, hi, num)
+        ref = np.stack([np.linspace(a, b, num) for a, b in zip(lo.tolist(), hi.tolist())])
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_collinearity_extended_one_vertex_and_sequence_forms(rng):
+    spline = build_spline(DataPolygon(collinear_polyline(rng, 4, 2, planar=False)))
+    n = spline.polygon.n_segments
+    one = check_collinearity_extended(spline, 2)
+    assert one == check_collinearity_extended(spline, [2])[0]
+    assert check_collinearity_extended(spline, []) == []
+    assert check_collinearity_extended(spline, [2, 2]) == [one, one]
+    for bad in (0, n):
+        with pytest.raises(IndexError):
+            check_collinearity_extended(spline, [1, bad])
+
+
+def test_convexity_sampled_rows_per_net_orientation(rng):
+    kinds = set()
+    for _ in range(40):
+        segs = [scaled_segment(rng) for _ in range(6)]
+        nets = np.stack([seg.bezier_points for seg in segs])
+        m0, m1, chord, h = (np.stack(c) for c in zip(*(seg.rows() for seg in segs)))
+        m0, m1, chord, h = m0[:, 0], m1[:, 0], chord[:, 0], h[:, 0]
+        # random orientations, the segments' own binormals (convex when the
+        # curve turns one way) and in-plane vectors (decided by rounding noise)
+        binormal = cross_rows(m0, chord)
+        n_vecs = np.concatenate(
+            [scaled_rows(rng, 2), binormal[2:4], cross_rows(binormal[4:], m0[4:])]
+        ) * 10.0 ** rng.uniform(-12, 12, (6, 1))
+        got = convexity_sampled_rows(nets, m0, m1, chord, h, n_vecs, 65)
+        one = [
+            convexity_sampled_rows(*(a[r : r + 1] for a in (nets, m0, m1, chord, h)), n_vecs[r], 65)[0]
+            for r in range(6)
+        ]
+        assert got.tolist() == one
+        # one vector for every net is the same as that vector on every row
+        shared = convexity_sampled_rows(nets, m0, m1, chord, h, n_vecs[0], 65)
+        tiled = convexity_sampled_rows(nets, m0, m1, chord, h, np.tile(n_vecs[0], (6, 1)), 65)
+        assert shared.tolist() == tiled.tolist()
+        kinds.update(got.tolist())
+    assert kinds == {True, False}
+    with pytest.raises(ValueError):
+        convexity_sampled_rows(nets, m0, m1, chord, h, np.zeros((6, 3)), 65)

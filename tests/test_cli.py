@@ -187,6 +187,10 @@ class TestNonFiniteDiagnostic:
                 assert err == ""
             if scale == 1e100 and argv[0] == "check":
                 assert (code, err) == (2, "error: non-finite diagnostic 'curvature_sign_v2': inf\n")
+            if scale == 1e160:
+                # the chords are longer than float64 can measure, not coincident
+                message = "error: length of the chord from point 0 to point 1 overflows float64\n"
+                assert (code, err) == (2, message)
 
     def test_two_non_finite_keys_name_the_first_listed(self):
         from shapespline.polygon import DataPolygon

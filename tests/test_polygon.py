@@ -167,6 +167,27 @@ class TestDataPolygon:
         with pytest.raises(ValueError):
             DataPolygon([(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0)])
 
+    def test_out_of_range_chord_named(self):
+        # the squares of a chord longer than about 1.3e154 overflow: its
+        # length reads inf, and it is named instead of read as a duplicate
+        with pytest.raises(ValueError) as exc:
+            DataPolygon([(0, 0, 0), (1, 0, 0), (1e200, 0, 0), (1e200, 1, 0)])
+        assert str(exc.value) == "length of the chord from point 1 to point 2 overflows float64"
+        with pytest.raises(ValueError) as exc:
+            DataPolygon([(0, 0, 0), (1e154, 0, 0), (2e154, 0, 0)])
+        assert str(exc.value) == "extent of the points overflows float64"
+        # below about 1e-162 the squares underflow and the length reads 0
+        with pytest.raises(ValueError) as exc:
+            DataPolygon([(0, 0, 0), (1e-200, 0, 0), (2e-200, 1e-200, 0)])
+        assert str(exc.value) == "length of the chord from point 0 to point 1 underflows float64"
+
+    def test_only_coincident_points_are_duplicates(self):
+        with pytest.raises(ValueError) as exc:
+            DataPolygon([(0, 0, 0), (1e150, 0, 0), (1e150, 0, 0), (1e150, 1e150, 0)])
+        assert str(exc.value) == "duplicate consecutive points at index 1"
+        # long chords that still have a finite length are accepted
+        assert DataPolygon([(0, 0, 0), (1e150, 0, 0), (1e150, 1e150, 0)]).n_segments == 2
+
     def test_two_identical_points_rejected(self):
         with pytest.raises(ValueError):
             DataPolygon([(1, 2, 3), (1, 2, 3)])

@@ -22,6 +22,13 @@ The set, with its documents generated by ``perfbench/gen.py``:
 * the collinearity window over part of the knot intervals, ``check --eta
   0.5`` and ``check --verify --samples 128 --eta 0.25``, on the two
   collinear fixtures and on every polyline document of those seeds;
+* long collinear-run polylines of each seed (``gen.collinear_polyline``,
+  200 and 1 000 points), whose collinear vertices fill many of the
+  extended collinearity check's vertex blocks, under ``check`` and
+  ``check --verify``;
+* ``check --eta 0.25`` on a collinear polyline whose knots sit at 1e16,
+  widths of 2 next to widths of 1e3, so that the window part after each
+  width of 2 is empty while its neighbours' are not;
 * documents whose diagnostics overflow, under ``check``, ``check
   --verify`` and ``measures``: the tiny-knot and NaN-curvature documents
   and the 13-point polyline of ``tests/test_cli.py``'s
@@ -67,6 +74,18 @@ ETA_COMMANDS = (
 )
 ETA_FIXTURES = ("collinear_in_convex", "collinear_line")
 OVERFLOW_COMMANDS = (("check",), ("check", "--verify"), ("measures",))
+LONG_POLYLINES = (200, 1000)
+LONG_COMMANDS = (("check",), ("check", "--verify"))
+OFFSET_KNOT_COMMANDS = (("check", "--eta", "0.25"),)
+
+
+def offset_knot_document() -> dict:
+    """A collinear-run polyline whose knots start at 1e16 with widths of 2
+    and 1e3 in turn: a quarter of a width of 2 rounds away there."""
+    pts = gen.collinear_polyline(np.random.default_rng(16), 13)
+    widths = [2.0 if k % 2 == 0 else 1e3 for k in range(len(pts) - 1)]
+    knots = 1e16 + np.concatenate([[0.0], np.cumsum(widths)])
+    return {"version": 1, "points": pts.tolist(), "knots": knots.tolist()}
 
 
 def overflow_documents() -> dict:
@@ -119,6 +138,15 @@ def plan(seeds, workdir: Path) -> list:
                 if name.startswith("polyline-"):
                     commands += [(sub, str(path), *flags) for sub, *flags in ETA_COMMANDS]
                 invocations += [list(argv) for argv in dict.fromkeys(commands)]
+    for seed in seeds:
+        for n in LONG_POLYLINES:
+            path = workdir / f"long-{seed}-polyline-{n}.json"
+            pts = gen.collinear_polyline(np.random.default_rng([seed, n]), n)
+            path.write_text(json.dumps({"version": 1, "points": pts.tolist()}))
+            invocations += [[sub, str(path), *flags] for sub, *flags in LONG_COMMANDS]
+    path = workdir / "offset-knots.json"
+    path.write_text(json.dumps(offset_knot_document()))
+    invocations += [[sub, str(path), *flags] for sub, *flags in OFFSET_KNOT_COMMANDS]
     for name, doc in overflow_documents().items():
         path = workdir / f"overflow-{name}.json"
         path.write_text(json.dumps(doc))
