@@ -24,7 +24,6 @@ from .geometry import (
     cross3,
     project_point,
     sine_angle,
-    sphere_directions,
     triple,
 )
 from .polygon import (

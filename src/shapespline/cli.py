@@ -140,8 +140,10 @@ def load_document(path: str) -> dict:
         raise InputError(f"cannot read input document: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
-    if doc.get("version", 1) != 1:
-        raise InputError(f"unsupported document version {doc.get('version')!r}")
+    version = doc.get("version", 1)
+    # True == 1 in Python: a bool is no version number
+    if type(version) is not int or version != 1:
+        raise InputError(f"unsupported document version {version!r}")
     pts = doc.get("points")
     if not isinstance(pts, list) or len(pts) < 2:
         raise InputError("'points' must list at least 2 points")
@@ -242,7 +244,11 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
 
     The segments are sampled a run at a time (``oracle.segment_run``), so
     that the sampled arrays stay small whatever the document's size."""
-    rng = np.random.default_rng(int(os.environ.get("SHAPESPLINE_SEED", "0")))
+    seed = os.environ.get("SHAPESPLINE_SEED", "0")
+    try:
+        rng = np.random.default_rng(int(seed))
+    except ValueError:
+        raise InputError(f"SHAPESPLINE_SEED must be a non-negative integer, got {seed!r}") from None
     taus = torsion_numerator_rows(*spline.rows())
     # half the search's run: a verdict samples up to ten probes or two
     # convexity orientations per segment

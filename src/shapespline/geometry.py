@@ -188,16 +188,11 @@ def lattice_directions(m: int) -> np.ndarray:
     return dirs
 
 
-def sphere_directions(m: int, extra=()) -> np.ndarray:
-    """Deterministic direction sample on the unit sphere.
-
-    The lattice of ``lattice_directions(m)``, followed by the rows ``c/|c|``
-    and ``-c/|c|`` of each caller-supplied ``extra`` candidate ``c`` in order
-    (zero-length and non-finite candidates dropped).
-    """
-    lattice = lattice_directions(m)
-    c = np.asarray(extra, dtype=float).reshape(-1, 3)
+def unit_pairs(c: np.ndarray) -> np.ndarray:
+    """The rows ``c/|c|`` and ``-c/|c|`` of each candidate row ``c`` of the
+    ``(..., r, 3)`` array ``c`` in order, as ``(..., 2r, 3)``; a zero-length
+    or non-finite candidate gives two zero rows, which see no sign change."""
     ln = norm_rows(c)
-    keep = (ln > 0.0) & np.isfinite(c).all(axis=1)
-    u = c[keep] / ln[keep, None]
-    return np.vstack([lattice, np.stack([u, -u], axis=1).reshape(-1, 3)])
+    keep = ((ln > 0.0) & np.isfinite(c).all(axis=-1))[..., None]
+    u = np.divide(c, ln[..., None], out=np.zeros_like(c), where=keep)
+    return np.stack([u, -u], axis=-2).reshape(*c.shape[:-2], -1, 3)

@@ -9,101 +9,61 @@ criteria formulas it is used to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import EPS_ZERO, cross_rows, lattice_directions, norm_rows, powers
-from .polygon import _BLOCK_ENTRIES, _blocks, _count_changes_rows
+from .geometry import EPS_ZERO, cross_rows, lattice_directions, norm_rows, powers, unit_pairs
+from .polygon import _BLOCK_ENTRIES, _max_view_changes, _runs
 
 # default sampling densities of the oracles, shared with the CLI settings
 DEFAULT_SAMPLES = 512
 DEFAULT_DIRECTIONS = 2048
 
 
-@dataclass(frozen=True)
-class SampledCurve:
-    """Strictly increasing parameter values with matching 3D positions."""
-
-    ts: np.ndarray
-    points: np.ndarray
-
-    def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=float)
-        pts = np.asarray(self.points, dtype=float)
-        if len(ts) != len(pts) or len(ts) < 3:
-            raise ValueError("need at least 3 samples with matching parameters")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("parameters must be strictly increasing")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "points", pts)
-
-
-def _lift(nets: np.ndarray, u):
-    """The control points first: ``(k, d)`` for one net, ``(k, S, d)`` for an
-    ``(S, k, d)`` stack.  For a 1-D array of ``m`` parameters, the points
-    get a trailing axis, so that each interpolation step yields
-    ``(k - 1, [S,] d, m)`` values with the parameters innermost."""
-    b = np.moveaxis(nets, -2, 0)
-    return (b[..., None], u) if isinstance(u, np.ndarray) else (b, u)
-
-
-def _rows(x: np.ndarray, u) -> np.ndarray:
-    """Values from ``_lift``'s layout as rows of coordinates: ``([S,] m,
-    d)`` for an array ``u``, contiguous as the downstream products expect."""
-    return np.ascontiguousarray(np.swapaxes(x, -1, -2)) if isinstance(u, np.ndarray) else x
-
-
-def _per_net(x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """One entry per net, shaped to broadcast against the per-net ``values``."""
-    return x.reshape((-1,) + (1,) * (values.ndim - 1))
-
-
-def decasteljau(ctrl, u) -> np.ndarray:
-    """Evaluate a Bezier curve of any degree by repeated interpolation, at
-    one parameter (a ``(d,)`` point) or a 1-D array of them (``(m, d)``).
-
-    ``ctrl`` is one ``(k, d)`` net or an ``(S, k, d)`` stack of them; a
-    stack adds a leading axis of ``S`` to the result."""
-    b, w = _lift(np.array(ctrl, dtype=float), u)
+def decasteljau(nets, u) -> np.ndarray:
+    """Evaluate Bezier curves of any degree by repeated interpolation: per
+    net of the ``(S, k, d)`` stack ``nets``, the ``(m, d)`` points at the
+    1-D array ``u`` of ``m`` parameters, as ``(S, m, d)``."""
+    # the control points first, each with the parameters innermost, so
+    # that each step yields (k - 1, S, d, m) values
+    b = np.asarray(nets, dtype=float)
+    if b.ndim != 3:
+        raise ValueError("stack of control nets expected")
+    b = np.moveaxis(b, 1, 0)[..., None]
     while len(b) > 1:
-        b = (1.0 - w) * b[:-1] + w * b[1:]
-    return _rows(b[0], u)
+        b = (1.0 - u) * b[:-1] + u * b[1:]
+    return np.ascontiguousarray(b[0].swapaxes(1, 2))
 
 
-def decasteljau_derivatives(ctrl, u, h=1.0):
-    """First/second/third derivative of a cubic Bezier at ``u`` from the
-    de Casteljau triangle, rescaled to a parameter interval of width ``h``.
-
-    ``u`` is one parameter or a 1-D array of them; d1 and d2 are then
-    ``(m, 3)`` rows, and the constant d3 stays one vector.  ``ctrl`` may be
-    an ``(S, 4, 3)`` stack of nets, with ``h`` one width per net: every
-    result then gains a leading axis of ``S``.  Widths are raised to powers
-    through Python floats (``geometry.powers``)."""
-    b0 = np.array(ctrl, dtype=float)
-    if b0.ndim < 2 or b0.shape[-2] != 4:
-        raise ValueError("cubic control net expected")
-    bl, w = _lift(b0, u)
-    b1 = (1.0 - w) * bl[:-1] + w * bl[1:]
-    b2 = (1.0 - w) * b1[:-1] + w * b1[1:]
-    c = np.moveaxis(b0, -2, 0)
+def decasteljau_derivatives(nets, u, h):
+    """First/second/third derivative of cubic Beziers from the de Casteljau
+    triangle: per net of the ``(S, 4, 3)`` stack ``nets``, rescaled to a
+    parameter interval of its width in ``h``, at the 1-D array ``u`` of
+    ``m`` parameters.  d1 and d2 are ``(S, m, 3)``, and the constant d3 is
+    ``(S, 3)``.  Widths are raised to powers through Python floats
+    (``geometry.powers``)."""
+    b0 = np.asarray(nets, dtype=float)
+    if b0.ndim != 3 or b0.shape[1] != 4:
+        raise ValueError("stack of cubic control nets expected")
+    c = np.moveaxis(b0, 1, 0)
+    b1 = (1.0 - u) * c[:-1, ..., None] + u * c[1:, ..., None]
+    b2 = (1.0 - u) * b1[:-1] + u * b1[1:]
     d3 = 6.0 * (c[3] - 3.0 * c[2] + 3.0 * c[1] - c[0])
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    h1, h2, h3 = _per_net(h, b2[0]), _per_net(powers(h, 2), b2[0]), _per_net(powers(h, 3), d3)
-    d1 = 3.0 * (b2[1] - b2[0]) / h1
-    d2 = 6.0 * (b1[2] - 2.0 * b1[1] + b1[0]) / h2
-    return _rows(d1, u), _rows(d2, u), d3 / h3
+    h = np.asarray(h, dtype=float)
+    d1 = 3.0 * (b2[1] - b2[0]) / h[:, None, None]
+    d2 = 6.0 * (b1[2] - 2.0 * b1[1] + b1[0]) / powers(h, 2)[:, None, None]
+    d1, d2 = (np.ascontiguousarray(d.swapaxes(1, 2)) for d in (d1, d2))
+    return d1, d2, d3 / powers(h, 3)[:, None]
 
 
-def curvature_samples(ctrl, n: int, h=1.0):
-    """``d1 x d2`` at ``n`` uniform parameters, via de Casteljau derivatives.
+def curvature_samples(nets, n: int, h):
+    """``d1 x d2`` at ``n`` uniform parameters, via de Casteljau derivatives,
+    per net of the ``(S, 4, 3)`` stack ``nets`` with its width in ``h``.
 
-    Returns ``(omegas, floors)`` where ``floors[k] = |d1||d2|`` bounds the
-    curvature magnitude at sample k; values below ``eps * floors`` are
-    rounding noise, not signal.  A stack of nets, with one width each,
-    gives ``(S, n, 3)`` and ``(S, n)``.
+    Returns ``(omegas, floors)``, ``(S, n, 3)`` and ``(S, n)``, where
+    ``floors[s, k] = |d1||d2|`` bounds the curvature magnitude at sample k;
+    values below ``eps * floors`` are rounding noise, not signal.
     """
-    d1, d2, _ = decasteljau_derivatives(ctrl, np.linspace(0.0, 1.0, n), h)
+    d1, d2, _ = decasteljau_derivatives(nets, np.linspace(0.0, 1.0, n), h)
     return cross_rows(d1, d2), norm_rows(d1) * norm_rows(d2)
 
 
@@ -144,31 +104,7 @@ def _witness_directions(omegas: np.ndarray) -> np.ndarray:
     if len(solvable):
         dips[solvable] = _dips(picks[solvable])
     crosses = np.stack([cross_rows(p0, p2), cross_rows(p0, p1), cross_rows(p1, p2)], axis=1)
-    c = np.concatenate([picks, crosses, dips], axis=1)
-    ln = norm_rows(c)
-    keep = ((ln > 0.0) & np.isfinite(c).all(axis=-1))[..., None]
-    u = np.divide(c, ln[..., None], out=np.zeros_like(c), where=keep)
-    return np.stack([u, -u], axis=2).reshape(len(c), -1, 3)
-
-
-def _raise_counts(best: np.ndarray, vals: np.ndarray, tols: np.ndarray) -> None:
-    """Raise ``best`` (one count per segment) to the largest
-    ``_count_changes_rows`` count among the ``(k, r, m)`` values ``vals``
-    against the ``(k, 1, m)`` dead bands ``tols``.
-
-    A row's plain sign-flip count bounds its dead-band count from above
-    (skipping entries never adds a change), so only the rows whose plain
-    count exceeds their segment's best are counted with the dead band."""
-    pos = vals > 0.0
-    plain = np.add.reduce(pos[..., 1:] != pos[..., :-1], axis=-1, dtype=np.int32)
-    seg, row = np.nonzero(plain > best[:, None])
-    if len(seg):
-        np.maximum.at(best, seg, _count_changes_rows(vals[seg, row], tols[seg, 0]))
-
-
-def _runs(n: int, step: int) -> list:
-    """``(start, stop)`` spans of ``step`` segments covering ``range(n)``."""
-    return [(s, min(s + step, n)) for s in range(0, n, step)]
+    return unit_pairs(np.concatenate([picks, crosses, dips], axis=1))
 
 
 def segment_run(samples: int) -> int:
@@ -220,22 +156,7 @@ def _run_counts(nets, widths, lattice, samples: int, eps_zero: float) -> np.ndar
     if not bent.any():
         return counts
     omegas, tols = omegas[bent], tols[bent]
-    vecs = omegas.transpose(0, 2, 1)
-    witnesses = _witness_directions(omegas)
-    best = np.zeros(len(omegas), dtype=np.int32)
-    # blocks of whole segments: each matmul runs one product per segment, of
-    # the shape the one-segment search uses (a product widened across
-    # segments rounds differently); the witnesses go first, as they are
-    # built to show the reversals and so raise the bar early
-    per_block = max(1, _BLOCK_ENTRIES // (witnesses.shape[1] * samples))
-    for s, t in _runs(len(omegas), per_block):
-        _raise_counts(best[s:t], np.matmul(witnesses[s:t], vecs[s:t]), tols[s:t])
-    per_block = max(1, _BLOCK_ENTRIES // (len(lattice) * samples))
-    rows = max(2, _BLOCK_ENTRIES // (per_block * samples))
-    for s, t in _runs(len(omegas), per_block):
-        for a, b in _blocks(len(lattice), rows):
-            _raise_counts(best[s:t], np.matmul(lattice[a:b], vecs[s:t]), tols[s:t])
-    counts[bent] = best
+    counts[bent] = _max_view_changes(omegas.transpose(0, 2, 1), tols, _witness_directions(omegas), lattice)
     return counts
 
 
@@ -287,8 +208,8 @@ def sampled_convexity(points: np.ndarray, n_vecs: np.ndarray, eps_zero: float = 
     return convex
 
 
-def sampled_global_convexity(curve: SampledCurve, n_vec, eps_zero: float = EPS_ZERO) -> bool:
-    """``sampled_convexity`` of the one sampled curve ``curve`` along
-    ``n_vec``."""
-    n_vec = np.asarray(n_vec, dtype=float)
-    return bool(sampled_convexity(curve.points[None], n_vec[None, None], eps_zero)[0, 0])
+def sampled_global_convexity(points, n_vec, eps_zero: float = EPS_ZERO) -> bool:
+    """``sampled_convexity`` of the one curve sampled at the ``(m, 3)``
+    positions ``points`` along ``n_vec``."""
+    points, n_vec = np.asarray(points, dtype=float), np.asarray(n_vec, dtype=float)
+    return bool(sampled_convexity(points[None], n_vec[None, None], eps_zero)[0, 0])

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import EPS_ZERO, cross_rows, dot_rows, norm_rows, sphere_directions
+from .geometry import EPS_ZERO, cross_rows, dot_rows, lattice_directions, norm_rows, unit_pairs
 
 # values per block of the direction searches (128 KB): memory stays linear in
 # the number of scanned vectors, and the block's temporaries are reused from
@@ -82,20 +82,51 @@ def _blocks(n: int, step: int) -> list:
     return list(zip([0, *ends], ends))
 
 
-def _max_row_changes(dirs: np.ndarray, vecs: np.ndarray, tols) -> int:
-    """Largest ``_count_changes_rows`` count of ``dirs @ vecs.T``, evaluated
-    a block of rows at a time so that the value matrix stays near
-    ``_BLOCK_ENTRIES`` entries.
+def _runs(n: int, step: int) -> list:
+    """``(start, stop)`` spans of ``step`` items covering ``range(n)``."""
+    return [(s, min(s + step, n)) for s in range(0, n, step)]
 
-    Every block holds two rows or more: a one-row product goes through a
-    matrix-vector kernel that rounds differently from the product of the
-    whole matrix, so a one-row tail joins the block before it.
-    """
-    step = max(2, _BLOCK_ENTRIES // max(len(vecs), 1))
-    return max(
-        int(_count_changes_rows(dirs[a:b] @ vecs.T, tols).max())
-        for a, b in _blocks(len(dirs), step)
-    )
+
+def _raise_counts(best: np.ndarray, vals: np.ndarray, tols: np.ndarray) -> None:
+    """Raise ``best`` (one count per sequence) to the largest
+    ``_count_changes_rows`` count among the ``(k, r, m)`` values ``vals``
+    against the ``(k, 1, m)`` dead bands ``tols``.
+
+    A row's plain sign-flip count bounds its dead-band count from above
+    (skipping entries never adds a change), so only the rows whose plain
+    count exceeds their sequence's best are counted with the dead band."""
+    pos = vals > 0.0
+    plain = np.add.reduce(pos[..., 1:] != pos[..., :-1], axis=-1, dtype=np.int32)
+    seq, row = np.nonzero(plain > best[:, None])
+    if len(seq):
+        np.maximum.at(best, seq, _count_changes_rows(vals[seq, row], tols[seq, 0]))
+
+
+def _max_view_changes(vecs: np.ndarray, tols: np.ndarray, own: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Per sequence of the ``(S, 3, m)`` stack ``vecs`` (one vector per
+    column), the largest ``_count_changes_rows`` count of its values along
+    a view direction, against the ``(S, 1, m)`` dead bands ``tols``.  The
+    directions are the sequence's own ``(S, r, 3)`` rows ``own``, then the
+    ``(L, 3)`` rows ``shared``; each set holds two rows or more.
+
+    The products are evaluated in blocks of whole sequences and of
+    direction rows, near ``_BLOCK_ENTRIES`` values each.  Each matmul runs
+    one product per sequence (a product widened across sequences rounds
+    differently), and every block holds two rows or more: a one-row
+    product goes through a matrix-vector kernel that rounds differently
+    from the product of the whole matrix.  The own rows go first, as they
+    are built to show the sign changes and so raise the bar early."""
+    best = np.zeros(len(vecs), dtype=np.int32)
+    m = vecs.shape[-1]
+    for dirs in (own, shared):
+        per_block = max(1, _BLOCK_ENTRIES // (dirs.shape[-2] * m))
+        rows = max(2, _BLOCK_ENTRIES // (per_block * m))
+        for s, t in _runs(len(vecs), per_block):
+            for a, b in _blocks(dirs.shape[-2], rows):
+                # the shared rows broadcast against every sequence of the block
+                d = dirs[s:t, a:b] if dirs.ndim == 3 else dirs[a:b]
+                _raise_counts(best[s:t], np.matmul(d, vecs[s:t]), tols[s:t])
+    return best
 
 
 class Classes(NamedTuple):
@@ -283,15 +314,14 @@ def spatial_arc_inflection_count(poly: DataPolygon, directions: int) -> int:
     sampled view direction.
 
     A deterministic lower bound on the supremum over the whole sphere; the
-    sample is a Fibonacci lattice plus the axis directions plus the arc's
-    own normalized turn vectors.
+    sample is the arc's own normalized turn vectors and the directions
+    orthogonal to consecutive pairs of them (sign-region boundaries), then
+    a Fibonacci lattice plus the axis directions.  The one-sequence case of
+    the segment search of ``oracle.projected_inflection_counts``.
     """
     turns = poly.binormals
     if len(turns) < 2:
         return 0
-    # candidate witnesses: the turn vectors themselves plus directions
-    # orthogonal to consecutive pairs (sign-region boundaries)
-    extra = np.concatenate([turns, cross_rows(turns[:-1], turns[1:])])
-    dirs = sphere_directions(directions, extra=extra)
-    tols = poly.eps_zero * poly.classes.binormal_floors[None, :]
-    return _max_row_changes(dirs, turns, tols)
+    own = unit_pairs(np.concatenate([turns, cross_rows(turns[:-1], turns[1:])]))
+    tols = poly.eps_zero * poly.classes.binormal_floors
+    return int(_max_view_changes(turns.T[None], tols[None, None], own[None], lattice_directions(directions))[0])

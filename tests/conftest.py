@@ -26,7 +26,7 @@ from shapespline import (
     triple,
 )
 from shapespline.criteria import convexity_sampled_rows
-from shapespline.geometry import cross_rows, dot, dot_rows, norm, norm_rows, sine_rows, sphere_directions
+from shapespline.geometry import cross_rows, dot, dot_rows, norm, norm_rows, sine_rows
 from shapespline.oracle import _DIP_RHS, decasteljau, decasteljau_derivatives
 from shapespline.polygon import _BLOCK_ENTRIES, FLAG_SETS
 from shapespline.segment import derivative_rows, point_rows
@@ -487,15 +487,28 @@ def ref_witness_candidates(omegas) -> np.ndarray:
 def ref_projected_inflection_count(ctrl, h, directions, samples, eps_zero=EPS_ZERO) -> int:
     """Largest strict sign-change count of ``omega . w`` over the lattice and
     the segment's own witnesses, one block of directions at a time."""
-    d1, d2, _ = decasteljau_derivatives(ctrl, np.linspace(0.0, 1.0, samples), h)
+    d1, d2, _ = (d[0] for d in decasteljau_derivatives(np.asarray(ctrl)[None], np.linspace(0.0, 1.0, samples), [h]))
     omegas, floors = cross_rows(d1, d2), norm_rows(d1) * norm_rows(d2)
-    dirs = sphere_directions(directions, extra=ref_witness_candidates(omegas))
+    dirs = looped_sphere_directions(directions, extra=ref_witness_candidates(omegas))
     tols = np.broadcast_to(eps_zero * np.maximum(floors, 1e-300), (1, samples))
     step = max(2, _BLOCK_ENTRIES // samples)
     ends = [*range(step, len(dirs) - 1, step), len(dirs)]
     return max(
         int(forward_fill_changes_rows(dirs[a:b] @ omegas.T, tols).max()) for a, b in zip([0, *ends], ends)
     )
+
+
+def ref_spatial_arc_inflection_count(poly, directions) -> int:
+    """Largest strict sign-change count of the turn sequence over the
+    lattice, the turns and their consecutive crosses, from the whole
+    product at once and with no pruning."""
+    turns = poly.binormals
+    if len(turns) < 2:
+        return 0
+    extra = np.concatenate([turns, cross_rows(turns[:-1], turns[1:])])
+    dirs = looped_sphere_directions(directions, extra=extra)
+    tols = poly.eps_zero * poly.classes.binormal_floors[None, :]
+    return int(forward_fill_changes_rows(dirs @ turns.T, tols).max())
 
 
 def ref_sampled_global_convexity(pts, n_vec, eps_zero) -> bool:
@@ -530,9 +543,9 @@ def ref_verify_report(spline, report, cfg, settings: dict) -> list:
     widths = spline.widths.tolist()
     for i, passing in itertools.groupby(report.passing_segment_rows(), key=lambda p: p[0]):
         ctrl, h, tau = spline.nets[i - 1], widths[i - 1], taus[i - 1]
-        tangents, d2, _ = decasteljau_derivatives(ctrl, us, h)
+        tangents, d2, _ = (d[0] for d in decasteljau_derivatives(ctrl[None], us, [h]))
         omegas = cross_rows(tangents, d2)
-        points = decasteljau(ctrl, us)
+        points = decasteljau(ctrl[None], us)[0]
         normals = poly.binormals[i - 2 : i]
         for _, rows, r in passing:
             crit = rows.criterion
@@ -562,7 +575,7 @@ def ref_verify_report(spline, report, cfg, settings: dict) -> list:
                         )
             elif crit is Criterion.TORSION:
                 probe_us = np.array([0.0, 0.37, 0.5, 1.0])
-                d1, dd2, d3 = decasteljau_derivatives(ctrl, probe_us, h)
+                d1, dd2, d3 = (d[0] for d in decasteljau_derivatives(ctrl[None], probe_us, [h]))
                 dets = dot_rows(cross_rows(d1, dd2), d3)
                 bad = np.abs(dets - tau) > 1e-9 * norm_rows(d1) * norm_rows(dd2) * norm(d3)
                 for u, det in zip(probe_us[bad].tolist(), dets[bad].tolist()):

@@ -102,20 +102,21 @@ def test_segment_evaluators(rng):
 
 
 def test_decasteljau(rng):
+    # a grid of parameters gives, row for row, the bits of one parameter at a time
     for _ in range(15):
-        ctrl, us = scaled_rows(rng, 4), grid(rng)
-        h = float(10.0 ** rng.uniform(-2, 2))
-        points = stack(decasteljau(ctrl, float(u)) for u in us)
-        assert np.array_equal(decasteljau(ctrl, us), points)
+        ctrl, us = scaled_rows(rng, 4)[None], grid(rng)
+        h = [float(10.0 ** rng.uniform(-2, 2))]
+        points = stack(decasteljau(ctrl, np.array([u]))[0, 0] for u in us)
+        assert np.array_equal(decasteljau(ctrl, us)[0], points)
         d1, d2, d3 = decasteljau_derivatives(ctrl, us, h)
-        scalar = [decasteljau_derivatives(ctrl, float(u), h) for u in us]
-        assert np.array_equal(d1, stack(d[0] for d in scalar))
-        assert np.array_equal(d2, stack(d[1] for d in scalar))
-        assert d3.shape == (3,) and np.array_equal(d3, scalar[0][2])
+        one = [decasteljau_derivatives(ctrl, np.array([u]), h) for u in us]
+        assert np.array_equal(d1[0], stack(d[0][0, 0] for d in one))
+        assert np.array_equal(d2[0], stack(d[1][0, 0] for d in one))
+        assert d3.shape == (1, 3) and np.array_equal(d3, one[0][2])
     # any degree and dimension
-    net = scaled_rows(rng, 7, 2)
+    net = scaled_rows(rng, 7, 2)[None]
     us = grid(rng)
-    assert np.array_equal(decasteljau(net, us), stack(decasteljau(net, float(u)) for u in us))
+    assert np.array_equal(decasteljau(net, us)[0], stack(decasteljau(net, np.array([u]))[0, 0] for u in us))
 
 
 def scaled_segments(rng, n):

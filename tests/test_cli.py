@@ -521,6 +521,24 @@ def test_malformed_input_names_the_field(capsys, tmp_path, change, argv, field):
     assert err.startswith(f"error: {field} must be")
 
 
+@pytest.mark.parametrize("version", [True, False, 1.0, "1", None, 2])
+def test_only_the_int_version_1_is_supported(capsys, tmp_path, version):
+    # True == 1 and 1.0 == 1 in Python; neither is the version number 1
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**VALID_DOC, "version": version}))
+    code, out, err = run(capsys, "check", doc)
+    assert code == 2 and out == ""
+    assert err == f"error: unsupported document version {version!r}\n"
+
+
+@pytest.mark.parametrize("seed", ["abc", "-1", "1.5", ""])
+def test_malformed_seed_names_the_variable(capsys, monkeypatch, seed):
+    monkeypatch.setenv("SHAPESPLINE_SEED", seed)
+    code, out, err = run(capsys, "check", FIXTURES / "s_shape.json", "--verify")
+    assert code == 2 and out == ""
+    assert err == f"error: SHAPESPLINE_SEED must be a non-negative integer, got {seed!r}\n"
+
+
 def test_per_segment_minimum_names_the_flag(capsys):
     code, _, err = run(capsys, "sample", FIXTURES / "example1.json", "--per-segment", "1")
     assert code == 2

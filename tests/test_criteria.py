@@ -698,9 +698,9 @@ class TestGoldenViewpointExamples:
 
         seg = CubicSegment.from_bezier([0, 0, 0], [1, 1, 0.5], [-2, 3, 9.5], [0, 0, 10], 1.0)
         w = np.array([-7.458, 6.863, 33.506])
-        omegas, floors = curvature_samples(seg.bezier_points, 2048, seg.h)
-        vals = omegas @ w
-        band = 1e-9 * floors * np.linalg.norm(w)
+        omegas, floors = curvature_samples(seg.bezier_points[None], 2048, [seg.h])
+        vals = omegas[0] @ w
+        band = 1e-9 * floors[0] * np.linalg.norm(w)
         vals = np.where(np.abs(vals) <= band, 0.0, vals)
         assert sign_changes(vals) == 2
 

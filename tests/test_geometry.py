@@ -10,10 +10,9 @@ from shapespline import (
     cross3,
     project_point,
     sine_angle,
-    sphere_directions,
     triple,
 )
-from shapespline.geometry import lattice_directions
+from shapespline.geometry import lattice_directions, unit_pairs
 from shapespline.planar import cross2
 from conftest import looped_sphere_directions, vec3
 
@@ -167,17 +166,22 @@ class TestProjectionIdentity:
 
 
 class TestSphereDirections:
+    """The view directions of the searches: the lattice, and the unit pairs
+    of each search's own candidates."""
+
     def test_contains_poles_and_axes(self):
-        dirs = sphere_directions(64)
+        dirs = lattice_directions(64)
         for axis in np.vstack([np.eye(3), -np.eye(3)]):
             assert np.any(np.all(np.isclose(dirs, axis), axis=1))
 
     def test_unit_norm(self):
-        dirs = sphere_directions(256, extra=[np.array([3.0, 4.0, 0.0])])
-        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        assert np.allclose(np.linalg.norm(lattice_directions(256), axis=1), 1.0)
+        pairs = unit_pairs(np.array([[3.0, 4.0, 0.0]]))
+        assert np.allclose(np.linalg.norm(pairs, axis=1), 1.0)
+        assert np.array_equal(pairs, [[0.6, 0.8, 0.0], [-0.6, -0.8, -0.0]])
 
     def test_deterministic(self):
-        assert np.array_equal(sphere_directions(128), sphere_directions(128))
+        assert np.array_equal(lattice_directions(128), lattice_directions.__wrapped__(128))
 
     def test_lattice_memoised_read_only(self):
         lattice = lattice_directions(96)
@@ -185,12 +189,12 @@ class TestSphereDirections:
         assert not lattice.flags.writeable
         with pytest.raises(ValueError):
             lattice[0, 0] = 0.0
-        out = sphere_directions(96)
-        assert out.flags.writeable and not np.shares_memory(out, lattice)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("m", [1, 16, 512, 2048])
     def test_matches_looped_construction(self, rng, m):
+        # the looped construction drops a zero-length or non-finite
+        # candidate; the unit pairs keep its place with two zero rows
         extra = [
             *rng.normal(size=(20, 3)) * 10.0 ** rng.uniform(-150, 150, (20, 1)),
             np.zeros(3),
@@ -200,10 +204,18 @@ class TestSphereDirections:
             np.array([5e-324, 0.0, 0.0]),
         ]
         for cands in ((), extra[:1], extra, np.array(extra)):
+            c = np.asarray(cands, dtype=float).reshape(-1, 3)
+            pairs = unit_pairs(c)
+            kept = np.repeat(np.array([np.linalg.norm(x) > 0.0 and np.isfinite(x).all() for x in c], dtype=bool), 2)
+            assert pairs.shape == (2 * len(c), 3) and not pairs[~kept].any()
             assert np.array_equal(
-                sphere_directions(m, extra=cands), looped_sphere_directions(m, extra=cands)
+                np.vstack([lattice_directions(m), pairs[kept]]), looped_sphere_directions(m, extra=cands)
             )
+        # a stack of candidate sets gives each set's pairs
+        stacked = unit_pairs(np.array([extra, extra[::-1]]))
+        assert np.array_equal(stacked[0], unit_pairs(np.array(extra)))
+        assert np.array_equal(stacked[1], unit_pairs(np.array(extra[::-1])))
 
     def test_rejects_empty_lattice(self):
         with pytest.raises(ValueError):
-            sphere_directions(0)
+            lattice_directions(0)

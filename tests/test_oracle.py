@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from shapespline import CubicSegment, DataPolygon, Plane, SplineConfig, build_spline
-from shapespline.geometry import lattice_directions, sphere_directions
+from shapespline.geometry import lattice_directions
 from shapespline.oracle import (
     _DIP_RHS,
-    SampledCurve,
     _witness_directions,
     curvature_samples,
     decasteljau,
@@ -22,6 +21,7 @@ from shapespline.polygon import _BLOCK_ENTRIES, _blocks
 from conftest import (
     bench_gen,
     finite_diff_derivatives,
+    looped_sphere_directions,
     random_nonplanar_segment,
     random_segment,
     ref_projected_inflection_count,
@@ -50,11 +50,11 @@ class TestDeCasteljau:
             seg = random_segment(rng)
             ctrl = seg.bezier_points
             u = 0.41
-            d1, d2, d3 = decasteljau_derivatives(ctrl, u, seg.h)
-            f1, f2, f3 = finite_diff_derivatives(lambda v: decasteljau(ctrl, v), u, 1e-4)
-            assert np.allclose(d1 * seg.h, f1, rtol=1e-6, atol=1e-6)
-            assert np.allclose(d2 * seg.h**2, f2, rtol=1e-4, atol=1e-4)
-            assert np.allclose(d3 * seg.h**3, f3, rtol=1e-3, atol=1e-3)
+            d1, d2, d3 = decasteljau_derivatives(ctrl[None], np.array([u]), [seg.h])
+            f1, f2, f3 = finite_diff_derivatives(lambda v: decasteljau(ctrl[None], np.array([v]))[0, 0], u, 1e-4)
+            assert np.allclose(d1[0, 0] * seg.h, f1, rtol=1e-6, atol=1e-6)
+            assert np.allclose(d2[0, 0] * seg.h**2, f2, rtol=1e-4, atol=1e-4)
+            assert np.allclose(d3[0] * seg.h**3, f3, rtol=1e-3, atol=1e-3)
 
 
 class TestProjectedInflectionCount:
@@ -94,7 +94,7 @@ class TestProjectedInflectionCount:
             )
             omegas = np.array(
                 [
-                    np.cross(*decasteljau_derivatives(proj.bezier_points, u, proj.h)[:2])
+                    np.cross(*(d[0, 0] for d in decasteljau_derivatives(proj.bezier_points[None], np.array([u]), [proj.h])[:2]))
                     for u in np.linspace(0, 1, 257)
                 ]
             )
@@ -159,7 +159,7 @@ class TestProjectedInflectionCounts:
         omegas, _ = curvature_samples(spline.nets, 128, spline.widths)
         rows = _witness_directions(omegas)
         for k, om in enumerate(omegas):
-            ref = sphere_directions(16, extra=ref_witness_candidates(om))[22:]
+            ref = looped_sphere_directions(16, extra=ref_witness_candidates(om))[22:]
             assert np.array_equal(rows[k][rows[k].any(axis=1)], ref[ref.any(axis=1)])
 
     def test_nearly_straight_segments(self):
@@ -206,27 +206,29 @@ class TestProjectedInflectionCounts:
 
 
 class TestStackedNets:
-    """A stack of nets evaluates each net as the one-net call does, bit for bit."""
+    """A stack of nets evaluates each net as a stack of that net alone
+    does, bit for bit."""
 
     def test_decasteljau_and_derivatives(self, rng):
         nets = rng.normal(size=(7, 4, 3)) * 10.0 ** rng.uniform(-6, 6, (7, 1, 1))
         widths = 10.0 ** rng.uniform(-3, 3, 7)
-        us = np.sort(rng.uniform(0.0, 1.0, 37))
+        us, at = np.sort(rng.uniform(0.0, 1.0, 37)), np.array([0.3])
         d1, d2, d3 = decasteljau_derivatives(nets, us, widths)
-        p1, p2, p3 = decasteljau_derivatives(nets, 0.3, widths)
-        points, point = decasteljau(nets, us), decasteljau(nets, 0.3)
+        p1, p2, p3 = decasteljau_derivatives(nets, at, widths)
+        points, point = decasteljau(nets, us), decasteljau(nets, at)
         for k, (ctrl, h) in enumerate(zip(nets, widths.tolist())):
-            one = decasteljau_derivatives(ctrl, us, h)
-            assert np.array_equal(d1[k], one[0]) and np.array_equal(d2[k], one[1])
-            assert np.array_equal(d3[k], one[2])
-            at = decasteljau_derivatives(ctrl, 0.3, h)
-            assert np.array_equal(p1[k], at[0]) and np.array_equal(p2[k], at[1]) and np.array_equal(p3[k], at[2])
-            assert np.array_equal(points[k], decasteljau(ctrl, us))
-            assert np.array_equal(point[k], decasteljau(ctrl, 0.3))
+            one = decasteljau_derivatives(ctrl[None], us, [h])
+            assert np.array_equal(d1[k], one[0][0]) and np.array_equal(d2[k], one[1][0])
+            assert np.array_equal(d3[k], one[2][0])
+            one = decasteljau_derivatives(ctrl[None], at, [h])
+            assert np.array_equal(p1[k], one[0][0]) and np.array_equal(p2[k], one[1][0])
+            assert np.array_equal(p3[k], one[2][0])
+            assert np.array_equal(points[k], decasteljau(ctrl[None], us)[0])
+            assert np.array_equal(point[k], decasteljau(ctrl[None], at)[0])
         omegas, floors = curvature_samples(nets, 37, widths)
         for k, (ctrl, h) in enumerate(zip(nets, widths.tolist())):
-            one = curvature_samples(ctrl, 37, h)
-            assert np.array_equal(omegas[k], one[0]) and np.array_equal(floors[k], one[1])
+            one = curvature_samples(ctrl[None], 37, [h])
+            assert np.array_equal(omegas[k], one[0][0]) and np.array_equal(floors[k], one[1][0])
 
     def test_sampled_convexity_matches_the_one_curve_reference(self, rng):
         spline = family_spline("helix", 20)
@@ -236,7 +238,7 @@ class TestStackedNets:
         # starting tangent line, and a half circle
         ts = np.linspace(0.0, 3.0 * math.pi, 64)
         spiral = (1.0 + 0.15 * ts)[:, None] * np.column_stack([np.cos(ts), np.sin(ts), np.zeros_like(ts)])
-        points = np.concatenate([points, [spiral, arc_samples(1.0, math.pi, 64).points]])
+        points = np.concatenate([points, [spiral, arc_samples(1.0, math.pi, 64)]])
         normals = rng.normal(size=(len(points), 2, 3))
         normals[::3, 0] = spline.polygon.binormals[0]
         normals[-2:, 1] = [0.0, 0.0, 1.0]
@@ -245,7 +247,7 @@ class TestStackedNets:
         for pts, nvs, got in zip(points, normals, convex.tolist()):
             for nv, g in zip(nvs, got):
                 assert g == ref_sampled_global_convexity(pts, nv, 1e-9)
-                assert sampled_global_convexity(SampledCurve(us, pts), nv) == g
+                assert sampled_global_convexity(pts, nv) == g
 
 
 class TestBezierCorollary:
@@ -302,21 +304,22 @@ class TestFiniteDifferences:
 
 
 def arc_samples(radius, span, n, orientation=1.0):
+    """``n`` points of a circular arc of ``radius`` over the angle ``span``."""
     ts = np.linspace(0.0, span, n)
     pts = np.column_stack(
         [radius * np.cos(ts), orientation * radius * np.sin(ts), np.zeros(n)]
     )
-    return SampledCurve(ts, pts)
+    return pts
 
 
 class TestSampledGlobalConvexity:
     def test_half_circle_arc(self):
-        curve = arc_samples(1.0, math.pi, 64)
-        assert sampled_global_convexity(curve, vec3(0, 0, 1))
+        points = arc_samples(1.0, math.pi, 64)
+        assert sampled_global_convexity(points, vec3(0, 0, 1))
 
     def test_reversed_orientation_fails(self):
-        curve = arc_samples(1.0, math.pi, 64)
-        assert not sampled_global_convexity(curve, vec3(0, 0, -1))
+        points = arc_samples(1.0, math.pi, 64)
+        assert not sampled_global_convexity(points, vec3(0, 0, -1))
 
     def test_spiral_violates_support_condition(self):
         # Archimedean spiral, 1.5 turns: locally convex everywhere but the
@@ -324,13 +327,12 @@ class TestSampledGlobalConvexity:
         ts = np.linspace(0.0, 3.0 * math.pi, 256)
         r = 1.0 + 0.15 * ts
         pts = np.column_stack([r * np.cos(ts), r * np.sin(ts), np.zeros_like(ts)])
-        curve = SampledCurve(ts, pts)
-        assert not sampled_global_convexity(curve, vec3(0, 0, 1))
+        assert not sampled_global_convexity(pts, vec3(0, 0, 1))
 
     def test_needs_enough_samples(self):
-        curve = arc_samples(1.0, math.pi, 5)
+        points = arc_samples(1.0, math.pi, 5)
         with pytest.raises(ValueError):
-            sampled_global_convexity(curve, vec3(0, 0, 1))
+            sampled_global_convexity(points, vec3(0, 0, 1))
 
 
 class TestNegativeResults:

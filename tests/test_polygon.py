@@ -20,7 +20,7 @@ from shapespline.oracle import DEFAULT_DIRECTIONS
 from shapespline.planar import PolyArc2, cross2, is_regular_arc, planar_inflection_count
 from shapespline import polygon
 from shapespline.polygon import _BLOCK_ENTRIES, _count_changes_rows
-from conftest import forward_fill_changes_rows, random_polygon
+from conftest import forward_fill_changes_rows, random_polygon, ref_spatial_arc_inflection_count
 
 EX1_POINTS = [(-3, -3, -0.5), (0, 0, 0), (0, 0, 5), (2, -4, 5.5)]
 EX2_POINTS = [(-3, -3, -0.5), (0, 0, 0), (0, 0, 10), (2, -4, 10.5)]
@@ -121,16 +121,39 @@ class TestCountChangesRows:
         self.check(vals, np.full((1, vals.shape[1]), tol))
 
 
+def whole_products(blocks: list, sequences: int, set_rows) -> np.ndarray:
+    """The ``(k, r, m)`` products that ``_max_view_changes`` evaluates, in
+    its order (each direction set in turn, by runs of sequences, each run
+    by blocks of rows), put back together as the ``(S, R, m)`` products of
+    every sequence with all its directions."""
+    blocks, whole = iter(blocks), []
+    for rows in set_rows:
+        runs, seen = [], 0
+        while seen < sequences:
+            run = [next(blocks)]
+            while sum(b.shape[1] for b in run) < rows:
+                run.append(next(blocks))
+            runs.append(np.concatenate(run, axis=1))
+            seen += len(run[0])
+        whole.append(np.concatenate(runs))
+    assert next(blocks, None) is None
+    return np.concatenate(whole, axis=1)
+
+
 class TestMaxRowChanges:
-    """The blocked scan sees the rows of the whole product ``dirs @ vecs.T``
-    bit for bit, and so gives the reference count of that product."""
+    """The blocked search sees the rows of each sequence's whole product
+    with its directions bit for bit, and so gives the reference count of
+    that product: with one sequence, as the arc search runs it, and with a
+    stack of sequences, as the segment search runs them."""
+
+    OWN = 16  # rows of a sequence's own directions; the rest are shared
 
     @pytest.mark.parametrize(
         "n,rows",
         [
             (1, 23),
-            (100, 518),  # several full blocks and a partial one
-            (1000, 2065),  # a one-row tail joins the block before it
+            (100, 518),  # several full blocks of shared rows and a partial one
+            (1000, 2065),  # a one-row tail of shared rows joins the block before it
             (_BLOCK_ENTRIES // 2 + 1, 41),  # two-row blocks
             (_BLOCK_ENTRIES + 3, 31),
         ],
@@ -142,19 +165,27 @@ class TestMaxRowChanges:
         # near-planar vectors of mixed magnitudes put many values near the band
         vecs = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e3, (n, 1))
         vecs[:, 2] *= 1e-9
-        tols = 1e-9 * np.linalg.norm(vecs, axis=1)[None, :]
+        stacked = np.stack([vecs, vecs[::-1], 1e-3 * vecs, vecs[:, [1, 2, 0]], -vecs])
+        own = np.stack([np.roll(dirs, k, axis=0)[: self.OWN] for k in range(len(stacked))])
+        shared = dirs[self.OWN :]
         blocks = []
 
-        def recording(vals, tols):
+        def recording(best, vals, tols):
             blocks.append(vals)
-            return _count_changes_rows(vals, tols)
+            raise_counts(best, vals, tols)
 
-        monkeypatch.setattr(polygon, "_count_changes_rows", recording)
-        got = polygon._max_row_changes(dirs, vecs, tols)
-        whole = dirs @ vecs.T
-        assert all(len(b) >= min(2, rows) for b in blocks)
-        assert np.array_equal(np.vstack(blocks), whole)
-        assert got == forward_fill_changes_rows(whole, tols).max()
+        raise_counts = polygon._raise_counts
+        monkeypatch.setattr(polygon, "_raise_counts", recording)
+        for seqs in (stacked[:1], stacked):
+            blocks.clear()
+            tols = 1e-9 * np.linalg.norm(seqs, axis=2)[:, None, :]
+            got = polygon._max_view_changes(seqs.transpose(0, 2, 1), tols, own[: len(seqs)], shared)
+            assert all(b.shape[1] >= 2 for b in blocks)
+            products = whole_products(blocks, len(seqs), (self.OWN, len(shared)))
+            for k, seq in enumerate(seqs):
+                whole = np.vstack([own[k], shared]) @ seq.T
+                assert np.array_equal(products[k], whole)
+                assert got[k] == forward_fill_changes_rows(whole, tols[k]).max()
 
 
 class TestDataPolygon:
@@ -386,6 +417,22 @@ class TestSpatialArcInflectionCount:
             except ValueError:
                 continue
             assert spatial_arc_inflection_count(poly, 64) == planar_inflection_count(arc)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("directions", [16, 64, 512, 2048])
+    def test_matches_the_unpruned_whole_product(self, directions):
+        # random and near-planar polygons of 3 to 400 points, at unit scale
+        # and scaled by 1e100 (the turns' crosses overflow) and 1e-100
+        # (they underflow)
+        rng = np.random.default_rng(directions)
+        for n in (3, 4, 9, 40, 400):
+            for flat in (1.0, 1e-9):
+                pts = rng.normal(size=(n, 3)).cumsum(axis=0) * [1.0, 1.0, flat]
+                for scale in (1.0, 1e100, 1e-100):
+                    poly = DataPolygon(pts * scale)
+                    want = ref_spatial_arc_inflection_count(poly, directions)
+                    assert spatial_arc_inflection_count(poly, directions) == want
 
     def test_memory_linear_in_points(self):
         # the value matrix is scanned a block of directions at a time; the

@@ -49,7 +49,7 @@ class TestEvaluation:
         for _ in range(100):
             seg = random_segment(rng)
             for u in (0.3, 0.123, 0.9):
-                assert np.allclose(seg.point(u), decasteljau(seg.bezier_points, u), atol=1e-13)
+                assert np.allclose(seg.point(u), decasteljau(seg.bezier_points[None], np.array([u]))[0, 0], atol=1e-13)
 
     def test_domain_error(self, rng):
         seg = random_segment(rng)

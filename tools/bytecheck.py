@@ -17,8 +17,10 @@ The set, with its documents generated by ``perfbench/gen.py``:
 * the documents of each seed of every workload under the workload's own
   commands plus ``check`` and ``measures``, ``check --verify`` on the
   ``check_small`` documents, and ``inflection --verify`` at the default
-  settings on the ``verify`` documents (some of them report undercounts
-  there, so the disagreement text is compared too);
+  settings on the ``verify`` documents;
+* ``inflection --verify`` on the ``verify`` documents of seed 4, whatever
+  the seeds: ``helix-20``, ``helix-46`` and ``helix-60`` report arc-count
+  undercounts there, so every run compares that disagreement text;
 * the collinearity window over part of the knot intervals, ``check --eta
   0.5`` and ``check --verify --samples 128 --eta 0.25``, on the two
   collinear fixtures and on every polyline document of those seeds;
@@ -30,13 +32,16 @@ The set, with its documents generated by ``perfbench/gen.py``:
   widths of 2 next to widths of 1e3, so that the window part after each
   width of 2 is empty while its neighbours' are not;
 * documents whose diagnostics overflow, under ``check``, ``check
-  --verify`` and ``measures``: the tiny-knot and NaN-curvature documents
-  and the 13-point polyline of ``tests/test_cli.py``'s
-  ``TestNonFiniteDiagnostic``, the polyline scaled by 1e±100 and 1e±160.
+  --verify``, ``measures``, ``inflection`` and ``inflection --verify``:
+  the tiny-knot and NaN-curvature documents and the 13-point polyline of
+  ``tests/test_cli.py``'s ``TestNonFiniteDiagnostic``, the polyline scaled
+  by 1e±100 and 1e±160.  There the turns and the curvature samples
+  overflow, so the direction searches meet inf and NaN.
 
-Python prints a warning once per source line and registry; each
-invocation starts with a fresh registry, so its stderr holds every warning
-it raises, whatever ran before it.
+Python prints a warning, with its file and line, once per source line and
+registry; each invocation starts with a fresh registry, so its stderr
+holds every warning it raises, whatever ran before it.  The file is shown
+relative to the tree, as ``<src>/shapespline/...``.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ ETA_COMMANDS = (
     ("check", "--verify", "--samples", "128", "--eta", "0.25"),
 )
 ETA_FIXTURES = ("collinear_in_convex", "collinear_line")
-OVERFLOW_COMMANDS = (("check",), ("check", "--verify"), ("measures",))
+OVERFLOW_COMMANDS = (("check",), ("check", "--verify"), ("measures",), ("inflection",), ("inflection", "--verify"))
+UNDERCOUNT_SEED = 4
 LONG_POLYLINES = (200, 1000)
 LONG_COMMANDS = (("check",), ("check", "--verify"))
 OFFSET_KNOT_COMMANDS = (("check", "--eta", "0.25"),)
@@ -138,6 +144,12 @@ def plan(seeds, workdir: Path) -> list:
                 if name.startswith("polyline-"):
                     commands += [(sub, str(path), *flags) for sub, *flags in ETA_COMMANDS]
                 invocations += [list(argv) for argv in dict.fromkeys(commands)]
+    if UNDERCOUNT_SEED not in seeds:
+        for k, (name, doc) in enumerate(gen.documents("verify", UNDERCOUNT_SEED)):
+            if not name.startswith("fixture-"):
+                path = workdir / f"verify-{UNDERCOUNT_SEED}-{k:03d}-{name}.json"
+                path.write_text(json.dumps(doc))
+                invocations.append(["inflection", str(path), "--verify"])
     for seed in seeds:
         for n in LONG_POLYLINES:
             path = workdir / f"long-{seed}-polyline-{n}.json"
@@ -156,7 +168,9 @@ def plan(seeds, workdir: Path) -> list:
 
 def run_tree(src: str, plan_path: str, out_path: str) -> None:
     """Run every invocation of the plan against the tree ``src``; write
-    per invocation the sha256 of stdout, stderr and the exit code."""
+    per invocation the sha256 of stdout, stderr and the exit code.  A
+    warning names the file it comes from: stderr shows the tree's path as
+    ``<src>``, so that the two trees' warnings compare."""
     sys.path.insert(0, src)
     from shapespline import cli
 
@@ -169,7 +183,8 @@ def run_tree(src: str, plan_path: str, out_path: str) -> None:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
-        results.append([hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue(), code])
+        stderr = err.getvalue().replace(src, "<src>")
+        results.append([hashlib.sha256(out.getvalue().encode()).hexdigest(), stderr, code])
     Path(out_path).write_text(json.dumps(results))
 
 
