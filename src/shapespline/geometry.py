@@ -188,11 +188,11 @@ def lattice_directions(m: int) -> np.ndarray:
     return dirs
 
 
-def unit_pairs(c: np.ndarray) -> np.ndarray:
-    """The rows ``c/|c|`` and ``-c/|c|`` of each candidate row ``c`` of the
-    ``(..., r, 3)`` array ``c`` in order, as ``(..., 2r, 3)``; a zero-length
-    or non-finite candidate gives two zero rows, which see no sign change."""
+def unit_rows(c: np.ndarray) -> np.ndarray:
+    """The row ``c/|c|`` of each candidate row ``c`` of the ``(..., r, 3)``
+    array ``c``, in order; a zero-length or non-finite candidate gives a
+    zero row, which sees no sign change.  A search needs no ``-c/|c|`` row:
+    negation is exact, so it sees the same dead-band count."""
     ln = norm_rows(c)
     keep = ((ln > 0.0) & np.isfinite(c).all(axis=-1))[..., None]
-    u = np.divide(c, ln[..., None], out=np.zeros_like(c), where=keep)
-    return np.stack([u, -u], axis=-2).reshape(*c.shape[:-2], -1, 3)
+    return np.divide(c, ln[..., None], out=np.zeros_like(c), where=keep)

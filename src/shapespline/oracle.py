@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import EPS_ZERO, cross_rows, lattice_directions, norm_rows, powers, unit_pairs
+from .geometry import EPS_ZERO, cross_rows, lattice_directions, norm_rows, powers, unit_rows
 from .polygon import _BLOCK_ENTRIES, _max_view_changes, _runs
 
 # default sampling densities of the oracles, shared with the CLI settings
@@ -89,11 +89,11 @@ def _dips(picks: np.ndarray) -> np.ndarray:
 
 def _witness_directions(omegas: np.ndarray) -> np.ndarray:
     """Data-adapted view directions per segment of the ``(S, m, 3)``
-    sampled curvature vectors: ``±c/|c|`` for each of nine candidates ``c``
+    sampled curvature vectors: ``c/|c|`` for each of nine candidates ``c``
     (three sampled vectors, their pairwise crosses, and solutions of small
-    linear systems that force an interior sign dip), as ``(S, 18, 3)``.
-    A zero-length or non-finite candidate gives two zero rows, which see
-    no sign change."""
+    linear systems that force an interior sign dip), as ``(S, 9, 3)``.
+    A zero-length or non-finite candidate gives a zero row, which sees no
+    sign change."""
     picks = omegas[:, [0, omegas.shape[1] // 2, -1]]
     p0, p1, p2 = picks[:, 0], picks[:, 1], picks[:, 2]
     dips = np.full(picks.shape, np.nan)
@@ -104,7 +104,7 @@ def _witness_directions(omegas: np.ndarray) -> np.ndarray:
     if len(solvable):
         dips[solvable] = _dips(picks[solvable])
     crosses = np.stack([cross_rows(p0, p2), cross_rows(p0, p1), cross_rows(p1, p2)], axis=1)
-    return unit_pairs(np.concatenate([picks, crosses, dips], axis=1))
+    return unit_rows(np.concatenate([picks, crosses, dips], axis=1))
 
 
 def segment_run(samples: int) -> int:
@@ -129,21 +129,31 @@ def projected_inflection_counts(
     Valid because the planar curvature of the projection along ``w`` has
     the same sign pattern as ``omega . w`` (projection drops only the
     component of the curvature vector orthogonal to ``w``).  The directions
-    are the shared lattice plus each net's own witnesses.
+    are each net's own witnesses, then the shared lattice; a lattice
+    direction that ``polygon._max_view_changes`` certifies from the
+    samples alone to see no more changes than the witnesses is not
+    evaluated, so the count is that of every direction.  Raises
+    ``ValueError`` naming the first segment whose curvature samples or
+    their floors are not finite.
     """
     if directions < 16:
         raise ValueError("need at least 16 directions")
     nets, widths = np.asarray(nets, dtype=float), np.asarray(widths, dtype=float)
     lattice = lattice_directions(directions)
     runs = _runs(len(nets), segment_run(samples))
-    return np.concatenate([_run_counts(nets[s:t], widths[s:t], lattice, samples, eps_zero) for s, t in runs])
+    return np.concatenate([_run_counts(nets, widths, s, t, lattice, samples, eps_zero) for s, t in runs])
 
 
-def _run_counts(nets, widths, lattice, samples: int, eps_zero: float) -> np.ndarray:
-    """``projected_inflection_counts`` of one run of nets, its values
+def _run_counts(nets, widths, s: int, t: int, lattice, samples: int, eps_zero: float) -> np.ndarray:
+    """``projected_inflection_counts`` of the run ``nets[s:t]``, its values
     evaluated in blocks of whole segments of about ``_BLOCK_ENTRIES`` values,
     with at least two directions each."""
-    omegas, floors = curvature_samples(nets, samples, widths)
+    # an overflowing sample is reported, not warned about
+    with np.errstate(all="ignore"):
+        omegas, floors = curvature_samples(nets[s:t], samples, widths[s:t])
+    finite = np.isfinite(omegas).all(axis=(1, 2)) & np.isfinite(floors).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite sampled curvature on segment {s + int(np.argmin(finite)) + 1}")
     # magnitude floor per sample, independent of the view direction: along
     # directions nearly orthogonal to a planar segment's binormal the whole
     # row is rounding noise and must classify as zero

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import EPS_ZERO, cross_rows, dot_rows, lattice_directions, norm_rows, unit_pairs
+from .geometry import EPS_ZERO, cross_rows, dot_rows, lattice_directions, norm_rows, unit_rows
 
 # values per block of the direction searches (128 KB): memory stays linear in
 # the number of scanned vectors, and the block's temporaries are reused from
@@ -102,6 +102,62 @@ def _raise_counts(best: np.ndarray, vals: np.ndarray, tols: np.ndarray) -> None:
         np.maximum.at(best, seq, _count_changes_rows(vals[seq, row], tols[seq, 0]))
 
 
+def _raise_over(best: np.ndarray, vecs: np.ndarray, tols: np.ndarray, dirs: np.ndarray) -> None:
+    """``_raise_counts`` over the products of the ``(S, 3, m)`` stack
+    ``vecs`` with the direction rows ``dirs``, one ``(S, r, 3)`` set per
+    sequence or one ``(r, 3)`` set for all, two rows or more, in blocks of
+    whole sequences and of rows near ``_BLOCK_ENTRIES`` values each."""
+    m = vecs.shape[-1]
+    per_block = max(1, _BLOCK_ENTRIES // (dirs.shape[-2] * m))
+    rows = max(2, _BLOCK_ENTRIES // (per_block * m))
+    for s, t in _runs(len(vecs), per_block):
+        for a, b in _blocks(dirs.shape[-2], rows):
+            # a shared set broadcasts against every sequence of the block
+            d = dirs[s:t, a:b] if dirs.ndim == 3 else dirs[a:b]
+            _raise_counts(best[s:t], np.matmul(d, vecs[s:t]), tols[s:t])
+
+
+# the certificate's angular margin (radians): far above the rounding of its
+# angles and of a 3-term dot product
+_MARGIN = 1e-6
+# below this band, squared lengths may underflow and a live vector read as
+# short: a stack holding such a band drops no column and certifies nothing
+_MIN_BAND = 1e-150
+
+
+def _certificates(vecs: np.ndarray, lengths: np.ndarray, live: np.ndarray, best: np.ndarray):
+    """Per sequence of the ``(S, 3, m)`` stack ``vecs``, with the ``(S, m)``
+    ``lengths`` of its vectors and ``live`` marking those longer than half
+    their band: a unit axis ``c`` and a bound ``sin(rho + _MARGIN)`` such
+    that no direction ``w`` with ``|c . w|`` above the bound sees more than
+    ``best`` sign changes, as ``(S, 3)`` and ``(S,)``; the bound is NaN
+    where the sequence is not certified.
+
+    A vector within half its band is dead along every unit direction,
+    rounding included.  The live ones lie within the angle ``rho`` of the
+    line through ``c``; take ``sigma_k = sign(c . v_k)`` over them, with
+    ``C`` strict sign changes.  Along such a ``w``, each makes an angle
+    below 90 degrees less the margin with ``sign(c . w) sigma_k w``, so a
+    value that clears its band has the sign ``sign(c . w) sigma_k``: the
+    count is at most ``C``.  A sequence is certified where ``C <= best``
+    and ``rho`` plus the margin stays below 90 degrees; a NaN or inf value
+    makes ``rho`` NaN and so declines."""
+    with np.errstate(all="ignore"):
+        # the first and last live vectors, the second turned toward the first
+        units = vecs.transpose(0, 2, 1) / lengths[..., None]
+        seq = np.arange(len(vecs))
+        a, b = units[seq, live.argmax(axis=1)], units[seq, -1 - live[:, ::-1].argmax(axis=1)]
+        axis = a + np.copysign(1.0, dot_rows(a, b))[:, None] * b
+        axis /= norm_rows(axis)[:, None]
+        along = np.matmul(axis[:, None], vecs)[:, 0]
+        # a sequence with no live vector keeps rho at the margin: it sees
+        # no change along any direction
+        rho = np.arccos(np.minimum(np.where(live, np.abs(along) / lengths, 1.0).min(axis=1), 1.0)) + _MARGIN
+    # the vectors within half their band are the dead entries of C
+    sure = (rho < 0.5 * np.pi) & (_count_changes_rows(np.where(live, along, np.nan), 0.0) <= best)
+    return axis, np.where(sure, np.sin(rho), np.nan)
+
+
 def _max_view_changes(vecs: np.ndarray, tols: np.ndarray, own: np.ndarray, shared: np.ndarray) -> np.ndarray:
     """Per sequence of the ``(S, 3, m)`` stack ``vecs`` (one vector per
     column), the largest ``_count_changes_rows`` count of its values along
@@ -109,23 +165,51 @@ def _max_view_changes(vecs: np.ndarray, tols: np.ndarray, own: np.ndarray, share
     directions are the sequence's own ``(S, r, 3)`` rows ``own``, then the
     ``(L, 3)`` rows ``shared``; each set holds two rows or more.
 
-    The products are evaluated in blocks of whole sequences and of
-    direction rows, near ``_BLOCK_ENTRIES`` values each.  Each matmul runs
-    one product per sequence (a product widened across sequences rounds
-    differently), and every block holds two rows or more: a one-row
-    product goes through a matrix-vector kernel that rounds differently
-    from the product of the whole matrix.  The own rows go first, as they
-    are built to show the sign changes and so raise the bar early."""
+    Only the products that can raise a count are evaluated.  A vector
+    within half its band is dead along every unit direction: a column
+    dead so in every sequence is dropped.  The own rows go first, as they
+    are built to show the sign changes and so raise the bar early.  Then,
+    where ``_certificates`` bounds a sequence's count off a band of the
+    sphere, only the shared rows inside that band are evaluated for it,
+    one sequence at a time; every other sequence sees all of them.  Both
+    hold only where every band is ``_MIN_BAND`` or more.
+
+    Each matmul runs one product per sequence (a product widened across
+    sequences rounds differently), and every block holds two rows or more:
+    a one-row product goes through a matrix-vector kernel that rounds
+    differently from the product of the whole matrix."""
     best = np.zeros(len(vecs), dtype=np.int32)
-    m = vecs.shape[-1]
-    for dirs in (own, shared):
-        per_block = max(1, _BLOCK_ENTRIES // (dirs.shape[-2] * m))
-        rows = max(2, _BLOCK_ENTRIES // (per_block * m))
-        for s, t in _runs(len(vecs), per_block):
-            for a, b in _blocks(dirs.shape[-2], rows):
-                # the shared rows broadcast against every sequence of the block
-                d = dirs[s:t, a:b] if dirs.ndim == 3 else dirs[a:b]
-                _raise_counts(best[s:t], np.matmul(d, vecs[s:t]), tols[s:t])
+    band = tols[:, 0]
+    with np.errstate(all="ignore"):
+        lengths = np.sqrt(np.einsum("sim,sim->sm", vecs, vecs))
+    live = lengths > 0.5 * band
+    if not band.min() >= _MIN_BAND:
+        _raise_over(best, vecs, tols, own)
+        _raise_over(best, vecs, tols, shared)
+        return best
+    cols = live.any(axis=0)
+    if not cols.any():
+        return best
+    if not cols.all():
+        vecs, tols, lengths, live = vecs[..., cols], tols[..., cols], lengths[:, cols], live[:, cols]
+    _raise_over(best, vecs, tols, own)
+    axis, bound = _certificates(vecs, lengths, live, best)
+    open_ = np.isnan(bound)
+    if open_.all():
+        _raise_over(best, vecs, tols, shared)
+        return best
+    if open_.any():
+        part = best[open_]
+        _raise_over(part, vecs[open_], tols[open_], shared)
+        best[open_] = part
+    sure = np.flatnonzero(~open_)
+    keep = np.abs(np.matmul(axis[sure], shared.T)) <= bound[sure, None]
+    for s, rows in zip(sure.tolist(), keep):
+        rows = np.flatnonzero(rows)
+        if len(rows):
+            # a lone row is evaluated twice, as a block needs two
+            d = shared[np.repeat(rows, 2) if len(rows) == 1 else rows]
+            _raise_over(best[s : s + 1], vecs[s : s + 1], tols[s : s + 1], d)
     return best
 
 
@@ -316,12 +400,15 @@ def spatial_arc_inflection_count(poly: DataPolygon, directions: int) -> int:
     A deterministic lower bound on the supremum over the whole sphere; the
     sample is the arc's own normalized turn vectors and the directions
     orthogonal to consecutive pairs of them (sign-region boundaries), then
-    a Fibonacci lattice plus the axis directions.  The one-sequence case of
-    the segment search of ``oracle.projected_inflection_counts``.
+    a Fibonacci lattice plus the axis directions.  Lattice directions that
+    ``_max_view_changes`` certifies cannot raise the count are skipped, and
+    so are the turns within half their dead band (collinear vertices),
+    which no direction sees.  The one-sequence case of the segment search
+    of ``oracle.projected_inflection_counts``.
     """
     turns = poly.binormals
     if len(turns) < 2:
         return 0
-    own = unit_pairs(np.concatenate([turns, cross_rows(turns[:-1], turns[1:])]))
+    own = unit_rows(np.concatenate([turns, cross_rows(turns[:-1], turns[1:])]))
     tols = poly.eps_zero * poly.classes.binormal_floors
     return int(_max_view_changes(turns.T[None], tols[None, None], own[None], lattice_directions(directions))[0])

@@ -147,6 +147,36 @@ def planar_scurve(rng, n: int = 14) -> np.ndarray:
     return np.column_stack([0.5 * s, y, np.full(n, 1.25)])
 
 
+# point families of the direction-search tests, and translations of them:
+# far from the origin the rounding of the coordinates puts the sampled
+# curvature of nearly straight segments above its dead band
+SEARCH_KINDS = ("planar", "near-planar", "near-straight", "helix", "polyline")
+SEARCH_OFFSETS = (0.0, 1e6, 1e7, 1e8)
+
+
+def search_points(kind: str, seed: int, n: int, offset: float = 0.0) -> np.ndarray:
+    """About ``n`` points of the family ``kind`` drawn from ``seed``,
+    shifted by ``offset`` along every axis: a planar S-curve in ``z =
+    const``, the same turned and lifted off its plane by 1e-9 to 1e-5, a
+    line bent sideways by 1e-10 to 1e-6, a noisy helix, or a polyline with
+    collinear runs (``collinear_polyline``)."""
+    rng = np.random.default_rng(seed)
+    if kind == "helix":
+        pts = noisy_helix(rng, n)
+    elif kind == "polyline":
+        pts = collinear_polyline(rng, corners=max(2, n // 3 + 1))
+    elif kind == "near-straight":
+        s = np.arange(n, dtype=float)
+        bend = 10.0 ** rng.uniform(-10.0, -6.0) * rng.normal(size=(n, 2))
+        pts = np.column_stack([s, bend]) @ random_rotation(rng).T
+    else:
+        pts = planar_scurve(rng, n)
+        if kind == "near-planar":
+            pts[:, 2] += 10.0 ** rng.uniform(-9.0, -5.0) * rng.normal(size=n)
+            pts = pts @ random_rotation(rng).T
+    return pts + offset
+
+
 def spline_segments(spline) -> tuple:
     """One :class:`CubicSegment` per segment of ``spline``, built from its
     rows, for tests that check the one-row API against a built spline."""

@@ -168,6 +168,19 @@ class TestNonFiniteDiagnostic:
         assert run(capsys, "check", path, "--out", target) == (2, "", f"error: {message}\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("doc", [TINY_KNOTS, NAN_CURVATURE], ids=["tiny-knots", "nan-curvature"])
+    @pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["inflection", "inflection-verify"])
+    def test_inflection_names_the_first_non_finite_segment(self, capsys, tmp_path, doc, verify):
+        # the sampled curvature of segment 1 overflows: no count is printed
+        # for it, and no numpy warning either
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(capsys, "inflection", path, *verify)
+        assert [str(w.message) for w in caught] == []
+        assert result == (2, "", "error: non-finite sampled curvature on segment 1\n")
+
     # a 13-point polyline with collinear runs; at 1e100 the products of its
     # chords overflow, and the collinearity check at vertex 1 reads inf
     POLYLINE = collinear_polyline(np.random.default_rng(8), corners=4, run=3)

@@ -12,7 +12,7 @@ from shapespline import (
     sine_angle,
     triple,
 )
-from shapespline.geometry import lattice_directions, unit_pairs
+from shapespline.geometry import lattice_directions, unit_rows
 from shapespline.planar import cross2
 from conftest import looped_sphere_directions, vec3
 
@@ -166,7 +166,7 @@ class TestProjectionIdentity:
 
 
 class TestSphereDirections:
-    """The view directions of the searches: the lattice, and the unit pairs
+    """The view directions of the searches: the lattice, and the unit row
     of each search's own candidates."""
 
     def test_contains_poles_and_axes(self):
@@ -176,9 +176,9 @@ class TestSphereDirections:
 
     def test_unit_norm(self):
         assert np.allclose(np.linalg.norm(lattice_directions(256), axis=1), 1.0)
-        pairs = unit_pairs(np.array([[3.0, 4.0, 0.0]]))
-        assert np.allclose(np.linalg.norm(pairs, axis=1), 1.0)
-        assert np.array_equal(pairs, [[0.6, 0.8, 0.0], [-0.6, -0.8, -0.0]])
+        rows = unit_rows(np.array([[3.0, 4.0, 0.0]]))
+        assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
+        assert np.array_equal(rows, [[0.6, 0.8, 0.0]])
 
     def test_deterministic(self):
         assert np.array_equal(lattice_directions(128), lattice_directions.__wrapped__(128))
@@ -194,7 +194,9 @@ class TestSphereDirections:
     @pytest.mark.parametrize("m", [1, 16, 512, 2048])
     def test_matches_looped_construction(self, rng, m):
         # the looped construction drops a zero-length or non-finite
-        # candidate; the unit pairs keep its place with two zero rows
+        # candidate and keeps the pair +-c/|c| of the others; the unit rows
+        # keep the place of a dropped one with a zero row, and the negated
+        # rows are the exact negations
         extra = [
             *rng.normal(size=(20, 3)) * 10.0 ** rng.uniform(-150, 150, (20, 1)),
             np.zeros(3),
@@ -205,16 +207,15 @@ class TestSphereDirections:
         ]
         for cands in ((), extra[:1], extra, np.array(extra)):
             c = np.asarray(cands, dtype=float).reshape(-1, 3)
-            pairs = unit_pairs(c)
-            kept = np.repeat(np.array([np.linalg.norm(x) > 0.0 and np.isfinite(x).all() for x in c], dtype=bool), 2)
-            assert pairs.shape == (2 * len(c), 3) and not pairs[~kept].any()
-            assert np.array_equal(
-                np.vstack([lattice_directions(m), pairs[kept]]), looped_sphere_directions(m, extra=cands)
-            )
-        # a stack of candidate sets gives each set's pairs
-        stacked = unit_pairs(np.array([extra, extra[::-1]]))
-        assert np.array_equal(stacked[0], unit_pairs(np.array(extra)))
-        assert np.array_equal(stacked[1], unit_pairs(np.array(extra[::-1])))
+            rows = unit_rows(c)
+            kept = np.array([np.linalg.norm(x) > 0.0 and np.isfinite(x).all() for x in c], dtype=bool)
+            assert rows.shape == (len(c), 3) and not rows[~kept].any()
+            pairs = np.stack([rows[kept], -rows[kept]], axis=1).reshape(-1, 3)
+            assert np.array_equal(np.vstack([lattice_directions(m), pairs]), looped_sphere_directions(m, extra=cands))
+        # a stack of candidate sets gives each set's rows
+        stacked = unit_rows(np.array([extra, extra[::-1]]))
+        assert np.array_equal(stacked[0], unit_rows(np.array(extra)))
+        assert np.array_equal(stacked[1], unit_rows(np.array(extra[::-1])))
 
     def test_rejects_empty_lattice(self):
         with pytest.raises(ValueError):

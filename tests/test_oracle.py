@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapespline import CubicSegment, DataPolygon, Plane, SplineConfig, build_spline
 from shapespline.geometry import lattice_directions
@@ -19,6 +22,8 @@ from shapespline.oracle import (
 from shapespline.planar import PolyArc2, planar_inflection_count
 from shapespline.polygon import _BLOCK_ENTRIES, _blocks
 from conftest import (
+    SEARCH_KINDS,
+    SEARCH_OFFSETS,
     bench_gen,
     finite_diff_derivatives,
     looped_sphere_directions,
@@ -28,6 +33,7 @@ from conftest import (
     ref_sampled_global_convexity,
     ref_witness_candidates,
     sampled_sign_changes,
+    search_points,
     vec3,
 )
 
@@ -154,13 +160,15 @@ class TestProjectedInflectionCounts:
     @pytest.mark.parametrize("family", ["helix", "scurve", "polyline"])
     def test_a_singular_system_drops_only_its_own_dips(self, family):
         # the batch's nonzero witness rows are, segment by segment, the
-        # unit candidates of the one-segment search
+        # unit candidates of the one-segment search, whose pairs +-c/|c|
+        # hold each row and its exact negation
         spline = family_spline(family, 60)
         omegas, _ = curvature_samples(spline.nets, 128, spline.widths)
         rows = _witness_directions(omegas)
         for k, om in enumerate(omegas):
             ref = looped_sphere_directions(16, extra=ref_witness_candidates(om))[22:]
-            assert np.array_equal(rows[k][rows[k].any(axis=1)], ref[ref.any(axis=1)])
+            kept = rows[k][rows[k].any(axis=1)]
+            assert np.array_equal(np.stack([kept, -kept], axis=1).reshape(-1, 3), ref[ref.any(axis=1)])
 
     def test_nearly_straight_segments(self):
         # planar S-bends of lateral size a: below half the dead band a
@@ -192,12 +200,42 @@ class TestProjectedInflectionCounts:
             ]
             assert counts.tolist() == ref
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(SEARCH_KINDS),
+        st.integers(0, 2**16),
+        st.integers(4, 16),
+        st.sampled_from(SEARCH_OFFSETS),
+        st.sampled_from([16, 64, 512]),
+        st.sampled_from([16, 64, 128]),
+    )
+    def test_matches_the_reference(self, kind, seed, n, offset, directions, samples):
+        spline = build_spline(DataPolygon(search_points(kind, seed, n, offset)), SplineConfig())
+        counts = projected_inflection_counts(spline.nets, spline.widths, directions, samples)
+        ref = [
+            ref_projected_inflection_count(ctrl, h, directions, samples)
+            for ctrl, h in zip(spline.nets, spline.widths.tolist())
+        ]
+        assert counts.tolist() == ref
+
     def test_one_net_is_the_batch_row(self):
         spline = family_spline("helix", 12)
         counts = projected_inflection_counts(spline.nets, spline.widths, 512, 64).tolist()
         assert counts == [
             projected_inflection_count(ctrl, h, 512, 64) for ctrl, h in zip(spline.nets, spline.widths.tolist())
         ]
+
+    @pytest.mark.parametrize("samples", [128, 512])
+    def test_names_the_first_segment_with_non_finite_curvature(self, samples):
+        # a width of 1e-200 makes 6/h**2 overflow on segments 8 and 10;
+        # at 512 samples they lie in the third and fourth runs of three
+        spline = family_spline("helix", 12)
+        widths = spline.widths.copy()
+        widths[[7, 9]] = 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-finite sampled curvature on segment 8$"):
+                projected_inflection_counts(spline.nets, widths, 64, samples)
 
     def test_rejects_too_few_directions(self):
         spline = family_spline("helix", 12)

@@ -16,11 +16,20 @@ from shapespline import (
     spatial_arc_inflection_count,
     triple,
 )
-from shapespline.oracle import DEFAULT_DIRECTIONS
+from shapespline.geometry import cross_rows, lattice_directions, unit_rows
+from shapespline.oracle import DEFAULT_DIRECTIONS, _witness_directions, curvature_samples
 from shapespline.planar import PolyArc2, cross2, is_regular_arc, planar_inflection_count
 from shapespline import polygon
 from shapespline.polygon import _BLOCK_ENTRIES, _count_changes_rows
-from conftest import forward_fill_changes_rows, random_polygon, ref_spatial_arc_inflection_count
+from shapespline.spline import SplineConfig, build_spline
+from conftest import (
+    SEARCH_KINDS,
+    SEARCH_OFFSETS,
+    forward_fill_changes_rows,
+    random_polygon,
+    ref_spatial_arc_inflection_count,
+    search_points,
+)
 
 EX1_POINTS = [(-3, -3, -0.5), (0, 0, 0), (0, 0, 5), (2, -4, 5.5)]
 EX2_POINTS = [(-3, -3, -0.5), (0, 0, 0), (0, 0, 10), (2, -4, 10.5)]
@@ -121,30 +130,36 @@ class TestCountChangesRows:
         self.check(vals, np.full((1, vals.shape[1]), tol))
 
 
-def whole_products(blocks: list, sequences: int, set_rows) -> np.ndarray:
-    """The ``(k, r, m)`` products that ``_max_view_changes`` evaluates, in
-    its order (each direction set in turn, by runs of sequences, each run
-    by blocks of rows), put back together as the ``(S, R, m)`` products of
-    every sequence with all its directions."""
-    blocks, whole = iter(blocks), []
-    for rows in set_rows:
-        runs, seen = [], 0
-        while seen < sequences:
-            run = [next(blocks)]
-            while sum(b.shape[1] for b in run) < rows:
-                run.append(next(blocks))
-            runs.append(np.concatenate(run, axis=1))
-            seen += len(run[0])
-        whole.append(np.concatenate(runs))
+def whole_products(blocks: list, sequences: int, rows: int) -> np.ndarray:
+    """The ``(k, r, m)`` products that one ``_raise_over`` call evaluates,
+    in its order (by runs of sequences, each run by blocks of rows), put
+    back together as the ``(S, R, m)`` products of its sequences with all
+    its rows."""
+    blocks, runs, seen = iter(blocks), [], 0
+    while seen < sequences:
+        run = [next(blocks)]
+        while sum(b.shape[1] for b in run) < rows:
+            run.append(next(blocks))
+        runs.append(np.concatenate(run, axis=1))
+        seen += len(run[0])
     assert next(blocks, None) is None
-    return np.concatenate(whole, axis=1)
+    return np.concatenate(runs)
+
+
+def row_index(rows: np.ndarray) -> dict:
+    """The first position of each distinct row of ``rows``, by its bytes."""
+    index = {}
+    for k, row in enumerate(rows):
+        index.setdefault(row.tobytes(), k)
+    return index
 
 
 class TestMaxRowChanges:
-    """The blocked search sees the rows of each sequence's whole product
-    with its directions bit for bit, and so gives the reference count of
-    that product: with one sequence, as the arc search runs it, and with a
-    stack of sequences, as the segment search runs them."""
+    """Every value the search evaluates equals its entry of the whole
+    product of its sequence with all its directions, bit for bit, and the
+    search gives the reference count of that product: with one sequence,
+    as the arc search runs it, and with a stack of sequences, as the
+    segment search runs them."""
 
     OWN = 16  # rows of a sequence's own directions; the rest are shared
 
@@ -168,24 +183,129 @@ class TestMaxRowChanges:
         stacked = np.stack([vecs, vecs[::-1], 1e-3 * vecs, vecs[:, [1, 2, 0]], -vecs])
         own = np.stack([np.roll(dirs, k, axis=0)[: self.OWN] for k in range(len(stacked))])
         shared = dirs[self.OWN :]
-        blocks = []
-
-        def recording(best, vals, tols):
-            blocks.append(vals)
-            raise_counts(best, vals, tols)
-
-        raise_counts = polygon._raise_counts
-        monkeypatch.setattr(polygon, "_raise_counts", recording)
         for seqs in (stacked[:1], stacked):
-            blocks.clear()
             tols = 1e-9 * np.linalg.norm(seqs, axis=2)[:, None, :]
-            got = polygon._max_view_changes(seqs.transpose(0, 2, 1), tols, own[: len(seqs)], shared)
-            assert all(b.shape[1] >= 2 for b in blocks)
-            products = whole_products(blocks, len(seqs), (self.OWN, len(shared)))
-            for k, seq in enumerate(seqs):
-                whole = np.vstack([own[k], shared]) @ seq.T
-                assert np.array_equal(products[k], whole)
-                assert got[k] == forward_fill_changes_rows(whole, tols[k]).max()
+            checked_search(monkeypatch, seqs, tols, own[: len(seqs)], shared)
+
+
+def checked_search(monkeypatch, vecs, tols, own, shared) -> dict:
+    """Run ``_max_view_changes`` on the ``(S, m, 3)`` sequences ``vecs``
+    and check it against the whole product of each sequence with all its
+    directions: every evaluated value equals its entry bit for bit, every
+    block holds two rows or more, every shared row a certificate skips
+    counts at most the sequence's best at that point, and the result is
+    the reference count.  Returns how many rows the certificates skipped
+    and how many columns were dropped."""
+    certified, calls = [], []
+    certificates = polygon._certificates
+    raise_over, raise_counts = polygon._raise_over, polygon._raise_counts
+
+    def recording_certificates(vecs_, lengths, live, best):
+        axis, bound = certificates(vecs_, lengths, live, best)
+        certified.append((best.copy(), axis, bound))
+        return axis, bound
+
+    def recording_over(best, vecs_, tols_, dirs):
+        calls.append((vecs_, dirs, []))
+        raise_over(best, vecs_, tols_, dirs)
+
+    def recording_counts(best, vals, tols_):
+        calls[-1][2].append(vals)
+        raise_counts(best, vals, tols_)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polygon, "_certificates", recording_certificates)
+        patch.setattr(polygon, "_raise_over", recording_over)
+        patch.setattr(polygon, "_raise_counts", recording_counts)
+        got = polygon._max_view_changes(vecs.transpose(0, 2, 1), tols, own, shared)
+    wholes = [np.vstack([own[k], shared]) @ seq.T for k, seq in enumerate(vecs)]
+    columns = [row_index(seq) for seq in vecs]
+    dropped = 0
+    for vecs_, dirs_, blocks in calls:
+        assert all(b.shape[1] >= 2 for b in blocks)
+        dropped = max(dropped, vecs.shape[1] - vecs_.shape[-1])
+        for s, (v, p) in enumerate(zip(vecs_, whole_products(blocks, len(vecs_), dirs_.shape[-2]))):
+            # the call's sequence, its columns and its direction rows
+            cols = [[c.get(x.tobytes()) for x in v.T] for c in columns]
+            k = next(k for k, c in enumerate(cols) if None not in c)
+            at = row_index(np.vstack([own[k], shared]))
+            d = dirs_[s] if dirs_.ndim == 3 else dirs_
+            assert np.array_equal(p, wholes[k][np.ix_([at[r.tobytes()] for r in d], cols[k])])
+    skipped = 0
+    for best, axis, bound in certified:
+        for k in np.flatnonzero(~np.isnan(bound)):
+            skip = len(own[k]) + np.flatnonzero(np.abs(shared @ axis[k]) > bound[k])
+            if len(skip):
+                assert forward_fill_changes_rows(wholes[k][skip], tols[k]).max() <= best[k]
+            skipped += len(skip)
+    for k, whole in enumerate(wholes):
+        assert got[k] == forward_fill_changes_rows(whole, tols[k]).max()
+    return {"skipped": skipped, "dropped": dropped}
+
+
+class TestCertificate:
+    """The shared rows a certificate skips cannot raise a count, on the
+    segment search's curvature samples and on arcs' turns, planar, bent
+    off their plane, nearly straight or twisted, also far from the origin;
+    and the evaluated values stay the whole product's."""
+
+    @pytest.mark.parametrize("offset", SEARCH_OFFSETS)
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
+    def test_segment_searches(self, monkeypatch, kind, offset):
+        spline = build_spline(DataPolygon(search_points(kind, 5, 12, offset)), SplineConfig())
+        omegas, floors = curvature_samples(spline.nets, 64, spline.widths)
+        tols = 1e-9 * np.maximum(floors, 1e-300)[:, None, :]
+        found = checked_search(monkeypatch, omegas, tols, _witness_directions(omegas), lattice_directions(128))
+        if offset == 0.0:
+            assert found["skipped"] > 0
+
+    @pytest.mark.parametrize("offset", SEARCH_OFFSETS)
+    @pytest.mark.parametrize("kind", SEARCH_KINDS)
+    def test_arc_searches(self, monkeypatch, kind, offset):
+        poly = DataPolygon(search_points(kind, 3, 20, offset))
+        turns = poly.binormals
+        own = unit_rows(np.concatenate([turns, cross_rows(turns[:-1], turns[1:])]))
+        tols = poly.eps_zero * poly.classes.binormal_floors
+        found = checked_search(monkeypatch, turns[None], tols[None, None], own[None], lattice_directions(128))
+        if kind == "polyline" and offset == 0.0:
+            # the collinear vertices' turns are dead along every direction
+            assert found["dropped"] > 0
+
+    def test_cones(self, monkeypatch):
+        # vectors within a cone of half-angle 1 to 85 degrees about a random
+        # axis, a few of them reversed and a few within half their band
+        rng = np.random.default_rng(11)
+        seqs, bands = [], []
+        for half_angle in np.radians([1.0, 20.0, 45.0, 70.0, 85.0]):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            tilt = rng.uniform(0.0, half_angle, 40)
+            side = np.cross(axis, rng.normal(size=(40, 3)))
+            side /= np.linalg.norm(side, axis=1)[:, None]
+            vecs = np.cos(tilt)[:, None] * axis + np.sin(tilt)[:, None] * side
+            vecs *= np.where(np.arange(40) % 13 < 11, 1.0, -1.0)[:, None] * rng.uniform(0.5, 2.0, (40, 1))
+            band = np.full(40, 1e-3)
+            band[::7] = 5.0
+            seqs.append(vecs)
+            bands.append(band)
+        vecs, tols = np.array(seqs), np.array(bands)[:, None, :]
+        own = unit_rows(vecs[:, [0, 20, 39]])
+        found = checked_search(monkeypatch, vecs, tols, own, lattice_directions(512))
+        assert found["skipped"] > 0
+        # zero own rows leave every best at 0, below the reversals' changes:
+        # no sequence is certified, and the rows near the axes count them
+        zero = np.zeros((len(vecs), 2, 3))
+        assert checked_search(monkeypatch, vecs, tols, zero, lattice_directions(512))["skipped"] == 0
+
+    def test_a_lone_kept_row_is_evaluated_in_a_block_of_two(self, monkeypatch):
+        # vectors along z, reversed in turn: only the shared row (1, 0, 0)
+        # lies within the margin of the plane z = 0
+        vecs = np.outer(np.tile([1.0, -2.0, 3.0], 5), [0.0, 0.0, 1.0])[None]
+        tilted = np.random.default_rng(4).normal(size=(40, 3)) + [0.0, 0.0, 3.0]
+        shared = np.vstack([tilted / np.linalg.norm(tilted, axis=1)[:, None], [1.0, 0.0, 0.0]])
+        own = np.array([[[0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]]) / [[[1.0], [np.sqrt(2.0)]]]
+        found = checked_search(monkeypatch, vecs, np.full((1, 1, 15), 1e-9), own, shared)
+        assert found["skipped"] == len(tilted)
 
 
 class TestDataPolygon:
@@ -433,6 +553,18 @@ class TestSpatialArcInflectionCount:
                     poly = DataPolygon(pts * scale)
                     want = ref_spatial_arc_inflection_count(poly, directions)
                     assert spatial_arc_inflection_count(poly, directions) == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(SEARCH_KINDS),
+        st.integers(0, 2**16),
+        st.integers(4, 40),
+        st.sampled_from(SEARCH_OFFSETS),
+        st.sampled_from([16, 64, 512]),
+    )
+    def test_matches_the_reference(self, kind, seed, n, offset, directions):
+        poly = DataPolygon(search_points(kind, seed, n, offset))
+        assert spatial_arc_inflection_count(poly, directions) == ref_spatial_arc_inflection_count(poly, directions)
 
     def test_memory_linear_in_points(self):
         # the value matrix is scanned a block of directions at a time; the

@@ -18,6 +18,12 @@ The set, with its documents generated by ``perfbench/gen.py``:
   commands plus ``check`` and ``measures``, ``check --verify`` on the
   ``check_small`` documents, and ``inflection --verify`` at the default
   settings on the ``verify`` documents;
+* the ``verify`` documents of those seeds translated by 1e6 and by 1e8
+  along every axis, under ``inflection --samples 128 --directions 512``
+  and ``inflection --verify``: there the rounding of the coordinates puts
+  the sampled curvature of the straight segments above its dead band
+  (counts up to 84 at seeds 0-2), so the direction search's certificate
+  declines on some segments and bounds others by their noise;
 * ``inflection --verify`` on the ``verify`` documents of seed 4, whatever
   the seeds: ``helix-20``, ``helix-46`` and ``helix-60`` report arc-count
   undercounts there, so every run compares that disagreement text;
@@ -83,6 +89,8 @@ UNDERCOUNT_SEED = 4
 LONG_POLYLINES = (200, 1000)
 LONG_COMMANDS = (("check",), ("check", "--verify"))
 OFFSET_KNOT_COMMANDS = (("check", "--eta", "0.25"),)
+SHIFTS = (1e6, 1e8)
+SHIFT_COMMANDS = (("inflection", "--samples", "128", "--directions", "512"), ("inflection", "--verify"))
 
 
 def offset_knot_document() -> dict:
@@ -141,6 +149,10 @@ def plan(seeds, workdir: Path) -> list:
                     commands.append(("check", str(path), "--verify"))
                 if workload == "verify":
                     commands.append(("inflection", str(path), "--verify"))
+                    for offset in SHIFTS:
+                        shifted = workdir / f"{workload}-{seed}-{k:03d}-{name}-shift{offset:g}.json"
+                        shifted.write_text(json.dumps(dict(doc, points=(np.array(doc["points"]) + offset).tolist())))
+                        commands += [(sub, str(shifted), *flags) for sub, *flags in SHIFT_COMMANDS]
                 if name.startswith("polyline-"):
                     commands += [(sub, str(path), *flags) for sub, *flags in ETA_COMMANDS]
                 invocations += [list(argv) for argv in dict.fromkeys(commands)]
