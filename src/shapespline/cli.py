@@ -17,8 +17,9 @@ mixed-normal probes used there.
 The oracles run over a document's segments at once: ``inflection`` makes
 one ``oracle.projected_inflection_counts`` call per direction density,
 and ``check --verify`` samples each criterion's passing segments of a run
-together (``oracle.segment_run``), drawing the probes in verdict order
-and formatting a message only for a probe that fails.
+together, drawing the probes in verdict order and formatting a message
+only for a probe that fails.  A run holds ``oracle.segment_run`` segments
+(32 at the default 512 samples), and no byte depends on where runs split.
 """
 
 from __future__ import annotations
@@ -242,17 +243,15 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
     of human-readable disagreement strings (empty = clean), segment by
     segment in report order.
 
-    The segments are sampled a run at a time (``oracle.segment_run``), so
-    that the sampled arrays stay small whatever the document's size."""
+    The segments are sampled a run of ``oracle.segment_run`` segments at a
+    time, as under ``inflection``: a document that short is one run."""
     seed = os.environ.get("SHAPESPLINE_SEED", "0")
     try:
         rng = np.random.default_rng(int(seed))
     except ValueError:
         raise InputError(f"SHAPESPLINE_SEED must be a non-negative integer, got {seed!r}") from None
     taus = torsion_numerator_rows(*spline.rows())
-    # half the search's run: a verdict samples up to ten probes or two
-    # convexity orientations per segment
-    run = max(1, oracle.segment_run(settings["samples"]) // 2)
+    run = oracle.segment_run(settings["samples"])
     problems = []
     for _, passing in itertools.groupby(report.passing_segment_rows(), key=lambda e: (e[0] - 1) // run):
         problems += _verify_segments(spline, list(passing), taus, rng, cfg.tolerances, settings["samples"])

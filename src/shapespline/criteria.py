@@ -508,11 +508,11 @@ def check_torsion_compat(
 # collinearity, extended neighbourhood form
 
 
-# collinear vertices evaluated together: the convex-neighbourhood scan
-# samples four rows of 65 points per vertex, and its (rows, 65, 3) arrays
-# stay within half of ``_BLOCK_ENTRIES`` (64 KB), below glibc's 128 KB mmap
-# threshold, so that each block's temporaries are reused from the heap
-_VERTEX_BLOCK = _BLOCK_ENTRIES // (2 * 4 * 65 * 3)
+# collinear vertices evaluated together, by the oracles' run rule: the
+# convex-neighbourhood scan samples four rows of 65 points per vertex, so
+# each coordinate plane of its (rows, 65, 3) arrays holds at most
+# ``_BLOCK_ENTRIES`` values, and memory stays linear in the vertices
+_VERTEX_BLOCK = _BLOCK_ENTRIES // (4 * 65)
 
 
 def check_collinearity_extended(

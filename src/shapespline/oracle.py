@@ -108,10 +108,10 @@ def _witness_directions(omegas: np.ndarray) -> np.ndarray:
 
 
 def segment_run(samples: int) -> int:
-    """How many segments to sample together: the de Casteljau values of a
-    run at ``samples`` parameters stay near ``_BLOCK_ENTRIES``, whatever the
-    number of segments."""
-    return max(1, _BLOCK_ENTRIES // (9 * samples))
+    """How many segments a sampled run holds: each coordinate plane of its
+    ``(S, samples, 3)`` arrays holds at most ``_BLOCK_ENTRIES`` values, so
+    a run's memory does not grow with the number of segments."""
+    return max(1, _BLOCK_ENTRIES // samples)
 
 
 def projected_inflection_counts(
@@ -145,9 +145,9 @@ def projected_inflection_counts(
 
 
 def _run_counts(nets, widths, s: int, t: int, lattice, samples: int, eps_zero: float) -> np.ndarray:
-    """``projected_inflection_counts`` of the run ``nets[s:t]``, its values
-    evaluated in blocks of whole segments of about ``_BLOCK_ENTRIES`` values,
-    with at least two directions each."""
+    """``projected_inflection_counts`` of the run ``nets[s:t]``, at most
+    ``segment_run(samples)`` segments; the search takes its products in
+    blocks of whole segments of about ``_BLOCK_ENTRIES`` values each."""
     # an overflowing sample is reported, not warned about
     with np.errstate(all="ignore"):
         omegas, floors = curvature_samples(nets[s:t], samples, widths[s:t])

@@ -326,10 +326,10 @@ def assert_sequence_matches_reference(spline, rng, etas=(1.0, 0.5, 0.25)) -> lis
 
 
 def test_collinearity_extended_sequence_spans_blocks(rng):
-    # more collinear vertices than one block holds, some of them at the
+    # more collinear vertices than two blocks hold, some of them at the
     # block edges
     for planar in (True, False):
-        spline = build_spline(DataPolygon(collinear_polyline(rng, 9, 3, planar=planar)))
+        spline = build_spline(DataPolygon(collinear_polyline(rng, 48, 3, planar=planar)))
         assert np.count_nonzero(spline.polygon.classes.collinear) > 2 * criteria._VERTEX_BLOCK
         assert assert_sequence_matches_reference(spline, rng)
 

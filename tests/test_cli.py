@@ -633,6 +633,65 @@ class TestVerifyReportMessages:
         assert seen == {"convexity", "inflection", "torsion", "coplanarity", "collinearity"}
 
 
+class TestVerifyRunSize:
+    """``check --verify`` prints the same bytes whatever the run size: in
+    the default runs, in runs of one segment and in one run of the whole
+    document.  Each net of a stack gets the bits of that net alone, and
+    the inflection probes' weights are drawn in verdict order, so
+    back-to-back draws give the same stream."""
+
+    @staticmethod
+    def relabelled(analyze_):
+        """``analyze`` with every applicable segment verdict passed and the
+        battery's rows relabelled as in ``TestVerifyReportMessages``: the
+        inflection probes then run on convex spans and fail, with messages
+        that depend on the drawn weights."""
+
+        def call(spline, cfg):
+            report = analyze_(spline, cfg)
+            for rows, _, _ in report._segment_rows:
+                rows.passed = rows.applicable.copy()
+                rows.criterion = TestVerifyReportMessages.RELABEL.get(rows.criterion, rows.criterion)
+            return report
+
+        return call
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_same_bytes_at_every_run_size(self, capsys, tmp_path, monkeypatch, seed, relabel):
+        monkeypatch.setenv("SHAPESPLINE_SEED", seed)
+        if relabel:
+            monkeypatch.setattr(cli, "analyze", self.relabelled(cli.analyze))
+        default = cli.oracle.segment_run
+        runs = set()  # (family, kind, default run) of the inflection rows
+        for family in ("helix", "scurve", "polyline"):
+            # 99 segments: four default runs at 512 samples
+            pts = bench_gen.FAMILIES[family](np.random.default_rng([100, len(family)]), 100)
+            path = tmp_path / f"{family}.json"
+            path.write_text(json.dumps({"version": 1, "points": pts.tolist()}))
+            outs = []
+            for run_of in (default, lambda samples: 1, lambda samples: len(pts)):
+                monkeypatch.setattr(cli.oracle, "segment_run", run_of)
+                outs.append(run(capsys, "check", path, "--verify", "--samples", "512"))
+            assert outs[1] == outs[0] and outs[2] == outs[0]
+            report = json.loads(outs[0][1])
+            runs |= {
+                (family, "passed", (s["index"] - 1) // default(512))
+                for s in report["segments"]
+                for v in s["verdicts"]
+                if v["criterion"] == "inflection" and v["passed"]
+            }
+            runs |= {
+                (family, "flips", (int(p.split()[1][:-1]) - 1) // default(512))
+                for p in report["verify"]["disagreements"]
+                if "inflection passed" in p
+            }
+        # passing inflection verdicts in more than one default run, and
+        # under the relabelling failing probes too
+        assert len({r for f, kind, r in runs if (f, kind) == ("scurve", "passed")}) > 1
+        assert len({r for f, kind, r in runs if (f, kind) == ("helix", "flips")}) == (4 if relabel else 0)
+
+
 class TestLoadDocument:
     """Every malformed coordinate is named as the per-entry check names it,
     wherever it sits in the list."""

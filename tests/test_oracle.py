@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapespline import CubicSegment, DataPolygon, Plane, SplineConfig, build_spline
+from shapespline import CubicSegment, DataPolygon, Plane, SplineConfig, build_spline, oracle
 from shapespline.geometry import lattice_directions
 from shapespline.oracle import (
     _DIP_RHS,
@@ -225,10 +225,10 @@ class TestProjectedInflectionCounts:
             projected_inflection_count(ctrl, h, 512, 64) for ctrl, h in zip(spline.nets, spline.widths.tolist())
         ]
 
-    @pytest.mark.parametrize("samples", [128, 512])
+    @pytest.mark.parametrize("samples", [128, 512, 4096])
     def test_names_the_first_segment_with_non_finite_curvature(self, samples):
         # a width of 1e-200 makes 6/h**2 overflow on segments 8 and 10;
-        # at 512 samples they lie in the third and fourth runs of three
+        # at 4 096 samples they lie in the second and third runs of four
         spline = family_spline("helix", 12)
         widths = spline.widths.copy()
         widths[[7, 9]] = 1e-200
@@ -236,6 +236,25 @@ class TestProjectedInflectionCounts:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^non-finite sampled curvature on segment 8$"):
                 projected_inflection_counts(spline.nets, widths, 64, samples)
+
+    @pytest.mark.parametrize("family", ["helix", "scurve", "polyline"])
+    def test_counts_do_not_depend_on_the_run_size(self, monkeypatch, family):
+        # 99 segments at 512 samples make four default runs: the counts
+        # are the same in runs of one segment and in one run of them all
+        spline = family_spline(family, 100)
+        default = oracle.segment_run
+        assert default(512) < len(spline.nets) // 3
+        counts = []
+        for run_of in (default, lambda samples: 1, lambda samples: len(spline.nets)):
+            monkeypatch.setattr(oracle, "segment_run", run_of)
+            counts.append(projected_inflection_counts(spline.nets, spline.widths, 512, 512).tolist())
+        assert counts[1] == counts[0] and counts[2] == counts[0]
+        assert max(counts[0]) > 0
+
+    def test_a_run_holds_at_most_a_block_per_coordinate(self):
+        for samples in (8, 128, 512, 2048, _BLOCK_ENTRIES, 4 * _BLOCK_ENTRIES):
+            run = oracle.segment_run(samples)
+            assert run >= 1 and (run == 1 or run * samples <= _BLOCK_ENTRIES < (run + 1) * samples)
 
     def test_rejects_too_few_directions(self):
         spline = family_spline("helix", 12)

@@ -19,9 +19,9 @@ from shapespline import (
 from shapespline.geometry import cross_rows, lattice_directions, unit_rows
 from shapespline.oracle import DEFAULT_DIRECTIONS, _witness_directions, curvature_samples
 from shapespline.planar import PolyArc2, cross2, is_regular_arc, planar_inflection_count
-from shapespline import polygon
+from shapespline import cli, oracle, polygon
 from shapespline.polygon import _BLOCK_ENTRIES, _count_changes_rows
-from shapespline.spline import SplineConfig, build_spline
+from shapespline.spline import SplineConfig, analyze, build_spline
 from conftest import (
     SEARCH_KINDS,
     SEARCH_OFFSETS,
@@ -569,14 +569,36 @@ class TestSpatialArcInflectionCount:
     def test_memory_linear_in_points(self):
         # the value matrix is scanned a block of directions at a time; the
         # whole (2048 + ~4n) x n matrix at 2 000 points would need ~160 MB
-        rng = np.random.default_rng(7)
-        t = np.linspace(0.0, 60.0 * math.pi, 2000)
-        pts = np.column_stack([np.cos(t), np.sin(t), 0.05 * t]) + rng.normal(0.0, 0.01, (2000, 3))
-        poly = DataPolygon(pts)
-        tracemalloc.start()
-        try:
-            spatial_arc_inflection_count(poly, DEFAULT_DIRECTIONS)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        poly = DataPolygon(long_helix())
+        assert traced_peak(spatial_arc_inflection_count, poly, DEFAULT_DIRECTIONS) < 64 * 2**20
+
+
+def long_helix() -> np.ndarray:
+    """A 2 000-point noisy helix of 30 turns."""
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 60.0 * math.pi, 2000)
+    return np.column_stack([np.cos(t), np.sin(t), 0.05 * t]) + rng.normal(0.0, 0.01, (2000, 3))
+
+
+def traced_peak(call, *args) -> int:
+    """The traced peak allocation of ``call(*args)``, in bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_memory_bounded_per_sampled_run():
+    # both sampling oracles take the document a run of segments at a time,
+    # each coordinate plane of a run's arrays at most _BLOCK_ENTRIES values;
+    # the 1 999 segments' arrays at once would need about 200 MB
+    cfg = SplineConfig()
+    spline = build_spline(DataPolygon(long_helix()), cfg)
+    report = analyze(spline, cfg)
+    assert len(spline.nets) > 50 * oracle.segment_run(512)
+    counts = oracle.projected_inflection_counts
+    assert traced_peak(counts, spline.nets, spline.widths, 64, 512) < 16 * 2**20
+    assert traced_peak(cli._verify_report, spline, report, cfg, {"samples": 512}) < 16 * 2**20

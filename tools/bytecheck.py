@@ -24,6 +24,11 @@ The set, with its documents generated by ``perfbench/gen.py``:
   the sampled curvature of the straight segments above its dead band
   (counts up to 84 at seeds 0-2), so the direction search's certificate
   declines on some segments and bounds others by their noise;
+* the ``export`` documents of those seeds (150-550 points) under
+  ``inflection --samples 128 --directions 512`` and ``check --verify
+  --samples 128``: at 128 samples a run holds 128 segments
+  (``oracle.segment_run``), so each document spans two to five runs of
+  both oracles;
 * ``inflection --verify`` on the ``verify`` documents of seed 4, whatever
   the seeds: ``helix-20``, ``helix-46`` and ``helix-60`` report arc-count
   undercounts there, so every run compares that disagreement text;
@@ -91,6 +96,7 @@ LONG_COMMANDS = (("check",), ("check", "--verify"))
 OFFSET_KNOT_COMMANDS = (("check", "--eta", "0.25"),)
 SHIFTS = (1e6, 1e8)
 SHIFT_COMMANDS = (("inflection", "--samples", "128", "--directions", "512"), ("inflection", "--verify"))
+RUN_COMMANDS = (("inflection", "--samples", "128", "--directions", "512"), ("check", "--verify", "--samples", "128"))
 
 
 def offset_knot_document() -> dict:
@@ -147,6 +153,8 @@ def plan(seeds, workdir: Path) -> list:
                 commands += [(sub, str(path), *flags) for sub, *flags in EXTRA_COMMANDS]
                 if workload == "check_small":
                     commands.append(("check", str(path), "--verify"))
+                if workload == "export":
+                    commands += [(sub, str(path), *flags) for sub, *flags in RUN_COMMANDS]
                 if workload == "verify":
                     commands.append(("inflection", str(path), "--verify"))
                     for offset in SHIFTS:
