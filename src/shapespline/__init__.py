@@ -33,7 +33,7 @@ from .polygon import (
     sign_changes,
     spatial_arc_inflection_count,
 )
-from .segment import CubicSegment, CurvatureQuad
+from .segment import CubicSegment
 from .spline import (
     Parameterization,
     Spline,

@@ -207,6 +207,8 @@ def _build(doc: dict, settings: dict):
     )
     try:
         polygon = DataPolygon(doc["points"], eps_zero=tol.eps_zero)
+        if cfg.tangent_mode is TangentMode.PROVIDED and doc.get("tangents") is None:
+            raise InputError("--tangents provided needs a 'tangents' list in the document")
         spline = build_spline(
             polygon,
             cfg,

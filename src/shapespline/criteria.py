@@ -517,7 +517,7 @@ _VERTEX_BLOCK = _BLOCK_ENTRIES // (4 * 65)
 
 def check_collinearity_extended(
     spline, vertices, tol: Tolerances = Tolerances()
-) -> CriterionVerdict | list[CriterionVerdict]:
+) -> list[CriterionVerdict]:
     """Neighbourhood collinearity check at vertices with parallel,
     co-directed chords, evaluated on the built spline.
 
@@ -533,15 +533,14 @@ def check_collinearity_extended(
     wedges) are skipped.  A vertex whose chords are not collinear gets a
     non-applicable verdict.
 
-    ``vertices`` is one vertex index, which returns its verdict, or a
-    sequence of them, which returns their verdicts in that order.  The
-    collinear vertices are evaluated together, a block of them at a time,
-    through the row kernels; each verdict has the bits it has when its
-    vertex is checked alone.
+    ``vertices`` is a sequence of vertex indices; their verdicts return in
+    that order.  The collinear vertices are evaluated together, a block of
+    them at a time, through the row kernels; each verdict has the bits it
+    has when its vertex is checked alone.
     """
     poly = spline.polygon
     n = poly.n_segments
-    order = np.atleast_1d(np.asarray(vertices, dtype=int)).tolist()
+    order = [int(vertex) for vertex in vertices]
     for vertex in order:
         if not 1 <= vertex <= n - 1:
             raise IndexError(f"vertex index {vertex} out of range 1..{n - 1}")
@@ -552,13 +551,12 @@ def check_collinearity_extended(
     for a in range(0, len(live), _VERTEX_BLOCK):
         block = live[a : a + _VERTEX_BLOCK]
         found.update(zip(block, _extended_block(spline, np.array(block), tol, eps)))
-    verdicts = [
+    return [
         CriterionVerdict(Criterion.COLLINEARITY, True, *found[vertex])
         if vertex in found
         else CriterionVerdict(Criterion.COLLINEARITY, False, None, {"vertex": float(vertex)})
         for vertex in order
     ]
-    return verdicts[0] if np.ndim(vertices) == 0 else verdicts
 
 
 def _linspace_rows(lo, hi, num: int) -> np.ndarray:

@@ -125,14 +125,6 @@ class Plane:
         if norm(n) == 0.0:
             raise InvalidPlaneError("plane normal must be non-zero")
 
-    @classmethod
-    def through_point(cls, normal, point) -> "Plane":
-        n = as_vec3(normal)
-        return cls(n, -dot(n, as_vec3(point)))
-
-    def signed_distance(self, p: np.ndarray) -> float:
-        return (dot(p, self.normal) + self.offset) / norm(self.normal)
-
 
 def project_point(p: np.ndarray, plane: Plane) -> np.ndarray:
     """Orthogonal projection of ``p`` onto ``plane``; idempotent."""

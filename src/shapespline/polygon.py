@@ -313,34 +313,6 @@ class DataPolygon:
             row.flags.writeable = False
         return classes
 
-    # one entry of the rows above, for library callers
-
-    def chord(self, i: int) -> np.ndarray:
-        """Chord ``L_i = x_i - x_{i-1}`` for 1 <= i <= n."""
-        if not 1 <= i <= self.n_segments:
-            raise IndexError(f"chord index {i} out of range 1..{self.n_segments}")
-        return self._chords[i - 1]
-
-    def chord_length(self, i: int) -> float:
-        return float(self._lengths[i - 1])
-
-    def binormal(self, j: int) -> np.ndarray:
-        """Turn binormal at interior vertex ``x_j`` for 1 <= j <= n-1."""
-        if not 1 <= j <= self.n_segments - 1:
-            raise IndexError(f"vertex index {j} out of range 1..{self.n_segments - 1}")
-        return self._binormals[j - 1]
-
-    def span_torsion(self, i: int) -> float:
-        """Twist ``[L_{i-1}, L_i, L_{i+1}]`` of interior span i, 2 <= i <= n-1."""
-        if not 2 <= i <= self.n_segments - 1:
-            raise IndexError(f"span index {i} out of range 2..{self.n_segments - 1}")
-        return float(self._torsions[i - 2])
-
-    def vertex_is_collinear(self, j: int) -> bool:
-        """Chords around vertex j parallel and co-directed."""
-        self.binormal(j)  # IndexError outside 1..n-1
-        return bool(self.classes.collinear[j - 1])
-
 
 # flag sets by bit code, bit k standing for FLAG_BITS[k]
 FLAG_BITS = (

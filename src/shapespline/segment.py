@@ -13,8 +13,8 @@ Every formula is written once, over rows: the ``*_rows`` functions take
 them on its own rows.  :class:`CubicSegment` is the one-row API for
 library callers: each of its methods runs the row kernel on a batch of
 one, so it equals the matching row of a batched call bit for bit;
-``point``, ``derivatives`` and ``curvature`` map a float ``u`` to ``(3,)``
-vectors and a 1-D array of ``m`` parameters to ``(m, 3)`` rows.
+``point`` and ``derivatives`` map a float ``u`` to ``(3,)`` vectors and a
+1-D array of ``m`` parameters to ``(m, 3)`` rows.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_ZERO, Plane, as_vec3, cross_rows, norm_rows, powers, project_point
-from .geometry import triple_rows
+from .geometry import EPS_ZERO, as_vec3, cross_rows, norm_rows, powers, triple_rows
 
 
 def _unit_param(u):
@@ -83,8 +82,13 @@ def derivative_rows(m0, m1, chord, h, u):
 
 
 def curvature_quad_rows(m0, m1, chord, h):
-    """Coefficients ``c0, c1, c2`` of :class:`CurvatureQuad`, as ``(n, 3)``
-    rows each."""
+    """Coefficients ``c0, c1, c2`` of the curvature vector of each segment,
+    as ``(n, 3)`` rows each:
+
+    ``omega(u) = c0 (1-u)^2 + c1 u(1-u) + c2 u^2``
+
+    where ``omega = d1 x d2`` (first cross second derivative).  Note the
+    middle weight is ``u(1-u)``, not the Bernstein ``2u(1-u)``."""
     c1 = (2.0 / h)[:, None] * cross_rows(m0, m1)
     k = (6.0 / powers(h, 2))[:, None]
     return k * cross_rows(m0, chord) - c1, c1, k * cross_rows(chord, m1) - c1
@@ -99,25 +103,6 @@ def torsion_floor_rows(m0, m1, chord, h) -> np.ndarray:
     """Magnitude floor of each torsion numerator: the same product with
     norms in place of the triple product."""
     return norm_rows(m0) * norm_rows(chord) * norm_rows(m1) / powers(h, 4) * 12.0
-
-
-@dataclass(frozen=True)
-class CurvatureQuad:
-    """Coefficients of the curvature vector of a cubic segment:
-
-    ``omega(u) = c0 (1-u)^2 + c1 u(1-u) + c2 u^2``
-
-    where ``omega = d1 x d2`` (first cross second derivative).  Note the
-    middle weight is ``u(1-u)``, not the Bernstein ``2u(1-u)``.
-    """
-
-    c0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-
-    def omega(self, u: float) -> np.ndarray:
-        v = 1.0 - u
-        return self.c0 * (v * v) + self.c1 * (u * v) + self.c2 * (u * u)
 
 
 @dataclass(frozen=True)
@@ -173,18 +158,10 @@ class CubicSegment:
             return d1[0], d2[0], d3[0]
         return d1[0, 0], d2[0, 0], d3[0]
 
-    def curvature(self, u) -> np.ndarray:
-        d1, d2, _ = self.derivatives(u)
-        return cross_rows(d1, d2)
-
-    def curvature_quad(self) -> CurvatureQuad:
-        return CurvatureQuad(*(c[0] for c in curvature_quad_rows(*self.rows())))
+    def curvature_quad(self) -> tuple:
+        """``(c0, c1, c2)`` of ``curvature_quad_rows`` for this segment."""
+        return tuple(c[0] for c in curvature_quad_rows(*self.rows()))
 
     def torsion_numerator(self) -> float:
         """The constant value of det[d1, d2, d3] over the whole segment."""
         return float(torsion_numerator_rows(*self.rows())[0])
-
-    def project(self, plane: Plane) -> "CubicSegment":
-        """Segment whose control points are the projections of this one's."""
-        pts = [project_point(p, plane) for p in self.bezier_points]
-        return CubicSegment.from_bezier(*pts, self.h)

@@ -145,8 +145,11 @@ def build_spline(
         kv = np.array(knots, dtype=float)
         if kv.shape != (n + 1,):
             raise ValueError(f"need {n + 1} knots, got shape {kv.shape}")
-        if np.any(np.diff(kv) <= 0):
-            raise ValueError("knots must be strictly increasing")
+        flat = np.diff(kv) <= 0
+        if flat.any():
+            k = int(np.argmax(flat)) + 1
+            before, at = kv[k - 1 : k + 1].tolist()
+            raise ValueError(f"'knots' entry {k} must be greater than entry {k - 1} ({before!r}), got {at!r}")
     else:
         kv = _knot_vector(polygon, cfg.parameterization)
 
@@ -423,16 +426,25 @@ SAMPLE_DTYPE = np.dtype(
 def sample_spline(spline: Spline, per_segment: int) -> np.ndarray:
     """Uniform samples per segment, evaluated over all segments at once:
     one ``SAMPLE_DTYPE`` record (segment index, global t, position,
-    curvature vector, torsion numerator) per sample, segment by segment."""
+    curvature vector, torsion numerator) per sample, segment by segment.
+    A value that overflows raises ValueError naming the first segment
+    that holds one."""
     if per_segment < 2:
         raise ValueError("need at least two samples per segment")
     us = np.linspace(0.0, 1.0, per_segment)
     m0, m1, chord, h = spline.rows()
-    d1, d2, _ = derivative_rows(m0, m1, chord, h, us)
     rows = np.empty((len(h), per_segment), dtype=SAMPLE_DTYPE)
     rows["segment"] = np.arange(1, len(h) + 1)[:, None]
-    rows["t"] = spline.knots[:-1, None] + us * h[:, None]
-    rows["position"] = point_rows(spline.nets, us)
-    rows["curvature"] = cross_rows(d1, d2)
-    rows["tau"] = torsion_numerator_rows(m0, m1, chord, h)[:, None]
+    # a non-finite value raises ValueError below: no numpy warning is needed
+    with np.errstate(all="ignore"):
+        d1, d2, _ = derivative_rows(m0, m1, chord, h, us)
+        rows["t"] = spline.knots[:-1, None] + us * h[:, None]
+        rows["position"] = point_rows(spline.nets, us)
+        rows["curvature"] = cross_rows(d1, d2)
+        rows["tau"] = torsion_numerator_rows(m0, m1, chord, h)[:, None]
+    finite = np.logical_and.reduce(
+        [np.isfinite(rows[name]).reshape(len(h), -1).all(axis=1) for name in SAMPLE_DTYPE.names[1:]]
+    )
+    if not finite.all():
+        raise ValueError(f"non-finite sample on segment {int(np.argmin(finite)) + 1}")
     return rows.ravel()

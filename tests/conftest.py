@@ -26,7 +26,7 @@ from shapespline import (
     triple,
 )
 from shapespline.criteria import convexity_sampled_rows
-from shapespline.geometry import cross_rows, dot, dot_rows, norm, norm_rows, sine_rows
+from shapespline.geometry import cross_rows, dot, dot_rows, norm, norm_rows, project_point, sine_rows
 from shapespline.oracle import _DIP_RHS, decasteljau, decasteljau_derivatives
 from shapespline.polygon import _BLOCK_ENTRIES, FLAG_SETS
 from shapespline.segment import derivative_rows, point_rows
@@ -93,16 +93,8 @@ def random_noncoplanar_polygon(rng, n_points, min_twist=0.05):
     """Polygon whose every interior span has a twist bounded away from 0."""
     while True:
         poly = random_polygon(rng, n_points)
-        n = poly.n_segments
-        ok = True
-        for i in range(2, n):
-            floor = (
-                poly.chord_length(i - 1) * poly.chord_length(i) * poly.chord_length(i + 1)
-            )
-            if abs(poly.span_torsion(i)) < min_twist * floor:
-                ok = False
-                break
-        if ok:
+        # row i-2 is span i, for the interior spans 2..n-1
+        if np.all(np.abs(poly.torsions) >= min_twist * poly.classes.torsion_floors):
             return poly
 
 
@@ -196,6 +188,12 @@ def spline_point(spline, t: float) -> np.ndarray:
     i = min(max(int(np.searchsorted(knots, t, side="right")), 1), len(knots) - 1)
     t0, t1 = knots[i - 1], knots[i]
     return point_rows(spline.nets[i - 1 : i], np.array([(t - t0) / (t1 - t0)]))[0, 0]
+
+
+def project_segment(seg, plane) -> CubicSegment:
+    """The segment whose control points are the projections of ``seg``'s
+    control points onto ``plane``."""
+    return CubicSegment.from_bezier(*(project_point(p, plane) for p in seg.bezier_points), seg.h)
 
 
 # reference oracles the tests compare the library against
@@ -360,7 +358,7 @@ def ref_collinearity_extended(spline, vertex: int, tol=Tolerances()):
     n = poly.n_segments
     if not 1 <= vertex <= n - 1:
         raise IndexError(f"vertex index {vertex} out of range 1..{n - 1}")
-    if not poly.vertex_is_collinear(vertex):
+    if not poly.classes.collinear[vertex - 1]:
         return CriterionVerdict(Criterion.COLLINEARITY, False, None, {"vertex": float(vertex)})
     eps = tol.eps_zero
     i = vertex
@@ -374,10 +372,12 @@ def ref_collinearity_extended(spline, vertex: int, tol=Tolerances()):
     diag = {"vertex": float(i), "window_lo": window[0], "window_hi": window[1]}
     checks_passed = True
 
-    def binormal_floor(j):
-        return poly.chord_length(j) * poly.chord_length(j + 1)
+    lengths, binormals = poly.classes.chord_lengths, poly.binormals
 
-    l_in, l_out = poly.chord(i), poly.chord(i + 1)
+    def binormal_floor(j):
+        return lengths[j - 1] * lengths[j]
+
+    l_in, l_out = poly.chords[i - 1], poly.chords[i]
     sup = 0.0
     n_half = 33
     for k, t0, t1 in ((0, t_prev, t_i), (1, t_i, t_next)):
@@ -398,7 +398,7 @@ def ref_collinearity_extended(spline, vertex: int, tol=Tolerances()):
     for j, d1, d2 in ends:
         if not 1 <= j <= n - 1:
             continue
-        b_j = poly.binormal(j)
+        b_j = binormals[j - 1]
         if norm(b_j) <= eps * binormal_floor(j):
             continue
         val = dot(cross3(d1, d2), b_j)
@@ -406,11 +406,11 @@ def ref_collinearity_extended(spline, vertex: int, tol=Tolerances()):
         checks_passed = checks_passed and val >= -eps * norm(d1) * norm(d2) * norm(b_j)
 
     for j, d1, _ in ends:
-        if not (1 <= j <= n - 1) or norm(poly.binormal(j)) <= poly.eps_zero * binormal_floor(j):
+        if not (1 <= j <= n - 1) or norm(binormals[j - 1]) <= poly.eps_zero * binormal_floor(j):
             continue
-        ca = cross3(d1, poly.chord(j))
-        cb = cross3(d1, poly.chord(j + 1))
-        floor = norm(d1) ** 2 * poly.chord_length(j) * poly.chord_length(j + 1)
+        ca = cross3(d1, poly.chords[j - 1])
+        cb = cross3(d1, poly.chords[j])
+        floor = norm(d1) ** 2 * lengths[j - 1] * lengths[j]
         product = dot(ca, cb)
         diag[f"wedge_product_v{j}"] = product
         checks_passed = checks_passed and product < -eps * floor
@@ -418,7 +418,7 @@ def ref_collinearity_extended(spline, vertex: int, tol=Tolerances()):
     has_nbrs = 1 <= i - 1 and i + 1 <= n - 1
     diag["interpolates_vertex"] = 1.0
     if has_nbrs:
-        b_prev, b_next = poly.binormal(i - 1), poly.binormal(i + 1)
+        b_prev, b_next = binormals[i - 2], binormals[i]
         nbr_dot = dot(b_prev, b_next)
         diag["neighbourhood_dot"] = nbr_dot
         floor = norm(b_prev) * norm(b_next)

@@ -32,8 +32,9 @@ from shapespline import (
 from shapespline.planar import _planar_curvature_changes, planar_cubic_inflection
 from shapespline.oracle import projected_inflection_count
 from shapespline.cli import main as cli_main
-from shapespline.geometry import dot_rows, norm_rows, sine_rows
+from shapespline.geometry import cross_rows, dot_rows, norm_rows, sine_rows
 from conftest import (
+    project_segment,
     random_nonplanar_segment,
     random_noncoplanar_polygon,
     random_rotation,
@@ -105,7 +106,7 @@ def test_criterion_03_projection_identities(rng):
         if np.linalg.norm(normal) < 0.3:
             normal += np.array([0.5, 0.0, 0.0])
         pl = Plane(normal, float(rng.uniform(-2, 2)))
-        proj = seg.project(pl)
+        proj = project_segment(seg, pl)
         n = pl.normal
         d1, d2, _ = seg.derivatives(us)
         e1, e2, _ = proj.derivatives(us)
@@ -169,7 +170,7 @@ def test_criterion_05_catmull_rom_torsion(rng):
                 if 2 <= i <= poly.n_segments - 1:
                     m0, m1, chord, _ = spline.rows()
                     t = triple(m0[i - 1], chord[i - 1], m1[i - 1])
-                    expected = tension**2 * poly.span_torsion(i)
+                    expected = tension**2 * poly.torsions[i - 2]
                     worst = max(worst, abs(t - expected) / max(abs(expected), 1e-300))
     ok = all_pass and worst <= 1e-10 and any_torsion >= 200 * 3 * 3
     report(
@@ -217,8 +218,8 @@ def test_criterion_07_negative_results(rng):
                 poly = DataPolygon(pts)
             except ValueError:
                 continue
-            floor = poly.chord_length(1) * poly.chord_length(2) * poly.chord_length(3)
-            if abs(poly.span_torsion(2)) > 0.05 * floor:
+            # the twist of span 2 against |L_1| |L_2| |L_3|
+            if abs(poly.torsions[0]) > 0.05 * poly.classes.torsion_floors[0]:
                 break
         arcs_ok = arcs_ok and spatial_arc_inflection_count(poly, 2048) == 1
     ok = at_least_one and exact_two >= 98 and arcs_ok
@@ -235,7 +236,7 @@ def make_inflection_instance(rng):
             poly = DataPolygon(pts)
         except ValueError:
             continue
-        b_prev, b_cur = poly.binormal(1), poly.binormal(2)
+        b_prev, b_cur = poly.binormals[0], poly.binormals[1]
         tangents = catmull_rom_tangents(poly, float(rng.uniform(0.3, 0.8)))
         seg = CubicSegment(
             poly.points[1], poly.points[2], tangents[1], tangents[2], float(rng.uniform(0.5, 2.0))
@@ -250,7 +251,7 @@ def test_criterion_08_inflection_soundness(rng):
     bad = 0
     for _ in range(200):
         seg, b_prev, b_cur = make_inflection_instance(rng)
-        omegas = seg.curvature(us)
+        omegas = cross_rows(*seg.derivatives(us)[:2])
         for _ in range(32):
             lam = rng.uniform(0.05, 1.0)
             mu = -rng.uniform(0.05, 1.0)
@@ -283,8 +284,7 @@ def test_criterion_09_hull_sine_bounds(rng):
                 worst_t = max(worst_t, samp - ctrl_sup)
                 checked_t += 1
         if checked_g < 500:
-            quad = seg.curvature_quad()
-            coeffs = (quad.c0, quad.c1, quad.c2)
+            coeffs = seg.curvature_quad()
             n_dir = rng.uniform(-2, 2, 3)
             if (
                 np.linalg.norm(n_dir) > 0.3
@@ -295,7 +295,7 @@ def test_criterion_09_hull_sine_bounds(rng):
                 )
             ):
                 ctrl_sup = max(sine_angle(g, n_dir) for g in coeffs)
-                w = seg.curvature(us)
+                w = cross_rows(*seg.derivatives(us)[:2])
                 samp = sine_rows(w[norm_rows(w) > 1e-12], n_dir).max(initial=0.0)
                 worst_g = max(worst_g, samp - ctrl_sup)
                 checked_g += 1
@@ -311,7 +311,7 @@ def make_convex_instance(rng):
             poly = DataPolygon(pts)
         except ValueError:
             continue
-        b_prev, b_cur = poly.binormal(1), poly.binormal(2)
+        b_prev, b_cur = poly.binormals[0], poly.binormals[1]
         floor = np.linalg.norm(b_prev) * np.linalg.norm(b_cur)
         if floor == 0 or np.dot(b_prev, b_cur) <= 0.05 * floor:
             continue

@@ -13,7 +13,7 @@ from shapespline.criteria import Criterion, Rows
 from shapespline.geometry import norm_rows
 from shapespline.segment import derivative_rows
 
-from conftest import bench_gen, collinear_polyline, ref_verify_report, spline_point
+from conftest import bench_gen, collinear_polyline, noisy_helix, planar_scurve, ref_verify_report, spline_point
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parent.parent / "README.md"
@@ -181,6 +181,21 @@ class TestNonFiniteDiagnostic:
         assert [str(w.message) for w in caught] == []
         assert result == (2, "", "error: non-finite sampled curvature on segment 1\n")
 
+    @pytest.mark.parametrize("doc", [TINY_KNOTS, NAN_CURVATURE], ids=["tiny-knots", "nan-curvature"])
+    def test_sample_names_the_first_non_finite_segment(self, capsys, tmp_path, doc):
+        # the torsion numerator (tiny knots) or the curvature (NaN
+        # curvature) of segment 1 overflows: no row is printed or written
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        target = tmp_path / "samples.csv"
+        for out in ((), ("--out", target)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run(capsys, "sample", path, *out)
+            assert [str(w.message) for w in caught] == []
+            assert result == (2, "", "error: non-finite sample on segment 1\n")
+        assert not target.exists()
+
     # a 13-point polyline with collinear runs; at 1e100 the products of its
     # chords overflow, and the collinearity check at vertex 1 reads inf
     POLYLINE = collinear_polyline(np.random.default_rng(8), corners=4, run=3)
@@ -189,7 +204,7 @@ class TestNonFiniteDiagnostic:
     def test_extreme_scales_print_no_warnings(self, capsys, tmp_path, scale):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"version": 1, "points": (self.POLYLINE * scale).tolist()}))
-        for argv in (("check",), ("check", "--verify"), ("measures",)):
+        for argv in (("check",), ("check", "--verify"), ("measures",), ("sample",)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code, _, err = run(capsys, argv[0], path, *argv[1:])
@@ -440,10 +455,8 @@ def test_no_command_builds_segment_objects(capsys, tmp_path, monkeypatch, rng):
         return call
 
     monkeypatch.setattr(CubicSegment, "__post_init__", forbidden("CubicSegment"))
-    # no closed-form verdict object, and no walk of the polygon by index
+    # no closed-form verdict object
     monkeypatch.setattr(Rows, "verdict", forbidden("Rows.verdict"))
-    for name in ("chord", "chord_length", "binormal", "span_torsion", "vertex_is_collinear"):
-        monkeypatch.setattr(DataPolygon, name, forbidden(f"DataPolygon.{name}"))
     code, out, _ = run(capsys, "check", doc)
     report = json.loads(out)
     assert code in (0, 1)
@@ -522,6 +535,7 @@ VALID_DOC = {
             "'tangents' entry 1",
         ),
         ({"knots": [0, 1, 2, 3, float("inf")]}, [], "'knots' entry 4"),
+        ({"knots": [0, 1, 2.5, 2.5, 4]}, [], "'knots' entry 3"),
         ({"points": [[0, 0, 0], [1, "a", 0], [2, 1, 0.5]]}, [], "'points' entry 1"),
         ({"points": [[0, 0, 0], [1, True, 0], [2, 1, 0.5]]}, [], "'points' entry 1"),
     ],
@@ -532,6 +546,13 @@ def test_malformed_input_names_the_field(capsys, tmp_path, change, argv, field):
     code, out, err = run(capsys, "check", doc, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field} must be")
+
+
+def test_provided_tangents_name_the_flag_and_the_field(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(VALID_DOC))
+    message = "error: --tangents provided needs a 'tangents' list in the document\n"
+    assert run(capsys, "check", doc, "--tangents", "provided") == (2, "", message)
 
 
 @pytest.mark.parametrize("version", [True, False, 1.0, "1", None, 2])
@@ -745,3 +766,45 @@ class TestLoadDocument:
         doc = {"version": 1, "points": [[0, 0, 0], [1, near, 0]]}
         with pytest.raises(cli.InputError, match="'points' entry 1 must be"):
             self.load(tmp_path, doc)
+
+
+def translation_documents() -> dict:
+    """The fixtures, and seeded noisy-helix, planar S-curve and
+    collinear-polyline documents of 5 to 40 points, by name."""
+    docs = {p.stem: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
+    for n in (5, 13, 22, 40):
+        rng = np.random.default_rng([6, n])
+        docs[f"helix-{n}"] = {"version": 1, "points": noisy_helix(rng, n).tolist()}
+        docs[f"scurve-{n}"] = {"version": 1, "points": planar_scurve(rng, n).tolist()}
+        # one collinear vertex between each pair of corners
+        docs[f"polyline-{n}"] = {"version": 1, "points": collinear_polyline(rng, (n + 1) // 2, 1).tolist()}
+    return docs
+
+
+TRANSLATION_DOCUMENTS = translation_documents()
+
+
+class TestExactTranslation:
+    """``check`` and ``measures`` print the same bytes for a document moved
+    by 2^20 along every axis.  Its points are rounded to multiples of 2^-30
+    within 32 of the origin, so every coordinate and every chord stays
+    exact under the move.  (``inflection``, ``sample`` and ``check
+    --verify`` evaluate the absolute Bezier nets, whose rounding moves.)"""
+
+    @pytest.mark.parametrize("name", sorted(TRANSLATION_DOCUMENTS))
+    def test_check_and_measures_bytes(self, capsys, tmp_path, name):
+        doc = TRANSLATION_DOCUMENTS[name]
+        pts = np.round(np.array(doc["points"], dtype=float) * 2.0**30) / 2.0**30
+        assert np.abs(pts).max() < 32.0
+        moved = pts + 2.0**20
+        assert np.array_equal(moved - 2.0**20, pts)
+        assert np.array_equal(np.diff(moved, axis=0), np.diff(pts, axis=0))
+        flags = ["--tangents", "provided"] if "tangents" in doc else []
+        outputs = []
+        for k, points in enumerate((pts, moved)):
+            path = tmp_path / f"doc{k}.json"
+            path.write_text(json.dumps({**doc, "points": points.tolist()}))
+            outputs.append([run(capsys, command, path, *flags) for command in ("check", "measures")])
+        # a report and a measures payload, not two equal error messages
+        assert outputs[0][0][0] in (0, 1) and outputs[0][1][0] == 0
+        assert outputs[1] == outputs[0]

@@ -24,7 +24,7 @@ from shapespline import (
     sine_angle,
     triple,
 )
-from shapespline.geometry import dot_rows, norm_rows, sine_rows
+from shapespline.geometry import cross_rows, dot_rows, norm_rows, sine_rows
 from shapespline.planar import convex_control_polygon, intersect_lines, planar_cubic_inflection
 from conftest import random_rotation, random_segment, vec3
 
@@ -37,7 +37,7 @@ def middle_segment(points, tension=0.5):
     poly = DataPolygon(points)
     tangents = catmull_rom_tangents(poly, tension)
     seg = CubicSegment(poly.points[1], poly.points[2], tangents[1], tangents[2], 1.0)
-    return seg, poly.binormal(1), poly.binormal(2), poly.span_torsion(2)
+    return seg, poly.binormals[0], poly.binormals[1], float(poly.torsions[0])
 
 
 CONVEX_PLANAR = [(0, 0, 0), (1, 1, 0), (2, 1, 0), (3, 0, 0)]
@@ -54,7 +54,7 @@ def random_convex_instance(rng):
             poly = DataPolygon(pts)
         except ValueError:
             continue
-        b_prev, b_cur = poly.binormal(1), poly.binormal(2)
+        b_prev, b_cur = poly.binormals[0], poly.binormals[1]
         floor = np.linalg.norm(b_prev) * np.linalg.norm(b_cur)
         if floor == 0 or np.dot(b_prev, b_cur) <= 0.05 * floor:
             continue
@@ -83,8 +83,8 @@ class TestConvexitySampled:
     def test_interior_inflection_fails(self):
         # S-shaped: curvature along +z flips sign mid-span
         seg = CubicSegment(vec3(0, 0, 0), vec3(4, 0, 0), vec3(1, 2, 0), vec3(1, 2, 0), 1.0)
-        quad = seg.curvature_quad()
-        assert quad.c0[2] * quad.c2[2] < 0
+        c0, _, c2 = seg.curvature_quad()
+        assert c0[2] * c2[2] < 0
         assert not check_convexity_sampled(seg, vec3(0, 0, 1), 256)
         assert not check_convexity_sampled(seg, vec3(0, 0, -1), 256)
 
@@ -93,7 +93,7 @@ class TestConvexitySampled:
         for _ in range(20):
             seg, b_prev, b_cur = random_convex_instance(rng)
             if check_convexity_sampled(seg, b_prev, 128):
-                omega_min = float(dot_rows(seg.curvature(np.linspace(0.05, 0.95, 31)), b_prev).min())
+                omega_min = float(dot_rows(cross_rows(*seg.derivatives(np.linspace(0.05, 0.95, 31))[:2]), b_prev).min())
                 if omega_min > 1e-6:
                     assert not check_convexity_sampled(seg, -b_prev, 128)
 
@@ -129,10 +129,10 @@ class TestConvexityCubic:
         seg = CubicSegment(
             poly.points[1], poly.points[2], vec3(0.1, 1, 0), vec3(-0.3, -1, 0), 1.0
         )
-        verdict = check_convexity_cubic(seg, poly.binormal(1), poly.binormal(2), TOL)
+        verdict = check_convexity_cubic(seg, poly.binormals[0], poly.binormals[1], TOL)
         assert verdict.applicable and not verdict.passed
         assert verdict.diagnostics["reversed_orientation_prev"] == 1.0
-        assert not check_convexity_sampled(seg, poly.binormal(1), 256)
+        assert not check_convexity_sampled(seg, poly.binormals[0], 256)
 
     def test_passed_implies_sampled_conditions(self, rng):
         passed = 0
@@ -152,7 +152,7 @@ class TestInflectionCubic:
         verdict = check_inflection_cubic(seg, b_prev, b_cur, TOL)
         assert verdict.applicable and verdict.passed
         for n_vec in (b_prev, b_cur):
-            vals = dot_rows(seg.curvature(np.linspace(0, 1, 512)), n_vec)
+            vals = dot_rows(cross_rows(*seg.derivatives(np.linspace(0, 1, 512))[:2]), n_vec)
             tol = 1e-9 * np.abs(vals).max()
             vals[np.abs(vals) <= tol] = 0.0
             from shapespline import sign_changes
@@ -174,7 +174,7 @@ class TestInflectionCubic:
             if rng.uniform() < 0.5:
                 lam, mu = -lam, -mu
             n_mix = lam * b_prev + mu * b_cur
-            vals = dot_rows(seg.curvature(np.linspace(0, 1, 512)), n_mix)
+            vals = dot_rows(cross_rows(*seg.derivatives(np.linspace(0, 1, 512))[:2]), n_mix)
             tol = 1e-9 * np.abs(vals).max()
             vals[np.abs(vals) <= tol] = 0.0
             assert sign_changes(vals) == 1
@@ -192,8 +192,8 @@ class TestInflectionCubic:
             seg = CubicSegment.from_bezier(
                 q0, (q0 + 2 * q1) / 3.0, (2 * q1 + q2) / 3.0, q2, 1.0
             )
-            quad = seg.curvature_quad()
-            assert np.allclose(quad.c0, quad.c2, atol=1e-10)
+            c0, _, c2 = seg.curvature_quad()
+            assert np.allclose(c0, c2, atol=1e-10)
             for _ in range(5):
                 n_prev = rng.uniform(-2, 2, 3)
                 n_cur = -n_prev + rng.uniform(-0.2, 0.2, 3)
@@ -301,10 +301,10 @@ class TestCoplanarityCubic:
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             seg = CubicSegment(base.p0, base.p3, base.m0, base.m1 + vec3(0, 0, mid), base.h)
-            s = sine_angle(seg.curvature_quad().c2, n)
+            s = sine_angle(seg.curvature_quad()[2], n)
             lo, hi = (mid, hi) if s < 0.3 else (lo, mid)
         seg = CubicSegment(base.p0, base.p3, base.m0, base.m1 + vec3(0, 0, 0.5 * (lo + hi)), base.h)
-        assert sine_angle(seg.curvature_quad().c2, n) == pytest.approx(0.3, abs=1e-6)
+        assert sine_angle(seg.curvature_quad()[2], n) == pytest.approx(0.3, abs=1e-6)
         verdict = check_coplanarity_cubic(seg, n, n, 0.0, Tolerances(eps_coplanar=0.1))
         assert verdict.applicable and not verdict.passed
         assert verdict.diagnostics["sup_sine"] >= 0.3 - 1e-9
@@ -338,14 +338,13 @@ class TestCoplanarityCubic:
         n = vec3(0, 0, 1)
         while checked < 50:
             seg = random_segment(rng)
-            quad = seg.curvature_quad()
-            coeffs = [quad.c0, quad.c1, quad.c2]
+            coeffs = seg.curvature_quad()
             if any(np.linalg.norm(g) < 0.1 for g in coeffs):
                 continue
             if any(np.dot(g, n) <= 0.05 * np.linalg.norm(g) for g in coeffs):
                 continue
             control_sup = max(sine_angle(g, n) for g in coeffs)
-            w = seg.curvature(np.linspace(0, 1, 512))
+            w = cross_rows(*seg.derivatives(np.linspace(0, 1, 512))[:2])
             w = w[norm_rows(w) >= 1e-12]
             assert np.all(sine_rows(w, n) <= control_sup + 1e-12)
             checked += 1
@@ -361,7 +360,7 @@ class TestCollinearityExtended:
         pts = [(k, 0, 0) for k in range(5)]
         spline, cfg = self.build(pts)
         for j in (1, 2, 3):
-            verdict = check_collinearity_extended(spline, j, cfg.tolerances)
+            (verdict,) = check_collinearity_extended(spline, [j], cfg.tolerances)
             assert verdict.applicable and verdict.passed
             assert verdict.diagnostics["sup_sine"] <= 1e-12
 
@@ -372,9 +371,9 @@ class TestCollinearityExtended:
         # Catmull-Rom, so the overall verdict is not asserted here
         pts = [(0, 0.5, 0), (1, 0.2, 0), (2, 0, 0), (3, -0.2, 0), (4, -0.35, 0)]
         poly = DataPolygon(pts)
-        assert float(np.dot(poly.binormal(1), poly.binormal(3))) > 0
+        assert float(np.dot(poly.binormals[0], poly.binormals[2])) > 0
         spline, cfg = self.build(pts, eps_collinear=0.1)
-        verdict = check_collinearity_extended(spline, 2, cfg.tolerances)
+        (verdict,) = check_collinearity_extended(spline, [2], cfg.tolerances)
         assert verdict.applicable
         assert verdict.diagnostics["sup_sine"] < 0.1
         assert verdict.diagnostics["interpolates_vertex"] == 1.0
@@ -384,7 +383,7 @@ class TestCollinearityExtended:
         # bound) concentrates the bending flip exactly at the vertex
         pts = [(0, 0.5, 0), (1, 0.2, 0), (2, 0, 0), (3, -0.2, 0), (4, -0.5, 0)]
         poly = DataPolygon(pts)
-        assert float(np.dot(poly.binormal(1), poly.binormal(3))) < 0
+        assert float(np.dot(poly.binormals[0], poly.binormals[2])) < 0
         tangents = np.array(
             [
                 [2.0, -0.6, 0.0],
@@ -400,7 +399,7 @@ class TestCollinearityExtended:
             tangent_mode=TangentMode.PROVIDED, tolerances=Tolerances(eps_collinear=0.2)
         )
         spline = build_spline(poly, cfg, provided_tangents=tangents)
-        verdict = check_collinearity_extended(spline, 2, cfg.tolerances)
+        (verdict,) = check_collinearity_extended(spline, [2], cfg.tolerances)
         assert verdict.applicable and verdict.passed
         assert verdict.diagnostics["flip_count_prev"] == 1.0
         assert verdict.diagnostics["flip_count_next"] == 1.0
@@ -409,7 +408,7 @@ class TestCollinearityExtended:
 
     def test_not_applicable_off_collinear_vertex(self):
         spline, cfg = self.build(CONVEX_PLANAR)
-        verdict = check_collinearity_extended(spline, 1, cfg.tolerances)
+        (verdict,) = check_collinearity_extended(spline, [1], cfg.tolerances)
         assert not verdict.applicable
 
     def test_rejects_a_zero_threshold_other_than_the_polygons(self):
@@ -423,7 +422,7 @@ class TestCollinearityExtended:
         assert "eps_zero 1e-09" in str(via_analyze.value)
         for vertex in (1, 2, 3):
             with pytest.raises(ValueError) as direct:
-                check_collinearity_extended(spline, vertex, cfg.tolerances)
+                check_collinearity_extended(spline, [vertex], cfg.tolerances)
             assert str(direct.value) == str(via_analyze.value)
 
 

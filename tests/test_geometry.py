@@ -87,7 +87,8 @@ class TestPlane:
             Plane(vec3(0, 0, 0), 1.0)
 
     def test_projection_on_plane_is_identity(self):
-        pl = Plane.through_point(vec3(0, 0, 2), vec3(1, 1, 3))
+        # the plane z = 3, through (1, 1, 3)
+        pl = Plane(vec3(0, 0, 2), -6.0)
         p = vec3(5, -2, 3)
         assert np.allclose(project_point(p, pl), p)
 
@@ -105,10 +106,12 @@ class TestPlane:
             pl = Plane(normal, float(rng.uniform(-2, 2)))
             p = rng.uniform(-3, 3, 3)
             proj = project_point(p, pl)
-            best = min(
-                abs(pl.signed_distance(p + t * normal)) for t in np.linspace(-3, 3, 2001)
-            )
-            assert abs(pl.signed_distance(proj)) <= best + 1e-9
+
+            def distance(q):
+                return abs(float(np.dot(q, normal)) + pl.offset) / np.linalg.norm(normal)
+
+            best = min(distance(p + t * normal) for t in np.linspace(-3, 3, 2001))
+            assert distance(proj) <= best + 1e-9
 
     def test_idempotent(self, rng):
         for _ in range(100):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapespline import CubicSegment, DataPolygon, Plane, SplineConfig, build_spline, oracle
-from shapespline.geometry import lattice_directions
+from shapespline.geometry import cross_rows, lattice_directions
 from shapespline.oracle import (
     _DIP_RHS,
     _witness_directions,
@@ -27,6 +27,7 @@ from conftest import (
     bench_gen,
     finite_diff_derivatives,
     looped_sphere_directions,
+    project_segment,
     random_nonplanar_segment,
     random_segment,
     ref_projected_inflection_count,
@@ -81,7 +82,7 @@ class TestProjectedInflectionCount:
     def test_planar_with_inflection_counted_along_normal(self, rng):
         # S-shaped planar segment: bending flips once, seen from the normal
         seg = CubicSegment(vec3(0, 0, 0), vec3(4, 0, 0), vec3(1, 2, 0), vec3(1, 2, 0), 1.0)
-        vals = [float(seg.curvature(u)[2]) for u in np.linspace(0, 1, 64)]
+        vals = [float(cross_rows(*seg.derivatives(u)[:2])[2]) for u in np.linspace(0, 1, 64)]
         assert vals[0] * vals[-1] < 0
         assert projected_inflection_count(seg.bezier_points, seg.h, 512) == 1
 
@@ -94,9 +95,9 @@ class TestProjectedInflectionCount:
             if np.linalg.norm(n) < 0.3:
                 continue
             pl = Plane(n, float(rng.uniform(-2, 2)))
-            proj = seg.project(pl)
+            proj = project_segment(seg, pl)
             direct = sampled_sign_changes(
-                lambda u: float(np.dot(seg.curvature(u), n)), 0, 1, 257
+                lambda u: float(np.dot(cross_rows(*seg.derivatives(u)[:2]), n)), 0, 1, 257
             )
             omegas = np.array(
                 [
@@ -324,7 +325,7 @@ class TestBezierCorollary:
             ctrl = np.column_stack([pts, np.zeros(4)])
             seg = CubicSegment.from_bezier(*ctrl, 1.0)
             curve_count = sampled_sign_changes(
-                lambda u: float(seg.curvature(u)[2]), 0, 1, 513
+                lambda u: float(cross_rows(*seg.derivatives(u)[:2])[2]), 0, 1, 513
             )
             assert curve_count <= planar_inflection_count(arc)
             checked += 1
@@ -409,9 +410,7 @@ class TestNegativeResults:
                     poly = DataPolygon(pts)
                 except ValueError:
                     continue
-                floor = (
-                    poly.chord_length(1) * poly.chord_length(2) * poly.chord_length(3)
-                )
-                if abs(poly.span_torsion(2)) > 0.05 * floor:
+                # the twist of span 2 against |L_1| |L_2| |L_3|
+                if abs(poly.torsions[0]) > 0.05 * poly.classes.torsion_floors[0]:
                     break
             assert spatial_arc_inflection_count(poly, 512) == 1

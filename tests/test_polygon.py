@@ -355,16 +355,16 @@ class TestDataPolygon:
 
     def test_example1_measures(self):
         poly = DataPolygon(EX1_POINTS)
-        assert np.allclose(poly.binormal(1), [15, -15, 0])
-        assert np.allclose(poly.binormal(2), [20, 10, 0])
-        assert float(np.dot(poly.binormal(1), poly.binormal(2))) == pytest.approx(150.0)
-        assert poly.span_torsion(2) == pytest.approx(90.0)
+        assert np.allclose(poly.binormals[0], [15, -15, 0])
+        assert np.allclose(poly.binormals[1], [20, 10, 0])
+        assert float(np.dot(poly.binormals[0], poly.binormals[1])) == pytest.approx(150.0)
+        assert poly.torsions[0] == pytest.approx(90.0)
 
     def test_example2_measures_exact(self):
         poly = DataPolygon(EX2_POINTS)
-        assert np.array_equal(poly.binormal(1), np.array([30.0, -30.0, 0.0]))
-        assert np.allclose(poly.binormal(2), [40.0, 20.0, 0.0])
-        assert float(np.dot(poly.binormal(1), poly.binormal(2))) == pytest.approx(600.0)
+        assert np.array_equal(poly.binormals[0], np.array([30.0, -30.0, 0.0]))
+        assert np.allclose(poly.binormals[1], [40.0, 20.0, 0.0])
+        assert float(np.dot(poly.binormals[0], poly.binormals[1])) == pytest.approx(600.0)
 
 
 class TestClassify:
@@ -506,10 +506,8 @@ class TestSpatialArcInflectionCount:
                     poly = DataPolygon(pts)
                 except ValueError:
                     continue
-                floor = (
-                    poly.chord_length(1) * poly.chord_length(2) * poly.chord_length(3)
-                )
-                if abs(poly.span_torsion(2)) > 0.05 * floor:
+                # the twist of span 2 against |L_1| |L_2| |L_3|
+                if abs(poly.torsions[0]) > 0.05 * poly.classes.torsion_floors[0]:
                     break
             assert spatial_arc_inflection_count(poly, 256) == 1
 

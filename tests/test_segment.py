@@ -3,7 +3,7 @@ import pytest
 
 from shapespline import CubicSegment, Plane, cross3, project_point, triple
 from shapespline.oracle import decasteljau
-from conftest import finite_diff_derivatives, random_segment, vec3
+from conftest import finite_diff_derivatives, project_segment, random_segment, vec3
 
 
 def make_plane(rng):
@@ -62,8 +62,6 @@ class TestEvaluation:
                 seg.point(us)
             with pytest.raises(ValueError):
                 seg.derivatives(us)
-            with pytest.raises(ValueError):
-                seg.curvature(us)
 
 
 class TestDerivatives:
@@ -94,13 +92,19 @@ class TestDerivatives:
             assert np.linalg.norm(f2 - d2 * seg.h**2) <= 1e-4 * scale2
 
 
+def omega(quad, u):
+    """``c0 (1-u)^2 + c1 u(1-u) + c2 u^2`` of the coefficients ``quad``."""
+    c0, c1, c2 = quad
+    v = 1.0 - u
+    return c0 * (v * v) + c1 * (u * v) + c2 * (u * u)
+
+
 class TestCurvatureQuad:
     def test_straight_segment_zero(self):
         p0, p3 = vec3(0, 0, 0), vec3(3, 0, 0)
         m = vec3(3, 0, 0)
         seg = CubicSegment(p0, p3, m, m, 1.0)
-        quad = seg.curvature_quad()
-        for c in (quad.c0, quad.c1, quad.c2):
+        for c in seg.curvature_quad():
             assert np.allclose(c, 0.0, atol=1e-12)
 
     def test_planar_segment_coefficients_along_z(self, rng):
@@ -109,8 +113,7 @@ class TestCurvatureQuad:
             flat = CubicSegment(
                 seg.p0 * [1, 1, 0], seg.p3 * [1, 1, 0], seg.m0 * [1, 1, 0], seg.m1 * [1, 1, 0], seg.h
             )
-            quad = flat.curvature_quad()
-            for c in (quad.c0, quad.c1, quad.c2):
+            for c in flat.curvature_quad():
                 assert abs(c[0]) < 1e-12 and abs(c[1]) < 1e-12
 
     def test_reproduces_cross_of_derivatives(self, rng):
@@ -121,7 +124,7 @@ class TestCurvatureQuad:
                 d1, d2, _ = seg.derivatives(u)
                 ref = cross3(d1, d2)
                 scale = max(np.linalg.norm(ref), 1e-6)
-                assert np.linalg.norm(quad.omega(u) - ref) <= 1e-10 * scale
+                assert np.linalg.norm(omega(quad, u) - ref) <= 1e-10 * scale
 
     def test_pointwise_match_at_33_samples(self, rng):
         for _ in range(20):
@@ -131,14 +134,14 @@ class TestCurvatureQuad:
                 d1, d2, _ = seg.derivatives(float(u))
                 ref = cross3(d1, d2)
                 scale = max(np.linalg.norm(ref), 1e-6)
-                assert np.linalg.norm(quad.omega(float(u)) - ref) <= 1e-10 * scale
+                assert np.linalg.norm(omega(quad, float(u)) - ref) <= 1e-10 * scale
 
     def test_quadratic_degree_bound(self, rng):
         # omega(u) . w is a quadratic in u: fit through 3 samples, check 30
         for _ in range(20):
             seg = random_segment(rng)
             w = rng.uniform(-2, 2, 3)
-            f = lambda u: float(np.dot(seg.curvature(u), w))
+            f = lambda u: float(np.dot(cross3(*seg.derivatives(u)[:2]), w))
             us = np.array([0.0, 0.5, 1.0])
             coef = np.polyfit(us, [f(u) for u in us], 2)
             scale = max(abs(f(u)) for u in np.linspace(0, 1, 31))
@@ -193,21 +196,21 @@ class TestProjection:
         flat = CubicSegment(
             seg.p0 * [1, 1, 0], seg.p3 * [1, 1, 0], seg.m0 * [1, 1, 0], seg.m1 * [1, 1, 0], seg.h
         )
-        proj = flat.project(Plane(vec3(0, 0, 1), 0.0))
+        proj = project_segment(flat, Plane(vec3(0, 0, 1), 0.0))
         assert np.allclose(proj.bezier_points, flat.bezier_points, atol=1e-14)
 
     def test_projection_of_lift_recovers_plane(self, rng):
         seg = random_segment(rng)
         lift = vec3(0, 0, 3.7)
         lifted = CubicSegment(seg.p0 + lift, seg.p3 + lift, seg.m0, seg.m1, seg.h)
-        dropped = lifted.project(Plane(vec3(0, 0, 1), 0.0))
+        dropped = project_segment(lifted, Plane(vec3(0, 0, 1), 0.0))
         assert np.allclose(dropped.bezier_points[:, 2], 0.0, atol=1e-14)
 
     def test_eval_commutes_with_projection(self, rng):
         for _ in range(50):
             seg = random_segment(rng)
             pl = make_plane(rng)
-            proj = seg.project(pl)
+            proj = project_segment(seg, pl)
             for u in np.linspace(0, 1, 17):
                 a = proj.point(float(u))
                 b = project_point(seg.point(float(u)), pl)
@@ -220,7 +223,7 @@ class TestProjectionCurvatureIdentities:
         for _ in range(100):
             seg = random_segment(rng)
             pl = make_plane(rng)
-            proj = seg.project(pl)
+            proj = project_segment(seg, pl)
             n = pl.normal
             for u in np.linspace(0, 1, 9):
                 d1, d2, _ = seg.derivatives(float(u))
@@ -233,7 +236,7 @@ class TestProjectionCurvatureIdentities:
         for _ in range(50):
             seg = random_segment(rng)
             pl = make_plane(rng)
-            proj = seg.project(pl)
+            proj = project_segment(seg, pl)
             n = pl.normal
             p0, q0 = seg.point(0.0), proj.point(0.0)
             d1_start, e1_start = seg.derivatives(0.0)[0], proj.derivatives(0.0)[0]

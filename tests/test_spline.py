@@ -106,8 +106,8 @@ class TestBuild:
     def test_endpoint_tangents_one_sided(self):
         poly = DataPolygon([(0, 0, 0), (1, 0, 0), (2, 1, 0)])
         spline = build_spline(poly, cfg_with(tension=0.5))
-        assert np.allclose(spline.tangents[0], 2 * 0.5 * poly.chord(1))
-        assert np.allclose(spline.tangents[2], 2 * 0.5 * poly.chord(2))
+        assert np.allclose(spline.tangents[0], 2 * 0.5 * poly.chords[0])
+        assert np.allclose(spline.tangents[2], 2 * 0.5 * poly.chords[1])
 
 
 class TestCatmullRomIdentities:
@@ -120,7 +120,7 @@ class TestCatmullRomIdentities:
                 for i in range(2, poly.n_segments):
                     seg = segs[i - 1]
                     t = triple(seg.m0, seg.chord, seg.m1)
-                    expected = tension**2 * poly.span_torsion(i)
+                    expected = tension**2 * poly.torsions[i - 2]
                     assert t == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_torsion_verdicts_tension_invariant(self, rng):
@@ -198,7 +198,7 @@ class TestAnalyze:
     def test_collinear_vertex_collinearity_applicable_zero_sine(self):
         pts = [(0, 1, 0), (1, 0.5, 0), (2, 0, 0), (3, -0.5, 0), (4, -1.5, 0)]
         poly = DataPolygon(pts)
-        assert poly.vertex_is_collinear(2)
+        assert poly.classes.collinear[1]
         cfg = cfg_with()
         report = analyze(build_spline(poly, cfg), cfg)
         collinear = [

@@ -43,11 +43,12 @@ The set, with its documents generated by ``perfbench/gen.py``:
   widths of 2 next to widths of 1e3, so that the window part after each
   width of 2 is empty while its neighbours' are not;
 * documents whose diagnostics overflow, under ``check``, ``check
-  --verify``, ``measures``, ``inflection`` and ``inflection --verify``:
-  the tiny-knot and NaN-curvature documents and the 13-point polyline of
-  ``tests/test_cli.py``'s ``TestNonFiniteDiagnostic``, the polyline scaled
-  by 1e±100 and 1e±160.  There the turns and the curvature samples
-  overflow, so the direction searches meet inf and NaN.
+  --verify``, ``measures``, ``sample``, ``inflection`` and ``inflection
+  --verify``: the tiny-knot and NaN-curvature documents and the 13-point
+  polyline of ``tests/test_cli.py``'s ``TestNonFiniteDiagnostic``, the
+  polyline scaled by 1e±100 and 1e±160.  There the turns and the
+  curvature samples overflow, so the direction searches meet inf and NaN,
+  and ``sample`` meets non-finite rows.
 
 Python prints a warning, with its file and line, once per source line and
 registry; each invocation starts with a fresh registry, so its stderr
@@ -89,7 +90,14 @@ ETA_COMMANDS = (
     ("check", "--verify", "--samples", "128", "--eta", "0.25"),
 )
 ETA_FIXTURES = ("collinear_in_convex", "collinear_line")
-OVERFLOW_COMMANDS = (("check",), ("check", "--verify"), ("measures",), ("inflection",), ("inflection", "--verify"))
+OVERFLOW_COMMANDS = (
+    ("check",),
+    ("check", "--verify"),
+    ("measures",),
+    ("sample",),
+    ("inflection",),
+    ("inflection", "--verify"),
+)
 UNDERCOUNT_SEED = 4
 LONG_POLYLINES = (200, 1000)
 LONG_COMMANDS = (("check",), ("check", "--verify"))
