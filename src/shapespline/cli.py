@@ -38,7 +38,7 @@ import numpy as np
 from . import jsonout, oracle
 from .criteria import Criterion, Tolerances
 from .geometry import cross_rows, dot_rows, norm_rows, sine_rows
-from .polygon import FLAG_SETS, DataPolygon, _count_changes_rows, span_codes, spatial_arc_inflection_count
+from .polygon import FLAG_SETS, DataPolygon, _relative_changes, span_codes, spatial_arc_inflection_count
 from .segment import torsion_numerator_rows
 from .spline import (
     Parameterization,
@@ -300,9 +300,7 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
             probes = np.concatenate([normals, mixed], axis=1)
             # one matrix-vector product per probe, as for a single probe
             vals = np.matmul(omegas[k][:, None], probes[..., None])[..., 0]
-            bands = tol.eps_zero * np.maximum(np.abs(vals).max(axis=-1), 1e-300)
-            # a NaN band leaves every non-zero value live
-            changes = _count_changes_rows(vals, np.fmax(bands, 0.0)[..., None])
+            changes = _relative_changes(vals, tol.eps_zero)[0]
             for e, probe in np.argwhere(changes != 1).tolist():
                 problems.append((at[e], probe, (
                     f"segment {seg_list[e]}: inflection passed but sampled bending "

@@ -30,7 +30,7 @@ import numpy as np
 from .geometry import EPS_ZERO, DegenerateInputError, cross_rows, dot_rows, norm
 from .geometry import first_max, norm_rows, powers, triple_rows
 from .oracle import DEFAULT_SAMPLES
-from .polygon import _BLOCK_ENTRIES, _count_changes_rows
+from .polygon import _BLOCK_ENTRIES, _relative_changes
 from .segment import CubicSegment, curvature_quad_rows, derivative_rows, point_rows
 
 
@@ -666,9 +666,7 @@ def _extended_block(spline, i, tol: Tolerances, eps: float) -> list:
         vals = dot_rows(omegas, b_nbrs[~convex][:, :, None]).reshape(-1, 130)
         tp, ti, tn = (t[fv][:, None] for t in (t_prev, t_i, t_next))
         locs = np.concatenate([tp + ts * (ti - tp), ti + ts * (tn - ti)], axis=1)
-        band = eps * first_max(np.abs(vals).max(axis=1), 1e-300)
-        # a NaN band leaves every non-zero value live
-        counts = _count_changes_rows(vals, np.fmax(band, 0.0)[:, None])
+        counts, band = _relative_changes(vals, eps)
         # where a row changes sign once, the change lies between two
         # consecutive live samples: report their midpoint
         one = np.flatnonzero(counts == 1)

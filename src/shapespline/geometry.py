@@ -18,8 +18,8 @@ Tolerance policy
 A single module constant ``EPS_ZERO`` drives every sign classification in
 the package.  Comparisons are always made *relative to a magnitude floor*
 built from the norms of the participating vectors (e.g. a dot of two cross
-products is classified against ``EPS_ZERO * |a||b||c||d|``), which makes
-verdicts invariant under uniform scaling and rigid motions.
+products is classified against ``EPS_ZERO * |a||b||c||d|``).  Verdicts hold
+under exact translation, and under uniform scaling only within about 1e+-50.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import EPS_ZERO, cross_rows, lattice_directions, norm_rows, powers, unit_rows
-from .polygon import _BLOCK_ENTRIES, _max_view_changes, _runs
+from .polygon import _BLOCK_ENTRIES, _live_vectors, _max_view_changes, _runs
 
 # default sampling densities of the oracles, shared with the CLI settings
 DEFAULT_SAMPLES = 512
@@ -147,7 +147,9 @@ def projected_inflection_counts(
 def _run_counts(nets, widths, s: int, t: int, lattice, samples: int, eps_zero: float) -> np.ndarray:
     """``projected_inflection_counts`` of the run ``nets[s:t]``, at most
     ``segment_run(samples)`` segments; the search takes its products in
-    blocks of whole segments of about ``_BLOCK_ENTRIES`` values each."""
+    blocks of whole segments of about ``_BLOCK_ENTRIES`` values each.  A
+    straight segment, one with no live sample (``polygon._live_vectors``),
+    counts 0 without a search."""
     # an overflowing sample is reported, not warned about
     with np.errstate(all="ignore"):
         omegas, floors = curvature_samples(nets[s:t], samples, widths[s:t])
@@ -159,14 +161,14 @@ def _run_counts(nets, widths, s: int, t: int, lattice, samples: int, eps_zero: f
     # row is rounding noise and must classify as zero
     tols = eps_zero * np.maximum(floors, 1e-300)[:, None, :]
     counts = np.zeros(len(omegas), dtype=np.int32)
-    # a segment whose curvature samples all lie within half their band (a
-    # straight one) sees only dead entries along any unit direction,
-    # rounding included: it counts 0 without a search
-    bent = ~np.all(norm_rows(omegas) <= 0.5 * tols[:, 0], axis=1)
+    bent = _live_vectors(omegas.transpose(0, 2, 1), tols[:, 0])[1].any(axis=1)
     if not bent.any():
         return counts
     omegas, tols = omegas[bent], tols[bent]
-    counts[bent] = _max_view_changes(omegas.transpose(0, 2, 1), tols, _witness_directions(omegas), lattice)
+    # at tiny scales a dip candidate overflows and gives a zero row
+    with np.errstate(all="ignore"):
+        own = _witness_directions(omegas)
+    counts[bent] = _max_view_changes(omegas.transpose(0, 2, 1), tols, own, lattice)
     return counts
 
 

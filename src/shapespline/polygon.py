@@ -75,6 +75,14 @@ def _count_changes_rows(vals: np.ndarray, tols) -> np.ndarray:
     return counts
 
 
+def _relative_changes(vals: np.ndarray, eps: float):
+    """``_count_changes_rows`` of ``vals`` with each row's band ``eps``
+    times its largest magnitude (at least 1e-300); returns the counts and
+    the bands.  A NaN band leaves every non-zero value live."""
+    band = eps * np.maximum(np.abs(vals).max(axis=-1), 1e-300)
+    return _count_changes_rows(vals, np.fmax(band, 0.0)[..., None]), band
+
+
 def _blocks(n: int, step: int) -> list:
     """``(start, stop)`` spans of ``step`` items covering ``range(n)``; a
     one-item tail joins the span before it."""
@@ -104,25 +112,35 @@ def _raise_counts(best: np.ndarray, vals: np.ndarray, tols: np.ndarray) -> None:
 
 def _raise_over(best: np.ndarray, vecs: np.ndarray, tols: np.ndarray, dirs: np.ndarray) -> None:
     """``_raise_counts`` over the products of the ``(S, 3, m)`` stack
-    ``vecs`` with the direction rows ``dirs``, one ``(S, r, 3)`` set per
-    sequence or one ``(r, 3)`` set for all, two rows or more, in blocks of
-    whole sequences and of rows near ``_BLOCK_ENTRIES`` values each."""
-    m = vecs.shape[-1]
-    per_block = max(1, _BLOCK_ENTRIES // (dirs.shape[-2] * m))
+    ``vecs`` with the ``(S, r, 3)`` direction rows ``dirs``, two rows or
+    more per sequence, in blocks of whole sequences and of rows near
+    ``_BLOCK_ENTRIES`` values each."""
+    m, r = vecs.shape[-1], dirs.shape[1]
+    per_block = max(1, _BLOCK_ENTRIES // (r * m))
     rows = max(2, _BLOCK_ENTRIES // (per_block * m))
     for s, t in _runs(len(vecs), per_block):
-        for a, b in _blocks(dirs.shape[-2], rows):
-            # a shared set broadcasts against every sequence of the block
-            d = dirs[s:t, a:b] if dirs.ndim == 3 else dirs[a:b]
-            _raise_counts(best[s:t], np.matmul(d, vecs[s:t]), tols[s:t])
+        for a, b in _blocks(r, rows):
+            _raise_counts(best[s:t], np.matmul(dirs[s:t, a:b], vecs[s:t]), tols[s:t])
 
 
 # the certificate's angular margin (radians): far above the rounding of its
 # angles and of a 3-term dot product
 _MARGIN = 1e-6
-# below this band, squared lengths may underflow and a live vector read as
-# short: a stack holding such a band drops no column and certifies nothing
+# below this band a squared length may underflow and a live vector read short
 _MIN_BAND = 1e-150
+
+
+def _live_vectors(vecs: np.ndarray, band: np.ndarray):
+    """The ``(S, m)`` lengths of the vectors of the ``(S, 3, m)`` stack
+    ``vecs``, and which are live: longer than half their ``(S, m)``
+    ``band``, as the others stay in it along every unit direction,
+    rounding included.  In a stack holding a band below ``_MIN_BAND``
+    every vector is live and every length NaN: it certifies nothing."""
+    with np.errstate(all="ignore"):
+        lengths = np.sqrt(np.einsum("sim,sim->sm", vecs, vecs))
+    if not band.min() >= _MIN_BAND:
+        return np.full_like(lengths, np.nan), np.ones(lengths.shape, dtype=bool)
+    return lengths, lengths > 0.5 * band
 
 
 def _certificates(vecs: np.ndarray, lengths: np.ndarray, live: np.ndarray, best: np.ndarray):
@@ -133,15 +151,14 @@ def _certificates(vecs: np.ndarray, lengths: np.ndarray, live: np.ndarray, best:
     ``best`` sign changes, as ``(S, 3)`` and ``(S,)``; the bound is NaN
     where the sequence is not certified.
 
-    A vector within half its band is dead along every unit direction,
-    rounding included.  The live ones lie within the angle ``rho`` of the
-    line through ``c``; take ``sigma_k = sign(c . v_k)`` over them, with
-    ``C`` strict sign changes.  Along such a ``w``, each makes an angle
-    below 90 degrees less the margin with ``sign(c . w) sigma_k w``, so a
-    value that clears its band has the sign ``sign(c . w) sigma_k``: the
-    count is at most ``C``.  A sequence is certified where ``C <= best``
-    and ``rho`` plus the margin stays below 90 degrees; a NaN or inf value
-    makes ``rho`` NaN and so declines."""
+    The live vectors lie within the angle ``rho`` of the line through
+    ``c``; take ``sigma_k = sign(c . v_k)`` over them, with ``C`` strict
+    sign changes.  Along such a ``w``, each makes an angle below 90
+    degrees less the margin with ``sign(c . w) sigma_k w``, so a value
+    that clears its band has the sign ``sign(c . w) sigma_k``: the count
+    is at most ``C``.  A sequence is certified where ``C <= best`` and
+    ``rho`` plus the margin stays below 90 degrees; a NaN or inf value or
+    length makes ``rho`` NaN and so declines."""
     with np.errstate(all="ignore"):
         # the first and last live vectors, the second turned toward the first
         units = vecs.transpose(0, 2, 1) / lengths[..., None]
@@ -165,28 +182,20 @@ def _max_view_changes(vecs: np.ndarray, tols: np.ndarray, own: np.ndarray, share
     directions are the sequence's own ``(S, r, 3)`` rows ``own``, then the
     ``(L, 3)`` rows ``shared``; each set holds two rows or more.
 
-    Only the products that can raise a count are evaluated.  A vector
-    within half its band is dead along every unit direction: a column
-    dead so in every sequence is dropped.  The own rows go first, as they
-    are built to show the sign changes and so raise the bar early.  Then,
-    where ``_certificates`` bounds a sequence's count off a band of the
-    sphere, only the shared rows inside that band are evaluated for it,
-    one sequence at a time; every other sequence sees all of them.  Both
-    hold only where every band is ``_MIN_BAND`` or more.
+    Only the products that can raise a count are evaluated.  A column
+    that ``_live_vectors`` finds dead in every sequence is dropped.  The
+    own rows go first, as they are built to show the sign changes and so
+    raise the bar early.  Then each sequence in turn sees the shared rows
+    that its ``_certificates`` bound does not skip: all of them where it
+    declines, as it does on every sequence of a stack holding a band
+    below ``_MIN_BAND``.
 
     Each matmul runs one product per sequence (a product widened across
     sequences rounds differently), and every block holds two rows or more:
     a one-row product goes through a matrix-vector kernel that rounds
     differently from the product of the whole matrix."""
     best = np.zeros(len(vecs), dtype=np.int32)
-    band = tols[:, 0]
-    with np.errstate(all="ignore"):
-        lengths = np.sqrt(np.einsum("sim,sim->sm", vecs, vecs))
-    live = lengths > 0.5 * band
-    if not band.min() >= _MIN_BAND:
-        _raise_over(best, vecs, tols, own)
-        _raise_over(best, vecs, tols, shared)
-        return best
+    lengths, live = _live_vectors(vecs, tols[:, 0])
     cols = live.any(axis=0)
     if not cols.any():
         return best
@@ -194,22 +203,14 @@ def _max_view_changes(vecs: np.ndarray, tols: np.ndarray, own: np.ndarray, share
         vecs, tols, lengths, live = vecs[..., cols], tols[..., cols], lengths[:, cols], live[:, cols]
     _raise_over(best, vecs, tols, own)
     axis, bound = _certificates(vecs, lengths, live, best)
-    open_ = np.isnan(bound)
-    if open_.all():
-        _raise_over(best, vecs, tols, shared)
-        return best
-    if open_.any():
-        part = best[open_]
-        _raise_over(part, vecs[open_], tols[open_], shared)
-        best[open_] = part
-    sure = np.flatnonzero(~open_)
-    keep = np.abs(np.matmul(axis[sure], shared.T)) <= bound[sure, None]
-    for s, rows in zip(sure.tolist(), keep):
+    # a NaN axis or bound keeps every row
+    keep = ~(np.abs(np.matmul(axis, shared.T)) > bound[:, None])
+    for s, rows in enumerate(keep):
         rows = np.flatnonzero(rows)
         if len(rows):
             # a lone row is evaluated twice, as a block needs two
             d = shared[np.repeat(rows, 2) if len(rows) == 1 else rows]
-            _raise_over(best[s : s + 1], vecs[s : s + 1], tols[s : s + 1], d)
+            _raise_over(best[s : s + 1], vecs[s : s + 1], tols[s : s + 1], d[None])
     return best
 
 

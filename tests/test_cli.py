@@ -220,6 +220,21 @@ class TestNonFiniteDiagnostic:
                 message = "error: length of the chord from point 0 to point 1 overflows float64\n"
                 assert (code, err) == (2, message)
 
+    def test_inflection_at_1e_minus_100_counts_as_unscaled(self, capsys, tmp_path):
+        # the dead bands of the bent segments lie below the search's floor,
+        # where squared lengths underflow: they still count their flips
+        counts = []
+        for scale in (1.0, 1e-100):
+            path = tmp_path / f"doc-{scale:g}.json"
+            path.write_text(json.dumps({"version": 1, "points": (self.POLYLINE * scale).tolist()}))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, "inflection", path)
+            assert [str(w.message) for w in caught] == []
+            assert (code, err) == (0, "")
+            counts.append(json.loads(out)["per_segment_curve_counts"])
+        assert counts[1] == counts[0] and max(counts[0]) > 0
+
     def test_two_non_finite_keys_name_the_first_listed(self):
         from shapespline.polygon import DataPolygon
         from shapespline.segment import torsion_numerator_rows

@@ -219,6 +219,25 @@ class TestProjectedInflectionCounts:
         ]
         assert counts.tolist() == ref
 
+    @pytest.mark.parametrize("scale", [2.0**-340, 1e-100])
+    @pytest.mark.parametrize("kind", ["helix", "planar", "near-planar"])
+    def test_tiny_scales(self, kind, scale):
+        # the dead bands lie below polygon._MIN_BAND, where squared lengths
+        # underflow: a bent segment must not read as straight, and the
+        # overflowing dip candidates warn about nothing
+        spline = build_spline(DataPolygon(search_points(kind, 5, 12) * scale), SplineConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = projected_inflection_counts(spline.nets, spline.widths, 512, 128)
+        # the reference's candidate norms overflow here, and it drops those rows
+        with np.errstate(all="ignore"):
+            ref = [
+                ref_projected_inflection_count(ctrl, h, 512, 128)
+                for ctrl, h in zip(spline.nets, spline.widths.tolist())
+            ]
+        assert counts.tolist() == ref
+        assert max(ref) > 0
+
     def test_one_net_is_the_batch_row(self):
         spline = family_spline("helix", 12)
         counts = projected_inflection_counts(spline.nets, spline.widths, 512, 64).tolist()

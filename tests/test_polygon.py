@@ -229,8 +229,7 @@ def checked_search(monkeypatch, vecs, tols, own, shared) -> dict:
             cols = [[c.get(x.tobytes()) for x in v.T] for c in columns]
             k = next(k for k, c in enumerate(cols) if None not in c)
             at = row_index(np.vstack([own[k], shared]))
-            d = dirs_[s] if dirs_.ndim == 3 else dirs_
-            assert np.array_equal(p, wholes[k][np.ix_([at[r.tobytes()] for r in d], cols[k])])
+            assert np.array_equal(p, wholes[k][np.ix_([at[r.tobytes()] for r in dirs_[s]], cols[k])])
     skipped = 0
     for best, axis, bound in certified:
         for k in np.flatnonzero(~np.isnan(bound)):
@@ -258,6 +257,19 @@ class TestCertificate:
         found = checked_search(monkeypatch, omegas, tols, _witness_directions(omegas), lattice_directions(128))
         if offset == 0.0:
             assert found["skipped"] > 0
+
+    @pytest.mark.parametrize("kind", ["helix", "planar", "near-planar"])
+    def test_below_the_floor_nothing_is_skipped(self, monkeypatch, kind):
+        # at 2^-340 the dead bands lie below _MIN_BAND: every vector is
+        # live and every certificate declines
+        spline = build_spline(DataPolygon(search_points(kind, 5, 12) * 2.0**-340), SplineConfig())
+        omegas, floors = curvature_samples(spline.nets, 64, spline.widths)
+        tols = 1e-9 * np.maximum(floors, 1e-300)[:, None, :]
+        assert tols.max() < polygon._MIN_BAND
+        with np.errstate(all="ignore"):
+            own = _witness_directions(omegas)
+        found = checked_search(monkeypatch, omegas, tols, own, lattice_directions(128))
+        assert found == {"skipped": 0, "dropped": 0}
 
     @pytest.mark.parametrize("offset", SEARCH_OFFSETS)
     @pytest.mark.parametrize("kind", SEARCH_KINDS)

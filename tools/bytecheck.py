@@ -24,6 +24,11 @@ The set, with its documents generated by ``perfbench/gen.py``:
   the sampled curvature of the straight segments above its dead band
   (counts up to 84 at seeds 0-2), so the direction search's certificate
   declines on some segments and bounds others by their noise;
+* the same documents scaled by 2^-340 (an exact scaling), under
+  ``inflection --samples 128 --directions 512``: their dead bands lie
+  below the direction search's floor (``polygon._MIN_BAND``), where
+  squared lengths underflow, so every vector is live and every
+  certificate declines, on helices and S-curves as well as polylines;
 * the ``export`` documents of those seeds (150-550 points) under
   ``inflection --samples 128 --directions 512`` and ``check --verify
   --samples 128``: at 128 samples a run holds 128 segments
@@ -104,6 +109,8 @@ LONG_COMMANDS = (("check",), ("check", "--verify"))
 OFFSET_KNOT_COMMANDS = (("check", "--eta", "0.25"),)
 SHIFTS = (1e6, 1e8)
 SHIFT_COMMANDS = (("inflection", "--samples", "128", "--directions", "512"), ("inflection", "--verify"))
+TINY_SCALE = 2.0**-340
+TINY_COMMANDS = (("inflection", "--samples", "128", "--directions", "512"),)
 RUN_COMMANDS = (("inflection", "--samples", "128", "--directions", "512"), ("check", "--verify", "--samples", "128"))
 
 
@@ -169,6 +176,9 @@ def plan(seeds, workdir: Path) -> list:
                         shifted = workdir / f"{workload}-{seed}-{k:03d}-{name}-shift{offset:g}.json"
                         shifted.write_text(json.dumps(dict(doc, points=(np.array(doc["points"]) + offset).tolist())))
                         commands += [(sub, str(shifted), *flags) for sub, *flags in SHIFT_COMMANDS]
+                    tiny = workdir / f"{workload}-{seed}-{k:03d}-{name}-tiny.json"
+                    tiny.write_text(json.dumps(dict(doc, points=(np.array(doc["points"]) * TINY_SCALE).tolist())))
+                    commands += [(sub, str(tiny), *flags) for sub, *flags in TINY_COMMANDS]
                 if name.startswith("polyline-"):
                     commands += [(sub, str(path), *flags) for sub, *flags in ETA_COMMANDS]
                 invocations += [list(argv) for argv in dict.fromkeys(commands)]
