@@ -16,10 +16,11 @@ mixed-normal probes used there.
 
 The oracles run over a document's segments at once: ``inflection`` makes
 one ``oracle.projected_inflection_counts`` call per direction density,
-and ``check --verify`` samples each criterion's passing segments of a run
-together, drawing the probes in verdict order and formatting a message
-only for a probe that fails.  A run holds ``oracle.segment_run`` segments
-(32 at the default 512 samples), and no byte depends on where runs split.
+and ``check --verify`` walks the report's segment batches a run at a
+time, sampling each batch's passing rows in the run together, drawing the
+probes in verdict order and formatting a message only for a failed probe.
+A run holds ``oracle.segment_run`` segments (32 at the default 512
+samples), and no byte depends on where runs split.
 """
 
 from __future__ import annotations
@@ -221,15 +222,16 @@ def _build(doc: dict, settings: dict):
 
 
 def _write(text: str, out_path: str | None) -> None:
+    """``text`` and a newline, written apart, so the text is not copied."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            print(text, file=fh)
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    _write(jsonout.dumps(payload) + "\n", out_path)
+    _write(jsonout.dumps(payload), out_path)
 
 
 def _config_echo(settings: dict) -> dict:
@@ -255,31 +257,36 @@ def _verify_report(spline, report, cfg: SplineConfig, settings: dict) -> list:
     taus = torsion_numerator_rows(*spline.rows())
     run = oracle.segment_run(settings["samples"])
     problems = []
-    for _, passing in itertools.groupby(report.passing_segment_rows(), key=lambda e: (e[0] - 1) // run):
-        problems += _verify_segments(spline, list(passing), taus, rng, cfg.tolerances, settings["samples"])
+    for start in range(0, spline.polygon.n_segments, run):
+        # per segment batch of the report, its passing rows in the run
+        batches = []
+        for rows, segments in report.segment_rows:
+            seg = np.asarray(segments, dtype=int)
+            picked = np.flatnonzero(rows.passed & (start < seg) & (seg <= start + run))
+            batches.append((rows, picked, seg[picked]))
+        problems += _verify_segments(spline, batches, taus, rng, cfg.tolerances, settings["samples"])
     return problems
 
 
-def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples: int) -> list:
-    """The disagreements of the passing verdicts ``passing``, given as
-    ``(segment, rows, row)`` in report order, in that order.  Each criterion
-    samples all its segments at once, drawing the inflection probes' mixing
-    weights in verdict order, and a message is formatted only for a probe
-    that fails."""
+def _verify_segments(spline, batches: list, taus, rng, tol: Tolerances, samples: int) -> list:
+    """The disagreements, in report order, of the passing verdicts given per
+    segment batch as ``(rows, picked, seg)``: row ``picked[e]`` of ``rows``
+    passed on segment ``seg[e]``.  Each batch samples all its segments at
+    once, drawing the inflection probes' mixing weights in verdict order,
+    and a message is formatted only for a probe that fails."""
     us = np.linspace(0.0, 1.0, samples)
     poly = spline.polygon
     # one evaluation of every segment that holds a passing verdict
-    segs = np.unique([i for i, _, _ in passing])
+    segs = np.unique(np.concatenate([seg for *_, seg in batches]))
     tangents, second, _ = oracle.decasteljau_derivatives(spline.nets[segs - 1], us, spline.widths[segs - 1])
     omegas = cross_rows(tangents, second)
-    by_criterion = {}
-    for p, (i, rows, r) in enumerate(passing):
-        by_criterion.setdefault(rows.criterion, []).append((p, i, rows, r))
-    problems = []  # (passing entry, probe within it, text)
-
-    for crit, entries in by_criterion.items():
-        at, seg = [p for p, *_ in entries], np.array([i for _, i, _, _ in entries])
+    problems = []  # ((segment, batch slot, row, probe), text)
+    for slot, (rows, picked, seg) in enumerate(batches):
+        if not len(seg):
+            continue
+        crit = rows.criterion
         seg_list = seg.tolist()
+        at = [(i, slot, r) for i, r in zip(seg_list, picked.tolist())]
         k = np.searchsorted(segs, seg)
         if crit is not Criterion.COLLINEARITY:
             # the binormals at the end vertices of the interior segments
@@ -288,21 +295,21 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
             points = oracle.decasteljau(spline.nets[seg - 1], us)
             convex = oracle.sampled_convexity(points, normals, tol.eps_zero)
             for e, t in np.argwhere(~convex).tolist():
-                problems.append((at[e], t, (
+                problems.append(((*at[e], t), (
                     f"segment {seg_list[e]}: convexity passed but sampled projection "
                     f"along the {('prev', 'cur')[t]} binormal is not convex"
                 )))
         elif crit is Criterion.INFLECTION:
             # eight mixed probes per verdict, lam * b_prev - mu * b_cur, their
             # weights drawn in verdict order as (lam, mu) pairs
-            lam, mu = np.moveaxis(rng.uniform(0.1, 1.0, (len(entries), 8, 2)), -1, 0)
+            lam, mu = np.moveaxis(rng.uniform(0.1, 1.0, (len(seg), 8, 2)), -1, 0)
             mixed = lam[..., None] * normals[:, :1] + -mu[..., None] * normals[:, 1:]
             probes = np.concatenate([normals, mixed], axis=1)
             # one matrix-vector product per probe, as for a single probe
             vals = np.matmul(omegas[k][:, None], probes[..., None])[..., 0]
             changes = _relative_changes(vals, tol.eps_zero)[0]
             for e, probe in np.argwhere(changes != 1).tolist():
-                problems.append((at[e], probe, (
+                problems.append(((*at[e], probe), (
                     f"segment {seg_list[e]}: inflection passed but sampled bending "
                     f"flips {changes[e, probe]} times along probe {probe}"
                 )))
@@ -318,7 +325,7 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
             # the numbers print as Python floats
             tau, dets, probe_us = tau.tolist(), dets.tolist(), probe_us.tolist()
             for e, j in bad:
-                problems.append((at[e], j, (
+                problems.append(((*at[e], j), (
                     f"segment {seg_list[e]}: torsion numerator {tau[e]} disagrees with "
                     f"sampled determinant {dets[e][j]} at u={probe_us[j]}"
                 )))
@@ -329,24 +336,24 @@ def _verify_segments(spline, passing: list, taus, rng, tol: Tolerances, samples:
             for t, tag in enumerate(("prev", "cur")):
                 tilted = np.unique(e[sine_rows(bent, normals[e, t]) >= tol.eps_coplanar]).tolist()
                 for e_ in tilted:
-                    problems.append((at[e_], t, (
+                    problems.append(((*at[e_], t), (
                         f"segment {seg_list[e_]}: coplanarity passed but a sampled "
                         f"binormal tilts past eps1 from the {tag} normal"
                     )))
         elif crit is Criterion.COLLINEARITY:
-            j = np.array([rows.columns["vertex"][r] for *_, rows, r in entries], dtype=int)
+            j = rows.columns["vertex"][picked].astype(int)
             e, s = np.nonzero(norm_rows(tangents[k]) != 0.0)
             moving = tangents[k[e], s]
             tilted = (sine_rows(moving, poly.chords[j[e] - 1]) >= tol.eps_collinear) | (
                 sine_rows(moving, poly.chords[j[e]]) >= tol.eps_collinear
             )
             for e_ in np.unique(e[tilted]).tolist():
-                problems.append((at[e_], 0, (
+                problems.append(((*at[e_], 0), (
                     f"segment {seg_list[e_]}: collinearity passed but a sampled tangent "
                     f"tilts past eps0 from the chords"
                 )))
-    problems.sort(key=itemgetter(0, 1))
-    return [text for _, _, text in problems]
+    problems.sort(key=itemgetter(0))
+    return [text for _, text in problems]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +408,7 @@ def cmd_sample(args) -> int:
     fmt = "%d" + ",%.17g" * 8
     lines = ["segment_index,t,x,y,z,wx,wy,wz,tau_num"]
     lines.extend(fmt % (i, *v) for i, v in zip(rows["segment"].tolist(), values.tolist()))
-    _write("\n".join(lines) + "\n", args.out)
+    _write("\n".join(lines), args.out)
     return 0
 
 

@@ -136,17 +136,17 @@ class Rows:
         self.columns[name] = np.asarray(values, dtype=float)
         self.present[name] = np.ones(len(self.applicable), dtype=bool) if present is None else present
 
-    def first_non_finite(self, rows):
-        """``(k, name, value)`` of the first non-finite diagnostic reported
-        on the rows ``rows``: ``rows[k]`` is the first row holding one, and
-        ``name`` its first such column in column order.  None when every
-        reported diagnostic is finite."""
+    def first_non_finite(self):
+        """``(r, name, value)`` of the first non-finite reported diagnostic:
+        ``r`` is the first row holding one, and ``name`` its first such
+        column in column order.  None when every reported diagnostic is
+        finite."""
         names = list(self.columns)
-        bad = np.column_stack([~np.isfinite(self.columns[k][rows]) & self.present[k][rows] for k in names])
+        bad = np.column_stack([~np.isfinite(self.columns[k]) & self.present[k] for k in names])
         if not bad.any():
             return None
-        k, c = np.argwhere(bad)[0].tolist()  # row-major: first row, then first column
-        return k, names[c], float(self.columns[names[c]][rows[k]])
+        r, c = np.argwhere(bad)[0].tolist()  # row-major: first row, then first column
+        return r, names[c], float(self.columns[names[c]][r])
 
     def verdict(self, r: int) -> CriterionVerdict:
         """Row ``r`` as a verdict object, for the one-row ``check_*`` API."""

@@ -232,8 +232,9 @@ class Classes(NamedTuple):
 class DataPolygon:
     """Immutable ordered 3D data points with cached discrete measures.
 
-    Consecutive duplicate points are rejected at construction; every other
-    query is pure.  ``eps_zero`` drives all sign classifications, applied
+    Consecutive duplicate points, and chords no longer than ``eps_zero``
+    times the extent of the points, are rejected at construction; every
+    other query is pure.  ``eps_zero`` drives all sign classifications, applied
     relative to magnitude floors built from chord norms.
     """
 
@@ -259,10 +260,13 @@ class DataPolygon:
                 raise ValueError(f"length of the chord from point {bad} to point {bad + 1} {how} float64")
         if np.isinf(bbox):
             raise ValueError("extent of the points overflows float64")
-        tiny = eps_zero * bbox
-        if np.any(lengths <= tiny):
-            bad = int(np.argmax(lengths <= tiny))
-            raise ValueError(f"duplicate consecutive points at index {bad}")
+        short = lengths <= eps_zero * bbox
+        if short.any():
+            bad = int(np.argmax(short))
+            if lengths[bad] == 0.0:
+                raise ValueError(f"duplicate consecutive points at index {bad}")
+            limit = f"eps_zero {float(eps_zero)!r} times the extent {bbox!r} of the points"
+            raise ValueError(f"chord from point {bad} to point {bad + 1} is not longer than {limit}")
         self.eps_zero = float(eps_zero)
         self._points = pts
         self._points.flags.writeable = False

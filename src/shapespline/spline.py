@@ -1,5 +1,5 @@
-"""Assemble C1 cubic splines over a data polygon and run the criteria
-battery over all segments at once.
+"""Assemble C1 cubic splines over a data polygon and run each criterion
+over all the segments it applies to at once.
 
 Tangent construction defaults to the central-difference (Catmull-Rom) rule
 ``m_j = tension * (x_{j+1} - x_{j-1})`` at interior vertices with one-sided
@@ -13,8 +13,8 @@ rescales neither the knot vector nor any verdict.
 A spline is one set of rows, one per segment: the end tangents, the knot
 widths ``h`` and the ``(n, 4, 3)`` Bezier nets.  Every criterion, sampler
 and oracle reads slices of them; no per-segment object is built.  The
-report of ``analyze`` is likewise the criteria kernels' columns, and its
-JSON text is written straight from them.
+report of ``analyze`` is likewise the criteria kernels' columns, one row
+per printed verdict, and its JSON text is written straight from them.
 """
 
 from __future__ import annotations
@@ -170,13 +170,14 @@ def build_spline(
 
 class SplineReport:
     """The verdicts of ``analyze``, kept as the criteria kernels' columns
-    (:class:`criteria.Rows`) with the map from rows to report entries; only
-    the vertex ``collinearity_extended`` verdicts are objects.
+    (:class:`criteria.Rows`), one row per printed verdict, each batch with
+    the segments or joints its rows belong to; only the vertex
+    ``collinearity_extended`` verdicts are objects.
 
     ``json_sections`` is the one serialisation: it writes the entries
     straight from the columns, and ``to_dict`` is the data that text holds.
-    ``summary`` counts from the kernels' masks, and ``passing_segment_rows``
-    walks the passing segment verdicts as rows.
+    ``summary`` counts from the kernels' masks, and ``check --verify``
+    walks the segment batches.
     """
 
     def __init__(self, binormals, collinear, extended, codes, deltas, segment_rows, joint_rows):
@@ -185,18 +186,18 @@ class SplineReport:
         self._extended = extended  # vertex -> its collinearity_extended verdict
         self._codes = codes  # per segment, the bit code of its flags
         self._deltas = deltas  # span twists of segments 2..n-1
-        # (Rows, reported rows, their 1-based segment or joint indices), in
-        # the order of the verdicts within a segment (battery, collinearity)
-        # and within a joint (adjacency, torsion_compat)
-        self._segment_rows = segment_rows
-        self._joint_rows = joint_rows
+        # (Rows, the ascending 1-based segment or joint index of each row),
+        # in the order of the verdicts within a segment (battery,
+        # collinearity) and within a joint (adjacency, torsion_compat)
+        self.segment_rows = segment_rows
+        self.joint_rows = joint_rows
 
     def _per_segment(self, items) -> list:
-        """Per segment, in report order, the items ``items(rows, reported)``
-        gives for its reported rows, one per row."""
+        """Per segment, in report order, the items ``items(rows)`` gives
+        for its rows, one per row."""
         out = [[] for _ in self._codes]
-        for rows, reported, segment in self._segment_rows:
-            for i, item in zip(segment, items(rows, reported)):
+        for rows, segments in self.segment_rows:
+            for i, item in zip(segments, items(rows)):
                 out[i - 1].append(item)
         return out
 
@@ -204,30 +205,23 @@ class SplineReport:
         """Per joint, the (adjacency, torsion_compat) items, None where the
         joint has no such verdict."""
         out = [[None, None] for _ in self._codes[1:]]
-        for slot, (rows, reported, joint) in enumerate(self._joint_rows):
-            for j, item in zip(joint, items(rows, reported)):
+        for slot, (rows, joints) in enumerate(self.joint_rows):
+            for j, item in zip(joints, items(rows)):
                 out[j - 1][slot] = item
         return out
 
-    def passing_segment_rows(self) -> list:
-        """``(segment, rows, row)`` of every passing segment verdict, in
-        report order: the verdict is row ``row`` of the :class:`Rows`
-        ``rows``."""
-        picks = self._per_segment(lambda rows, reported: [(rows, r) for r in reported.tolist()])
-        return [(i, rows, r) for i, pick in enumerate(picks, start=1) for rows, r in pick if rows.passed[r]]
-
     def check_finite(self) -> None:
-        """Raise ValueError naming the first non-finite reported diagnostic,
-        in report order: segment by segment (the battery in criterion order,
+        """Raise ValueError naming the first non-finite diagnostic, in
+        report order: segment by segment (the battery in criterion order,
         then collinearity), then joint by joint (adjacency, then
         torsion_compat), and within a verdict in the order its criterion
         lists its keys."""
         found = []
-        for section, batches in enumerate((self._segment_rows, self._joint_rows)):
-            for slot, (rows, reported, entries) in enumerate(batches):
+        for section, batches in enumerate((self.segment_rows, self.joint_rows)):
+            for slot, (rows, entries) in enumerate(batches):
                 # a batch's entries ascend, so its first bad row is its first
                 # in report order
-                first = rows.first_non_finite(reported)
+                first = rows.first_non_finite()
                 if first is not None:
                     k, name, value = first
                     found.append(((section, entries[k], slot), name, value))
@@ -247,10 +241,9 @@ class SplineReport:
 
         for v in self._extended.values():
             count(v.criterion, int(v.applicable), int(v.passed is True))
-        for rows, reported, _ in self._segment_rows + self._joint_rows:
-            if len(reported):
-                applicable = int(np.count_nonzero(rows.applicable[reported]))
-                count(rows.criterion, applicable, int(np.count_nonzero(rows.passed[reported])))
+        for rows, entries in self.segment_rows + self.joint_rows:
+            if entries:
+                count(rows.criterion, int(np.count_nonzero(rows.applicable)), int(np.count_nonzero(rows.passed)))
         all_passed = all(e["failed"] == 0 for e in per_criterion.values())
         return {"criteria": per_criterion, "all_passed": all_passed}
 
@@ -285,7 +278,7 @@ class SplineReport:
 
     def _segment_texts(self, level: int) -> list:
         n = len(self._codes)
-        verdicts = self._per_segment(lambda rows, reported: _verdict_texts(rows, reported, level + 2))
+        verdicts = self._per_segment(lambda rows: _verdict_texts(rows, level + 2))
         entry = entry_template(("delta", "flags", "index", "verdicts"), level)
         flag_texts = {}
         texts = []
@@ -297,7 +290,7 @@ class SplineReport:
         return texts
 
     def _joint_texts(self, level: int) -> list:
-        verdicts = self._per_joint(lambda rows, reported: _verdict_texts(rows, reported, level + 1))
+        verdicts = self._per_joint(lambda rows: _verdict_texts(rows, level + 1))
         entry = entry_template(("adjacency", "index", "torsion_compat"), level)
         return [entry % (a or "null", j, t or "null") for j, (a, t) in enumerate(verdicts, start=1)]
 
@@ -311,16 +304,14 @@ def _verdict_template(criterion: Criterion, applicable: bool, passed, keys: tupl
     return template(verdict, level)
 
 
-def _verdict_texts(rows: Rows, reported: np.ndarray, level: int) -> list:
-    """The verdicts of ``rows[reported]`` as JSON text at ``level``: each
-    row fills the cached template of its (applicable, passed, key set)."""
-    if not len(reported):
+def _verdict_texts(rows: Rows, level: int) -> list:
+    """The verdicts of ``rows`` as JSON text at ``level``: each row fills
+    the cached template of its (applicable, passed, key set)."""
+    if not len(rows.applicable):
         return []
     names = sorted(rows.columns)
-    values = np.column_stack([rows.columns[k][reported] for k in names]).tolist()
-    bits = np.column_stack(
-        [rows.present[k][reported] for k in names] + [rows.applicable[reported], rows.passed[reported]]
-    )
+    values = np.column_stack([rows.columns[k] for k in names]).tolist()
+    bits = np.column_stack([rows.present[k] for k in names] + [rows.applicable, rows.passed])
     kinds, which = np.unique(bits @ (1 << np.arange(bits.shape[1])), return_inverse=True)
     forms = []
     for code in kinds.tolist():
@@ -336,11 +327,13 @@ def _verdict_texts(rows: Rows, reported: np.ndarray, level: int) -> list:
 def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
     """Run every applicable criterion on every segment, vertex and joint.
 
-    Each closed-form criterion runs once over all rows, and its verdicts
+    Each closed-form criterion runs once, over the rows the report prints:
+    a battery criterion over the interior spans whose flags hold it,
+    adjacency over the joints with a well-defined binormal.  Its verdicts
     stay in its columns.  The report order is fixed (vertices, then each
     segment's verdicts in criterion order, then joints), so the report is
-    deterministic; a non-finite reported diagnostic raises ValueError for
-    the first one in that order, as a segment-by-segment run would meet it.
+    deterministic; a non-finite diagnostic raises ValueError for the first
+    one in that order, as a segment-by-segment run would meet it.
     The polygon's ``eps_zero`` classifies spans and vertices, and the
     tolerances' the criteria: a ValueError names both if they differ.
     """
@@ -349,28 +342,34 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
     n = poly.n_segments
     eps = zero_threshold(poly, tol)
     m0, m1, chord, h = spline.rows()
-    delta = poly.torsions
+    b, delta = poly.binormals, poly.torsions
     _, norms, floors, _, collinear, dfloor = poly.classes
-    # unreported rows may divide by zero or overflow, and a reported
-    # non-finite value raises ValueError: no numpy warning is needed
+    codes = span_codes(poly, np.arange(1, n + 1))
+    # a printed row may divide by zero or overflow, and a non-finite
+    # diagnostic raises ValueError: no numpy warning is needed
     with np.errstate(all="ignore"):
-        # interior segments 2..n-1 are rows 0..n-3 of the span batches
-        inner = slice(1, n - 1)
-        m0_i, m1_i, chord_i, h_i = m0[inner], m1[inner], chord[inner], h[inner]
-        b_prev, b_cur = poly.binormals[:-1], poly.binormals[1:]
-        quad = curvature_quad_rows(m0_i, m1_i, chord_i, h_i)
+        # the twist rows r = i - 2 of the interior spans i holding each
+        # battery flag: segment i is row r + 1, between binormals r and r + 1
+        flags = (ShapeFlag.CONVEX, ShapeFlag.INFLECTION, ShapeFlag.TORSION, ShapeFlag.COPLANAR)
+        cv, fl, tw, cp = (np.flatnonzero(codes[1 : n - 1] & 1 << FLAG_BITS.index(f)) for f in flags)
+
+        def seg(r):
+            return m0[r + 1], m1[r + 1], chord[r + 1], h[r + 1]
+
         battery = (
-            (ShapeFlag.CONVEX, convexity_rows(m0_i, m1_i, chord_i, h_i, b_prev, b_cur, eps)),
-            (ShapeFlag.INFLECTION, inflection_rows(quad, b_prev, b_cur, eps)),
-            (ShapeFlag.TORSION, torsion_rows(m0_i, m1_i, chord_i, delta, dfloor, eps)),
-            (
-                ShapeFlag.COPLANAR,
-                coplanarity_rows(quad, b_prev, b_cur, delta, dfloor, eps, tol.eps_coplanar),
-            ),
+            (cv, convexity_rows(*seg(cv), b[cv], b[cv + 1], eps)),
+            (fl, inflection_rows(curvature_quad_rows(*seg(fl)), b[fl], b[fl + 1], eps)),
+            (tw, torsion_rows(*seg(tw)[:3], delta[tw], dfloor[tw], eps)),
+            (cp, coplanarity_rows(
+                curvature_quad_rows(*seg(cp)), b[cp], b[cp + 1], delta[cp], dfloor[cp], eps, tol.eps_coplanar
+            )),
         )
-        # joints 1..n-1 are rows 0..n-2; torsion compatibility needs both
-        # neighbouring spans interior, so joint j is row j-2 of its batch
-        adjacency = adjacency_rows(m1[:-1], poly.binormals, chord[:-1], chord[1:], eps)
+        segment_rows = [(rows, (r + 2).tolist()) for r, rows in battery]
+        # joint j is row j-1 of the binormals; adjacency needs it well defined
+        w = np.flatnonzero(norms > eps * floors)
+        adjacency = adjacency_rows(m1[w], b[w], chord[w], chord[w + 1], eps)
+        # torsion compatibility needs both neighbouring spans interior, so
+        # joint j is row j-2 of its batch
         tau = torsion_numerator_rows(m0, m1, chord, h)
         tau_floor = torsion_floor_rows(m0, m1, chord, h)
         compat = torsion_compat_rows(
@@ -394,20 +393,9 @@ def analyze(spline: Spline, cfg: SplineConfig = SplineConfig()) -> SplineReport:
         verts = (np.flatnonzero(collinear) + 1).tolist()
         extended = dict(zip(verts, check_collinearity_extended(spline, verts, tol))) if verts else {}
     coll.add_column("vertex", vert_of)
-    codes = span_codes(poly, np.arange(1, n + 1))
-    segment_rows = []
-    for flag, rows in battery:
-        reported = np.flatnonzero(codes[inner] & 1 << FLAG_BITS.index(flag))
-        segment_rows.append((rows, reported, (reported + 2).tolist()))
-    segment_rows.append((coll, np.arange(len(k)), (k + 1).tolist()))
-    with_adjacency = np.flatnonzero(norms > eps * floors)
-    joint_rows = [
-        (adjacency, with_adjacency, (with_adjacency + 1).tolist()),
-        (compat, np.arange(max(n - 3, 0)), list(range(2, n - 1))),
-    ]
-    report = SplineReport(
-        poly.binormals, collinear.tolist(), extended, codes.tolist(), delta.tolist(), segment_rows, joint_rows
-    )
+    segment_rows.append((coll, (k + 1).tolist()))
+    joint_rows = [(adjacency, (w + 1).tolist()), (compat, list(range(2, n - 1)))]
+    report = SplineReport(b, collinear.tolist(), extended, codes.tolist(), delta.tolist(), segment_rows, joint_rows)
     report.check_finite()
     return report
 

@@ -454,18 +454,18 @@ def ref_collinearity_extended(spline, vertex: int, tol=Tolerances()):
 
 def ref_report_dict(report) -> dict:
     """``report.to_dict()`` as the report's entry objects built it before
-    the report kept only columns: one ``Rows.verdict`` object per reported
-    row, built segment by segment and then joint by joint, so that the
-    first non-finite diagnostic in that order raises its ValueError."""
+    the report kept only columns: one ``Rows.verdict`` object per row,
+    built segment by segment and then joint by joint, so that the first
+    non-finite diagnostic in that order raises its ValueError."""
     codes = report._codes
     n = len(codes)
     per_segment = [[] for _ in codes]
-    for rows, reported, segments in report._segment_rows:
-        for i, r in zip(segments, reported.tolist()):
+    for rows, segments in report.segment_rows:
+        for r, i in enumerate(segments):
             per_segment[i - 1].append((rows, r))
     per_joint = [[None, None] for _ in codes[1:]]
-    for slot, (rows, reported, joints) in enumerate(report._joint_rows):
-        for j, r in zip(joints, reported.tolist()):
+    for slot, (rows, joints) in enumerate(report.joint_rows):
+        for r, j in enumerate(joints):
             per_joint[j - 1][slot] = (rows, r)
     vertices = []
     for j, (b, c) in enumerate(zip(report._binormals, report._collinear), start=1):
@@ -571,13 +571,20 @@ def ref_verify_report(spline, report, cfg, settings: dict) -> list:
     problems = []
     taus = cli.torsion_numerator_rows(*spline.rows()).tolist()
     widths = spline.widths.tolist()
-    for i, passing in itertools.groupby(report.passing_segment_rows(), key=lambda p: p[0]):
+    # every passing segment verdict as (segment, batch slot, row, rows), in report order
+    verdicts = sorted(
+        (i, slot, r, rows)
+        for slot, (rows, segments) in enumerate(report.segment_rows)
+        for r, i in enumerate(segments)
+        if rows.passed[r]
+    )
+    for i, passing in itertools.groupby(verdicts, key=lambda p: p[0]):
         ctrl, h, tau = spline.nets[i - 1], widths[i - 1], taus[i - 1]
         tangents, d2, _ = (d[0] for d in decasteljau_derivatives(ctrl[None], us, [h]))
         omegas = cross_rows(tangents, d2)
         points = decasteljau(ctrl[None], us)[0]
         normals = poly.binormals[i - 2 : i]
-        for _, rows, r in passing:
+        for _, _, r, rows in passing:
             crit = rows.criterion
             if crit is Criterion.CONVEXITY:
                 for tag, nv in zip(("prev", "cur"), normals):

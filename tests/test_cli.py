@@ -87,6 +87,24 @@ class TestCheck:
         code, _, err = run(capsys, "check", doc)
         assert code == 2
 
+    def test_short_chord_names_both_points_and_the_threshold(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text('{"version": 1, "points": [[0,0,0],[1,0,0],[1,1,0],[3,1,0]]}')
+        code, _, err = run(capsys, "check", doc, "--eps-zero", "0.5")
+        assert code == 2
+        assert err == (
+            "error: chord from point 0 to point 1 is not longer than eps_zero 0.5 "
+            "times the extent 3.1622776601683795 of the points\n"
+        )
+        # unit chords along a line 1 999 long: each is below 1e-3 of it
+        doc.write_text(json.dumps({"version": 1, "points": [[k, 0, 0] for k in range(2000)]}))
+        code, _, err = run(capsys, "measures", doc, "--eps-zero", "1e-3")
+        assert code == 2
+        assert err == (
+            "error: chord from point 0 to point 1 is not longer than eps_zero 0.001 "
+            "times the extent 1999.0 of the points\n"
+        )
+
     def test_build_fault_names_the_segment(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"
         points = [[k, 0.5 * k * k, 0] for k in range(5)]
@@ -660,7 +678,7 @@ class TestVerifyReportMessages:
             spline = build_spline(DataPolygon(points), cfg)
             for relabel in ({}, self.RELABEL):
                 report = analyze(spline, cfg)
-                for rows, _, _ in report._segment_rows:
+                for rows, _ in report.segment_rows:
                     rows.passed = rows.applicable.copy()
                     rows.criterion = relabel.get(rows.criterion, rows.criterion)
                 problems = cli._verify_report(spline, report, cfg, settings)
@@ -685,7 +703,7 @@ class TestVerifyRunSize:
 
         def call(spline, cfg):
             report = analyze_(spline, cfg)
-            for rows, _, _ in report._segment_rows:
+            for rows, _ in report.segment_rows:
                 rows.passed = rows.applicable.copy()
                 rows.criterion = TestVerifyReportMessages.RELABEL.get(rows.criterion, rows.criterion)
             return report

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from shapespline.criteria import (
     Criterion,
+    Rows,
     adjacency_rows,
     collinearity_rows,
     convexity_rows,
@@ -152,9 +153,8 @@ def kernel_batches(rng, n: int = 80) -> list:
 def test_verdict_texts_are_the_verdict_objects_encoded(rng, level):
     patterns, masked = set(), set()
     for rows in kernel_batches(rng):
-        reported = np.arange(0, len(rows.applicable), 2)[::-1]  # any subset, any order
-        texts = _verdict_texts(rows, reported, level)
-        verdicts = [rows.verdict(r) for r in reported.tolist()]
+        texts = _verdict_texts(rows, level)
+        verdicts = [rows.verdict(r) for r in range(len(rows.applicable))]
         assert texts == [dumps(v.to_dict(), level) for v in verdicts]
         if level == 0:
             assert texts == [oracle(v.to_dict()) for v in verdicts]
@@ -164,4 +164,5 @@ def test_verdict_texts_are_the_verdict_objects_encoded(rng, level):
     assert {p[1] for p in patterns} == {True, False, None}
     assert (Criterion.TORSION, None, 1) in patterns  # one field, no tuple
     assert masked == {Criterion.COLLINEARITY}  # a zero middle hodograph point
-    assert _verdict_texts(rows, np.arange(0), level) == []
+    none = np.zeros(0, dtype=bool)
+    assert _verdict_texts(Rows(Criterion.TORSION, none, none, {"delta": np.zeros(0)}, head=1), level) == []

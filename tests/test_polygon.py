@@ -351,6 +351,21 @@ class TestDataPolygon:
         # long chords that still have a finite length are accepted
         assert DataPolygon([(0, 0, 0), (1e150, 0, 0), (1e150, 1e150, 0)]).n_segments == 2
 
+    def test_short_chords_are_named_with_the_threshold(self):
+        # no two points coincide, but chord 0 is no longer than 0.5 times
+        # the extent sqrt(10) of the points
+        with pytest.raises(ValueError) as exc:
+            DataPolygon([(0, 0, 0), (1, 0, 0), (1, 1, 0), (3, 1, 0)], eps_zero=0.5)
+        assert str(exc.value) == (
+            "chord from point 0 to point 1 is not longer than eps_zero 0.5 "
+            "times the extent 3.1622776601683795 of the points"
+        )
+        # the first short chord is named, and an exact repeat after it
+        # does not take its place
+        with pytest.raises(ValueError) as exc:
+            DataPolygon([(0, 0, 0), (10, 0, 0), (10, 1e-6, 0), (10, 1e-6, 0)], eps_zero=1e-3)
+        assert str(exc.value).startswith("chord from point 1 to point 2 is not longer than eps_zero 0.001 ")
+
     def test_two_identical_points_rejected(self):
         with pytest.raises(ValueError):
             DataPolygon([(1, 2, 3), (1, 2, 3)])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from shapespline import (
 )
 from shapespline.segment import net_fault
 from shapespline.criteria import Rows
+from shapespline.polygon import FLAG_BITS, FLAG_SETS, span_codes
 from shapespline.spline import SplineReport
 from conftest import (
     collinear_polyline,
@@ -262,6 +264,65 @@ class TestAnalyze:
         assert report.to_dict()["vertices"][0]["collinearity_extended"]["applicable"]
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+BATTERY = (Criterion.CONVEXITY, Criterion.INFLECTION, Criterion.TORSION, Criterion.COPLANARITY)
+
+
+def report_polygons(rng) -> list:
+    """The fixtures' points and a few random ``noisy_helix``,
+    ``planar_scurve`` and ``collinear_polyline`` documents."""
+    docs = [json.loads(p.read_text())["points"] for p in sorted(FIXTURES.glob("*.json"))]
+    for n in (5, 9, 16):
+        docs += [noisy_helix(rng, n), planar_scurve(rng, n), collinear_polyline(rng, n // 2, 2)]
+    return [DataPolygon(points) for points in docs]
+
+
+class TestOneRowPerVerdict:
+    """Each criterion runs on the rows the report prints, and on no other."""
+
+    def test_every_batch_has_one_row_per_entry(self, rng):
+        for poly in report_polygons(rng):
+            report = analyze(build_spline(poly))
+            assert len(report.segment_rows) == 5 and len(report.joint_rows) == 2
+            for rows, entries in report.segment_rows + report.joint_rows:
+                assert len(rows.applicable) == len(rows.passed) == len(entries)
+                for name, col in rows.columns.items():
+                    assert len(col) == len(rows.present[name]) == len(entries)
+
+    def test_entries_are_the_qualifying_spans_and_joints(self, rng):
+        for poly in report_polygons(rng):
+            n, eps = poly.n_segments, poly.eps_zero
+            report = analyze(build_spline(poly))
+            codes = span_codes(poly, np.arange(1, n + 1)).tolist()
+            for criterion, flag, (rows, entries) in zip(BATTERY, FLAG_BITS, report.segment_rows):
+                assert rows.criterion is criterion
+                assert entries == [i for i in range(2, n) if flag in FLAG_SETS[codes[i - 1]]]
+            _, norms, floors, _, collinear, _ = poly.classes
+            (adjacency, joints), (compat, compat_joints) = report.joint_rows
+            assert adjacency.criterion is Criterion.ADJACENCY_COMPAT
+            assert joints == [j for j in range(1, n) if norms[j - 1] > eps * floors[j - 1]]
+            assert compat.criterion is Criterion.TORSION_COMPAT and compat_joints == list(range(2, n - 1))
+            # segment i once per collinear end vertex
+            ends = [False, *collinear.tolist(), False]
+            want = [i for i in range(1, n + 1) for j in (i - 1, i) if ends[j]]
+            assert report.segment_rows[4][1] == want
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0, 0), (1, 2, 3)],
+            [(0, 0, 0), (1, 0.5, 0), (2, 0, 0.5)],
+            [(0, 0, 0), (1, 1, 1), (2, 2, 2), (4, 4, 4)],
+        ],
+    )
+    def test_short_and_straight_polygons_give_empty_battery_batches(self, points):
+        report = analyze(build_spline(DataPolygon(points)))
+        for rows, entries in report.segment_rows[:4]:
+            assert entries == [] and len(rows.applicable) == 0
+        assert report.to_dict() == ref_report_dict(report)
+        assert set(report.summary["criteria"]).isdisjoint(c.value for c in BATTERY)
+
+
 def tiny_width_knots(rng, n: int, width: float) -> np.ndarray:
     """Knots of ``n`` segments, of width 1 but for a run of one or two
     random segments of ``width``; the run starts at knot 0, where such a
@@ -324,18 +385,20 @@ class TestNonFiniteOrder:
         assert places == {"finite", "battery", "joint", "vertex"}
 
     def test_random_cells_of_hand_built_columns(self, rng):
-        # every batch of a 9-segment report with random reported rows and a
-        # few non-finite cells; the column names tell the batches apart
+        # every batch of a 9-segment report, one row per entry, with random
+        # battery spans and adjacency joints and a few non-finite cells; the
+        # column names tell the batches apart
         n = 9
 
-        def batch(criterion, tag, size, reported, entries):
+        def batch(criterion, tag, entries):
+            size = len(entries)
             applicable = rng.random(size) < 0.7
             names = [f"{tag}{k}" for k in range(3)]
             columns = {name: rng.normal(size=size) for name in names}
             for col in columns.values():
                 col[rng.random(size) < 0.04] = rng.choice([np.nan, np.inf, -np.inf])
             rows = Rows(criterion, applicable, applicable & (rng.random(size) < 0.5), columns, head=1)
-            return rows, reported, entries
+            return rows, entries
 
         def subset(size):
             return np.flatnonzero(rng.random(size) < 0.6)
@@ -344,14 +407,12 @@ class TestNonFiniteOrder:
         for _ in range(300):
             segment_rows = []
             for tag, criterion in enumerate((Criterion.CONVEXITY, Criterion.INFLECTION, Criterion.TORSION)):
-                reported = subset(n - 2)
-                segment_rows.append(batch(criterion, f"s{tag}_", n - 2, reported, (reported + 2).tolist()))
+                segment_rows.append(batch(criterion, f"s{tag}_", (subset(n - 2) + 2).tolist()))
             segments = np.sort(rng.integers(1, n + 1, 6))
-            segment_rows.append(batch(Criterion.COLLINEARITY, "c_", 6, np.arange(6), segments.tolist()))
-            with_adjacency = subset(n - 1)
+            segment_rows.append(batch(Criterion.COLLINEARITY, "c_", segments.tolist()))
             joint_rows = [
-                batch(Criterion.ADJACENCY_COMPAT, "a_", n - 1, with_adjacency, (with_adjacency + 1).tolist()),
-                batch(Criterion.TORSION_COMPAT, "t_", n - 3, np.arange(n - 3), list(range(2, n - 1))),
+                batch(Criterion.ADJACENCY_COMPAT, "a_", (subset(n - 1) + 1).tolist()),
+                batch(Criterion.TORSION_COMPAT, "t_", list(range(2, n - 1))),
             ]
             vertices = (np.ones((n - 1, 3)), [False] * (n - 1), {})
             report = SplineReport(*vertices, [0] * n, [1.0] * (n - 2), segment_rows, joint_rows)

@@ -47,6 +47,11 @@ The set, with its documents generated by ``perfbench/gen.py``:
 * ``check --eta 0.25`` on a collinear polyline whose knots sit at 1e16,
   widths of 2 next to widths of 1e3, so that the window part after each
   width of 2 is empty while its neighbours' are not;
+* a 2-point, a 3-point and a straight 4-point document under ``check``,
+  ``check --verify``, ``measures``, ``sample``, ``inflection`` and
+  ``inflection --verify``: they have no interior span, or no span that
+  qualifies for a battery criterion, so ``analyze`` runs its battery
+  kernels on zero rows;
 * documents whose diagnostics overflow, under ``check``, ``check
   --verify``, ``measures``, ``sample``, ``inflection`` and ``inflection
   --verify``: the tiny-knot and NaN-curvature documents and the 13-point
@@ -123,6 +128,15 @@ def offset_knot_document() -> dict:
     return {"version": 1, "points": pts.tolist(), "knots": knots.tolist()}
 
 
+def short_documents() -> dict:
+    """Documents whose battery batches are empty, by name."""
+    return {
+        "two-points": {"version": 1, "points": [[0, 0, 0], [1, 2, 3]]},
+        "three-points": {"version": 1, "points": [[0, 0, 0], [1, 0.5, 0], [2, 0, 0.5]]},
+        "straight-four": {"version": 1, "points": [[0, 0, 0], [1, 1, 1], [2, 2, 2], [4, 4, 4]]},
+    }
+
+
 def overflow_documents() -> dict:
     """The documents of ``tests/test_cli.py``'s ``TestNonFiniteDiagnostic``
     by name: knot widths of 1e-90, knot widths of 1e-160 on planar data, and
@@ -197,6 +211,10 @@ def plan(seeds, workdir: Path) -> list:
     path = workdir / "offset-knots.json"
     path.write_text(json.dumps(offset_knot_document()))
     invocations += [[sub, str(path), *flags] for sub, *flags in OFFSET_KNOT_COMMANDS]
+    for name, doc in short_documents().items():
+        path = workdir / f"short-{name}.json"
+        path.write_text(json.dumps(doc))
+        invocations += [[sub, str(path), *flags] for sub, *flags in FIXTURE_COMMANDS]
     for name, doc in overflow_documents().items():
         path = workdir / f"overflow-{name}.json"
         path.write_text(json.dumps(doc))
